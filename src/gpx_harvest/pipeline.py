@@ -5,6 +5,14 @@ own output plus a manifest, and reports a funnel line (inputs = outputs +
 exclusions).  A completed stage whose manifest and outputs are intact is
 skipped on re-runs, so deleting one stage's output re-executes only that
 stage.
+
+Parse, enrich and metrics each do their work once per distinct input and
+repeat the outcome for every row carrying that input: parse and metrics per
+content hash, enrich per raw description text.  A recrawled or mirrored file
+therefore costs one parse, one set of judge and translator calls and one
+metrics pass, however many captures carry it.  This is exact because each of
+those steps is a deterministic function of its key; exclusions and counters
+are still tallied once per row, so reports and exports do not change.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import os
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import judges
@@ -29,7 +37,8 @@ from .geo_metrics import compute_track_metrics, find_countries, length_2d, load_
 from .gpx_model import (GpxParseError, ParseStats, Segment, Track, TrackPoint,
                         extract_single_track, parse_gpx, strip_timestamps)
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
-from .records import assemble_record, dedup, export_records, passes_track_filters
+from .records import (OutputRecord, assemble_record, dedup, export_records,
+                      passes_track_filters)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, WarcRecordSkippedError, extract_payload,
                          fetch_many)
@@ -183,6 +192,7 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     fetched_rows = []
     failure_rows = []
+    written = set()
     for candidate, result in fetch_many(candidates, cfg.fetch, transport):
         if isinstance(result, FetchFailedError):
             report.exclude("fetch-failed")
@@ -200,7 +210,9 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             continue
         digest = hashlib.sha256(payload).hexdigest()
         payload_path = paths.raw_dir / f"{digest}.gpx"
-        payload_path.write_bytes(payload)
+        if digest not in written:
+            payload_path.write_bytes(payload)
+            written.add(digest)
         fetched_rows.append({**candidate.__dict__, "content_hash": digest,
                              "payload": str(payload_path)})
 
@@ -227,39 +239,49 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report = StageReport("parse")
     report.inputs = len(rows)
 
-    parse_stats = ParseStats()
-    parsed_rows = []
-    for row in rows:
+    def parse_one(row: dict) -> tuple[str | None, dict | None, ParseStats]:
+        """(exclusion reason, fields added to the row, what parsing dropped)."""
         payload_path = Path(row.get("payload") or paths.raw_dir / f"{row['content_hash']}.gpx")
         if not payload_path.exists():
             raise PipelineError(f"stage parse: missing payload {payload_path}")
+        stats = ParseStats()
         try:
-            doc = parse_gpx(payload_path.read_bytes(), row["url"], parse_stats)
+            doc = parse_gpx(payload_path.read_bytes(), row["url"], stats)
         except GpxParseError:
-            report.exclude("parse-error")
-            continue
+            return "parse-error", None, stats
 
         track = extract_single_track(doc)
         if track is None:
             populated = sum(1 for t in doc.tracks if t.point_count() > 0)
-            report.exclude("multi-track" if populated > 1 else "no-track")
-            continue
+            return ("multi-track" if populated > 1 else "no-track"), None, stats
 
         track = strip_timestamps(track)
         flat_length = length_2d(track)
         ok, reason = passes_track_filters(track, flat_length, cfg.filters)
         if not ok:
-            report.exclude(reason)
-            continue
+            return reason, None, stats
+        return None, {"name": track.name, "desc": track.desc, "length_2d": flat_length,
+                      "segments": _track_to_segments(track)}, stats
 
-        parsed_rows.append({**row, "name": track.name, "desc": track.desc,
-                            "length_2d": flat_length,
-                            "segments": _track_to_segments(track)})
+    outcomes: dict[str, tuple] = {}
+    totals = ParseStats()
+    parsed_rows = []
+    for row in rows:
+        digest = row["content_hash"]
+        if digest not in outcomes:
+            outcomes[digest] = parse_one(row)
+        reason, fields, stats = outcomes[digest]
+        totals.points_dropped += stats.points_dropped
+        totals.tracks_dropped += stats.tracks_dropped
+        if reason is not None:
+            report.exclude(reason)
+        else:
+            parsed_rows.append({**row, **fields})
 
     write_jsonl(paths.parsed, parsed_rows)
     report.outputs = len(parsed_rows)
-    report.info = {"points_dropped": parse_stats.points_dropped,
-                   "tracks_dropped": parse_stats.tracks_dropped}
+    report.info = {"points_dropped": totals.points_dropped,
+                   "tracks_dropped": totals.tracks_dropped}
     logger.info("parse: %d payloads -> %d single-track activities", len(rows), len(parsed_rows))
     return _finish_stage(paths, report, [paths.parsed])
 
@@ -287,8 +309,9 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     judge = _build_judge(cfg)
     translator = _build_translator(cfg)
 
-    def enrich_one(row: dict):
-        text = clean_text(row.get("desc") or "")
+    def enrich_text(raw: str) -> tuple[str | None, dict | None]:
+        """(exclusion reason, description fields replacing the row's ``desc``)."""
+        text = clean_text(raw)
         text, pii_flags = mask_pii(text)
         if len(text) < cfg.filters.desc_min_chars:
             return "desc-too-short", None
@@ -308,18 +331,20 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             text_en = judges.translate_to_english(text, lang, translator)
         except judges.TranslationFailedError:
             return "translation-failed", None
-        return None, {**row, "desc": text, "desc_lang": lang, "desc_en": text_en,
+        return None, {"desc": text, "desc_lang": lang, "desc_en": text_en,
                       "pii_flags": pii_flags.__dict__}
 
+    texts = list(dict.fromkeys(row.get("desc") or "" for row in rows))
     with ThreadPoolExecutor(max_workers=max(1, cfg.judge_max_parallel)) as pool:
-        results = list(pool.map(enrich_one, rows))
+        outcomes = dict(zip(texts, pool.map(enrich_text, texts)))
 
     kept = []
-    for reason, row in results:
+    for row in rows:
+        reason, fields = outcomes[row.get("desc") or ""]
         if reason is not None:
             report.exclude(reason)
         else:
-            kept.append(row)
+            kept.append({**row, **fields})
 
     survivors = filter_rare_languages(kept, get_lang=lambda r: r["desc_lang"],
                                       cutoff=cfg.filters.rare_lang_cutoff)
@@ -342,16 +367,14 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     tiles = TileStore(cfg.srtm_dir) if cfg.srtm_dir else TileStore(Path(os.devnull))
     boundaries = load_boundaries(cfg.boundaries) if cfg.boundaries else []
 
-    final_rows = []
-    info = Counter()
-    for row in rows:
+    def metrics_one(row: dict) -> tuple[str | None, OutputRecord | None, tuple[str, ...]]:
+        """(exclusion reason, assembled record, info counters to bump)."""
         track = _segments_to_track(row.get("name"), row["desc"], row["segments"])
         try:
             track, elev_source = backfill_elevation(track, tiles)
         except ElevationUnavailableError:
-            report.exclude("elevation-unavailable")
-            continue
-        info["elev_gps" if elev_source == "GPS" else "elev_dem"] += 1
+            return "elevation-unavailable", None, ()
+        counters = ["elev_gps" if elev_source == "GPS" else "elev_dem"]
 
         metrics = compute_track_metrics(track,
                                         circular_radius_m=cfg.filters.circular_radius_m,
@@ -361,9 +384,9 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         matches = find_countries(first.lon, first.lat, boundaries)
         country = matches[0] if matches else "Unknown"
         if not matches:
-            info["country_unknown"] += 1
+            counters.append("country_unknown")
         elif len(matches) > 1:
-            info["country_ambiguous"] += 1
+            counters.append("country_ambiguous")
 
         candidate = CandidateRecord(url=row["url"], mime_detected=row.get("mime_detected", ""),
                                     warc_file=row["warc_file"], warc_offset=row["warc_offset"],
@@ -371,6 +394,24 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         desc = CleanDescription(text=row["desc"], lang=row["desc_lang"],
                                 text_en=row["desc_en"], pii=PiiFlags(**row["pii_flags"]))
         record = assemble_record(candidate, track, metrics, desc, country, elev_source)
+        return None, record, tuple(counters)
+
+    # Everything but the capture fields follows from the content hash, so the
+    # record is built once per hash and each row gets its own url/warc_* copy.
+    outcomes: dict[str, tuple] = {}
+    final_rows = []
+    info = Counter()
+    for row in rows:
+        digest = row["content_hash"]
+        if digest not in outcomes:
+            outcomes[digest] = metrics_one(row)
+        reason, record, counters = outcomes[digest]
+        info.update(counters)
+        if reason is not None:
+            report.exclude(reason)
+            continue
+        record = replace(record, url=row["url"], warc_file=row["warc_file"],
+                         warc_offset=row["warc_offset"], warc_len=row["warc_len"])
         final_rows.append({"url": row["url"], "crawl_id": row.get("crawl_id", ""),
                            "content_hash": row["content_hash"],
                            "record": record.__dict__})

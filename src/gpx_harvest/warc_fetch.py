@@ -131,8 +131,9 @@ class FixtureTransport:
         path = self.root / relative
         if not path.exists():
             return 404, b""
-        data = path.read_bytes()
-        return 206, data[offset:offset + length]
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            return 206, handle.read(length)  # short when the range runs past EOF
 
 
 def fetch_candidate(candidate: CandidateRecord, policy: FetchPolicy, transport,
@@ -254,7 +255,10 @@ def extract_payload(record: WarcSlice | bytes) -> bytes:
         raise WarcRecordSkippedError(f"warc record type {warc_type!r}")
 
     if "content-length" in warc_headers:
-        declared = int(warc_headers["content-length"])
+        try:
+            declared = int(warc_headers["content-length"])
+        except ValueError as exc:
+            raise PayloadDecodeError("bad WARC Content-Length") from exc
         if len(warc_content) < declared:
             raise PayloadDecodeError("truncated WARC content")
         http_block = warc_content[:declared]

@@ -1,13 +1,17 @@
 """Stage-level exclusion paths not exercised by the golden fixture."""
 
+import gzip
 import hashlib
 import json
+from pathlib import Path
 
 from gpx_harvest import judges
+from gpx_harvest import pipeline as pipeline_module
 from gpx_harvest.config import PipelineConfig
-from gpx_harvest.pipeline import (PipelinePaths, stage_enrich, stage_metrics,
-                                  stage_parse, write_jsonl)
-from gpx_harvest.synthetic import gpx_xml, line_points
+from gpx_harvest.pipeline import (PipelinePaths, stage_enrich, stage_export, stage_fetch,
+                                  stage_metrics, stage_parse, write_jsonl)
+from gpx_harvest.synthetic import gpx_xml, line_points, warc_response_member
+from gpx_harvest.warc_fetch import FetchPolicy
 
 GOOD_DESC = ("A long and rewarding walk through the valley and up to the old "
              "watchtower, with a steady climb and a fine descent through the woods.")
@@ -180,3 +184,133 @@ def test_enrich_stage_with_command_translator(tmp_path):
     row = json.loads(paths.enriched.read_text("utf-8").splitlines()[0])
     assert row["desc_lang"] == "de"
     assert row["desc_en"].startswith("[de] EINE LANGE")
+
+
+WARC_FILE = "crawl-data/CC-MAIN-2024-10/segments/0/warc/w.warc.gz"
+
+
+def seed_candidates(tmp_path, paths, captures):
+    """Write one WARC file holding the given (url, crawl_id, gzip member)
+    captures, plus the candidates.jsonl the fetch stage reads."""
+    cfg = PipelineConfig(workdir=tmp_path, fixture_dir=tmp_path / "warc",
+                         out_dir=tmp_path / "out")
+    cfg.fetch = FetchPolicy(max_retries=1, backoff_base_s=0.0, max_parallel=1,
+                            rate_limit_per_s=10_000.0, base_url="https://data.example")
+    warc = cfg.fixture_dir / WARC_FILE
+    warc.parent.mkdir(parents=True)
+    rows = []
+    offset = 0
+    with open(warc, "wb") as handle:
+        for url, crawl_id, member in captures:
+            handle.write(member)
+            rows.append({"url": url, "mime_detected": "application/gpx+xml",
+                         "warc_file": WARC_FILE, "warc_offset": offset,
+                         "warc_len": len(member), "crawl_id": crawl_id})
+            offset += len(member)
+    write_jsonl(paths.candidates, rows)
+    return cfg, rows
+
+
+def test_fetch_stage_counts_bad_warc_content_length_as_decode_error(tmp_path):
+    paths = PipelinePaths(workdir=tmp_path)
+    http = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
+    bad = gzip.compress(b"WARC/1.0\r\nWARC-Type: response\r\nContent-Length: twelve\r\n\r\n"
+                        + http)
+    cfg, _ = seed_candidates(tmp_path, paths, [
+        ("http://t.example/bad.gpx", "CC-MAIN-2024-10", bad),
+        ("http://t.example/ok.gpx", "CC-MAIN-2024-10",
+         warc_response_member("http://t.example/ok.gpx", good_track_payload())),
+    ])
+    report = stage_fetch(cfg, paths)
+    assert report.excluded == {"decode-error": 1}
+    assert report.outputs == 1
+    failure = json.loads(paths.fetch_failures.read_text("utf-8"))
+    assert failure == {"url": "http://t.example/bad.gpx", "reason": "bad WARC Content-Length"}
+
+
+class CountingJudge(KeywordJudge):
+    """KeywordJudge that keeps every prompt it was asked."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def __call__(self, prompt):
+        self.prompts.append(prompt)
+        return super().__call__(prompt)
+
+
+def test_stages_share_work_per_payload_and_description(tmp_path, monkeypatch):
+    walk = [line_points(50.0, 6.0, 30, 50.0, ele=100.0)]
+    edited = [line_points(50.1, 6.0, 30, 50.0, ele=100.0)]
+    glitch = [line_points(50.2, 6.0, 100, 50.0, ele=100.0) + [(95.0, 6.0, 100.0)]]
+    stub = [line_points(50.3, 6.0, 5, 10.0, ele=100.0)]
+    boring = GOOD_DESC + " boring"
+    payloads = {name: gpx_xml([{"name": name, "desc": desc, "segments": segments}])
+                for name, desc, segments in (("walk", GOOD_DESC, walk),
+                                             ("edited", GOOD_DESC, edited),
+                                             ("glitch", boring, glitch),
+                                             ("stub", boring, stub))}
+    captures = [  # (url, crawl_id, payload): recrawls and mirrors of four files
+        ("http://a.example/walk.gpx", "CC-MAIN-2024-10", "walk"),
+        ("http://a.example/walk.gpx", "CC-MAIN-2024-18", "walk"),
+        ("http://mirror.example/walk.gpx", "CC-MAIN-2024-10", "walk"),
+        ("http://b.example/edited.gpx", "CC-MAIN-2024-10", "edited"),
+        ("http://c.example/glitch.gpx", "CC-MAIN-2024-10", "glitch"),
+        ("http://mirror.example/glitch.gpx", "CC-MAIN-2024-18", "glitch"),
+        ("http://d.example/stub.gpx", "CC-MAIN-2024-10", "stub"),
+        ("http://d.example/stub.gpx", "CC-MAIN-2024-18", "stub"),
+    ]
+    paths = PipelinePaths(workdir=tmp_path)
+    cfg, candidates = seed_candidates(
+        tmp_path, paths,
+        [(url, crawl, warc_response_member(url, payloads[name])) for url, crawl, name in captures])
+    cfg.filters.rare_lang_cutoff = 0
+
+    writes = []
+    write_bytes = Path.write_bytes
+    monkeypatch.setattr(Path, "write_bytes",
+                        lambda path, data: writes.append(path.name) or write_bytes(path, data))
+    report = stage_fetch(cfg, paths)
+    monkeypatch.undo()
+    assert (report.inputs, report.outputs, report.excluded) == (8, 8, {})
+    assert sorted(writes) == sorted(f"{hashlib.sha256(p).hexdigest()}.gpx"
+                                    for p in payloads.values())
+
+    parsed = []
+    parse_gpx = pipeline_module.parse_gpx
+    monkeypatch.setattr(pipeline_module, "parse_gpx",
+                        lambda payload, *args: parsed.append(payload) or parse_gpx(payload, *args))
+    report = stage_parse(cfg, paths)
+    assert len(parsed) == len(set(parsed)) == 4
+    assert (report.inputs, report.outputs) == (8, 6)
+    assert report.excluded == {"too-short": 2}
+    assert report.info == {"points_dropped": 2, "tracks_dropped": 0}
+
+    judge = CountingJudge()
+    monkeypatch.setattr(pipeline_module, "_build_judge", lambda cfg: judge)
+    report = stage_enrich(cfg, paths)
+    assert len(judge.prompts) == len(set(judge.prompts)) == 3  # two texts, one fails quality
+    assert (report.inputs, report.outputs) == (6, 4)
+    assert report.excluded == {"low-quality": 2}
+
+    measured = []
+    compute = pipeline_module.compute_track_metrics
+    monkeypatch.setattr(pipeline_module, "compute_track_metrics",
+                        lambda track, **kw: measured.append(track) or compute(track, **kw))
+    report = stage_metrics(cfg, paths)
+    assert len(measured) == 2
+    assert (report.inputs, report.outputs, report.excluded) == (4, 4, {})
+    assert report.info == {"country_unknown": 4, "elev_gps": 4}
+    final = [json.loads(line) for line in paths.final.read_text("utf-8").splitlines()]
+    by_capture = {(c["url"], c["crawl_id"]): c for c in candidates}
+    for row in final:
+        capture = by_capture[row["url"], row["crawl_id"]]
+        assert {k: row["record"][k] for k in ("url", "warc_file", "warc_offset", "warc_len")} \
+            == {k: capture[k] for k in ("url", "warc_file", "warc_offset", "warc_len")}
+    assert final[0]["record"]["geometry"] == final[1]["record"]["geometry"]
+
+    report = stage_export(cfg, paths)
+    assert report.excluded == {"duplicate-url": 1, "duplicate-content": 1}
+    exported = [json.loads(line)["url"]
+                for line in (cfg.out_dir / "tracks.jsonl").read_text("utf-8").splitlines()]
+    assert exported == ["http://a.example/walk.gpx", "http://b.example/edited.gpx"]

@@ -83,6 +83,22 @@ def test_fetch_candidate_over_fixture_transport(tmp_path):
     assert extract_payload(result) == payload
 
 
+def test_fixture_transport_reads_only_the_range(tmp_path):
+    data = bytes(range(256)) * 4
+    warc = tmp_path / "crawl-data/CC-MAIN-2024-10/seg/warc/x.warc.gz"
+    warc.parent.mkdir(parents=True)
+    warc.write_bytes(data)
+    transport = FixtureTransport(tmp_path)
+    url = "https://data.example/crawl-data/CC-MAIN-2024-10/seg/warc/x.warc.gz"
+    assert transport.get_range(url, 300, 17) == (206, data[300:317])
+    assert transport.get_range(url, 1000, 50) == (206, data[1000:])  # short at EOF
+    assert transport.get_range(url, 5000, 10) == (206, b"")
+    assert transport.get_range(url.replace("x.warc", "y.warc"), 0, 5) == (404, b"")
+    with pytest.raises(FetchFailedError, match="short read: 24 of 50 bytes"):
+        fetch_candidate(candidate(offset=1000, length=50), policy(max_retries=1),
+                        transport)
+
+
 def test_fetch_candidate_404_exhausts_retries():
     transport = ScriptedTransport([(404, b"")] * 3)
     with pytest.raises(FetchFailedError, match="404"):
@@ -228,6 +244,13 @@ def test_extract_payload_rejects_truncated_body():
     warc = (b"WARC/1.0\r\nWARC-Type: response\r\n"
             + f"Content-Length: {len(http)}\r\n\r\n".encode() + http)
     with pytest.raises(PayloadDecodeError, match="truncated"):
+        extract_payload(gzip.compress(warc))
+
+
+def test_extract_payload_rejects_non_integer_warc_content_length():
+    http = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
+    warc = b"WARC/1.0\r\nWARC-Type: response\r\nContent-Length: 1e3\r\n\r\n" + http
+    with pytest.raises(PayloadDecodeError, match="bad WARC Content-Length"):
         extract_payload(gzip.compress(warc))
 
 
