@@ -2,12 +2,11 @@
 
 Only documents with exactly one populated track survive (multi-track files
 are typically multi-day events).  Survivors must be 0.5-100 km long with at
-least one point per 100 m on average, and their point timestamps are removed
-before anything else happens.
+least one point per 100 m on average.
 """
 
 from gpx_harvest import (FilterConfig, extract_single_track, length_2d, parse_gpx,
-                         passes_track_filters, strip_timestamps)
+                         passes_track_filters)
 from gpx_harvest.synthetic import gpx_xml, line_points, loop_points
 
 config = FilterConfig()
@@ -28,7 +27,6 @@ for label, payload in documents.items():
         print(f"{label:14s} -> rejected: not a single-track document "
               f"({len(doc.tracks)} tracks)")
         continue
-    track = strip_timestamps(track)
     flat = length_2d(track)
     ok, reason = passes_track_filters(track, flat, config)
     verdict = "kept" if ok else f"rejected: {reason}"

@@ -17,7 +17,7 @@ from .geo_metrics import (EARTH_RADIUS_M, CountryShape, TrackMetrics, assign_cou
                           haversine_m, is_circular, length_2d, length_3d,
                           load_boundaries, point_in_polygon)
 from .gpx_model import (GpxDocument, GpxParseError, Segment, Track, TrackPoint,
-                        extract_single_track, parse_gpx, strip_timestamps)
+                        extract_single_track, parse_gpx)
 from .index_scan import (CandidateRecord, ScanStats, is_gpx_candidate, iter_shard_lines,
                          parse_index_line, scan_index)
 from .judges import (ChatEndpointJudge, CommandTranslator, JudgeUnavailableError,
@@ -44,7 +44,7 @@ __all__ = [
     "compute_track_metrics", "elevation_stats", "find_countries", "haversine_m",
     "is_circular", "length_2d", "length_3d", "load_boundaries", "point_in_polygon",
     "GpxDocument", "GpxParseError", "Segment", "Track", "TrackPoint",
-    "extract_single_track", "parse_gpx", "strip_timestamps",
+    "extract_single_track", "parse_gpx",
     "CandidateRecord", "ScanStats", "is_gpx_candidate", "iter_shard_lines",
     "parse_index_line", "scan_index",
     "ChatEndpointJudge", "CommandTranslator", "JudgeUnavailableError", "JudgeVerdict",

@@ -7,8 +7,7 @@ Accepts GPX 1.0, GPX 1.1 and namespace-less documents.  Route files
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from datetime import datetime
+from dataclasses import dataclass, field
 from typing import Iterator
 from xml.etree import ElementTree
 
@@ -27,7 +26,6 @@ class TrackPoint:
     lat: float
     lon: float
     ele: float | None = None
-    time: datetime | None = None
 
 
 @dataclass
@@ -76,18 +74,6 @@ def _child_text(element: ElementTree.Element, name: str) -> str | None:
     return None
 
 
-def _parse_time(text: str | None) -> datetime | None:
-    if not text:
-        return None
-    value = text.strip()
-    if value.endswith(("Z", "z")):
-        value = value[:-1] + "+00:00"
-    try:
-        return datetime.fromisoformat(value)
-    except ValueError:
-        return None
-
-
 def _read_point(element: ElementTree.Element) -> TrackPoint | None:
     try:
         lat = float(element.get("lat", ""))
@@ -105,7 +91,7 @@ def _read_point(element: ElementTree.Element) -> TrackPoint | None:
         except ValueError:
             ele = None
 
-    return TrackPoint(lat=lat, lon=lon, ele=ele, time=_parse_time(_child_text(element, "time")))
+    return TrackPoint(lat=lat, lon=lon, ele=ele)
 
 
 def _read_points(parent: ElementTree.Element, point_tag: str, stats: ParseStats) -> tuple[list[TrackPoint], int]:
@@ -165,9 +151,9 @@ def _strip_or_none(text: str | None) -> str | None:
 def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxDocument:
     """Parse raw GPX bytes into the track hierarchy.
 
-    Reads trk/trkseg/trkpt plus trk-level name and desc; ele and time children
-    are optional per point.  Unknown elements (extensions, waypoints) are
-    ignored.  Points with unparsable or out-of-range lat/lon are dropped and
+    Reads trk/trkseg/trkpt plus trk-level name and desc; the ele child is
+    optional per point.  Unknown elements (extensions, waypoints, point
+    timestamps) are ignored.  Points with unparsable or out-of-range lat/lon are dropped and
     counted in ``stats``; a track losing more than 1% of its points that way
     is dropped entirely.  Routes become single-segment tracks.  Descriptions
     fall back to the document-level <desc> (GPX 1.0) or <metadata><desc>
@@ -224,11 +210,3 @@ def extract_single_track(doc: GpxDocument) -> Track | None:
     return Track(name=track.name, desc=track.desc,
                  segments=[s for s in track.segments if s.points])
 
-
-def strip_timestamps(track: Track) -> Track:
-    """Return a copy of the track with every point's timestamp removed."""
-    return Track(
-        name=track.name,
-        desc=track.desc,
-        segments=[Segment(points=[replace(p, time=None) for p in s.points]) for s in track.segments],
-    )

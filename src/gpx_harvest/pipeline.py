@@ -13,6 +13,10 @@ therefore costs one parse, one set of judge and translator calls and one
 metrics pass, however many captures carry it.  This is exact because each of
 those steps is a deterministic function of its key; exclusions and counters
 are still tallied once per row, so reports and exports do not change.
+
+Rows passed between stages carry ids, the description and scalars, never
+geometry: parse and metrics both read the track from the ``raw/<sha256>.gpx``
+payload fetch wrote, so ``raw/`` must survive until metrics completes.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from .descriptions import (CleanDescription, PiiFlags, clean_text, filter_rare_l
                            mask_pii)
 from .elevation import ElevationUnavailableError, TileStore, backfill_elevation
 from .geo_metrics import compute_track_metrics, find_countries, length_2d, load_boundaries
-from .gpx_model import (GpxParseError, ParseStats, Segment, Track, TrackPoint,
-                        extract_single_track, parse_gpx, strip_timestamps)
+from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, parse_gpx
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .records import (OutputRecord, assemble_record, dedup, export_records,
                       passes_track_filters)
@@ -113,12 +116,14 @@ class PipelinePaths:
         return self.workdir / "manifests" / f"{stage}.json"
 
 
-def write_json_atomic(path: Path, obj) -> None:
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(handle)`` on a temp file beside ``path``, then rename it
+    over ``path``: a crash part-way leaves the previous file untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, ensure_ascii=False, indent=2)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -126,12 +131,13 @@ def write_json_atomic(path: Path, obj) -> None:
         raise
 
 
+def write_json_atomic(path: Path, obj) -> None:
+    _write_atomic(path, lambda handle: json.dump(obj, handle, ensure_ascii=False, indent=2))
+
+
 def write_jsonl(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False))
-            handle.write("\n")
+    _write_atomic(path, lambda handle: handle.writelines(
+        json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def read_jsonl(path: Path, stage: str) -> list[dict]:
@@ -142,6 +148,13 @@ def read_jsonl(path: Path, stage: str) -> list[dict]:
 
 
 def _finish_stage(paths: PipelinePaths, report: StageReport, outputs: list[Path]) -> StageReport:
+    # Index keeps its line buckets in ``info`` (stats.json publishes them
+    # there), so its funnel is not checked here.
+    excluded = sum(report.excluded.values())
+    if report.stage != "index" and report.inputs != report.outputs + excluded:
+        raise PipelineError(f"stage {report.stage}: funnel does not balance: "
+                            f"{report.inputs} inputs != {report.outputs} outputs "
+                            f"+ {excluded} excluded")
     write_json_atomic(paths.manifest(report.stage), {
         "stage": report.stage,
         "outputs": [str(p) for p in outputs],
@@ -224,14 +237,25 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     return _finish_stage(paths, report, [paths.fetched, paths.fetch_failures])
 
 
-def _track_to_segments(track: Track) -> list[list[list]]:
-    return [[[p.lat, p.lon, p.ele] for p in segment.points] for segment in track.segments]
+def _payload_path(row: dict, paths: PipelinePaths) -> Path:
+    return Path(row.get("payload") or paths.raw_dir / f"{row['content_hash']}.gpx")
 
 
-def _segments_to_track(name, desc, segments) -> Track:
-    return Track(name=name, desc=desc,
-                 segments=[Segment(points=[TrackPoint(lat=p[0], lon=p[1], ele=p[2])
-                                           for p in seg]) for seg in segments])
+def _read_track(row: dict, paths: PipelinePaths, stage: str,
+                stats: ParseStats) -> tuple[str | None, Track | None]:
+    """(exclusion reason, the single track) read from the row's raw payload."""
+    payload_path = _payload_path(row, paths)
+    if not payload_path.exists():
+        raise PipelineError(f"stage {stage}: missing payload {payload_path}")
+    try:
+        doc = parse_gpx(payload_path.read_bytes(), row["url"], stats)
+    except GpxParseError:
+        return "parse-error", None
+    track = extract_single_track(doc)
+    if track is None:
+        populated = sum(1 for t in doc.tracks if t.point_count() > 0)
+        return ("multi-track" if populated > 1 else "no-track"), None
+    return None, track
 
 
 def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -241,27 +265,13 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     def parse_one(row: dict) -> tuple[str | None, dict | None, ParseStats]:
         """(exclusion reason, fields added to the row, what parsing dropped)."""
-        payload_path = Path(row.get("payload") or paths.raw_dir / f"{row['content_hash']}.gpx")
-        if not payload_path.exists():
-            raise PipelineError(f"stage parse: missing payload {payload_path}")
         stats = ParseStats()
-        try:
-            doc = parse_gpx(payload_path.read_bytes(), row["url"], stats)
-        except GpxParseError:
-            return "parse-error", None, stats
-
-        track = extract_single_track(doc)
-        if track is None:
-            populated = sum(1 for t in doc.tracks if t.point_count() > 0)
-            return ("multi-track" if populated > 1 else "no-track"), None, stats
-
-        track = strip_timestamps(track)
-        flat_length = length_2d(track)
-        ok, reason = passes_track_filters(track, flat_length, cfg.filters)
-        if not ok:
+        reason, track = _read_track(row, paths, "parse", stats)
+        if reason is None:
+            _, reason = passes_track_filters(track, length_2d(track), cfg.filters)
+        if reason is not None:
             return reason, None, stats
-        return None, {"name": track.name, "desc": track.desc, "length_2d": flat_length,
-                      "segments": _track_to_segments(track)}, stats
+        return None, {"desc": track.desc}, stats
 
     outcomes: dict[str, tuple] = {}
     totals = ParseStats()
@@ -369,7 +379,11 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     def metrics_one(row: dict) -> tuple[str | None, OutputRecord | None, tuple[str, ...]]:
         """(exclusion reason, assembled record, info counters to bump)."""
-        track = _segments_to_track(row.get("name"), row["desc"], row["segments"])
+        # Parse already counted what parsing drops, so its stats are discarded.
+        reason, track = _read_track(row, paths, "metrics", ParseStats())
+        if reason is not None:
+            raise PipelineError(f"stage metrics: {_payload_path(row, paths)} no longer "
+                                f"yields a track ({reason}); it changed after parse")
         try:
             track, elev_source = backfill_elevation(track, tiles)
         except ElevationUnavailableError:

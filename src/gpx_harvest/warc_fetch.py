@@ -229,6 +229,17 @@ def _dechunk(body: bytes) -> bytes:
         rest = rest[2:]
 
 
+def _content_length(headers: dict[str, str], layer: str) -> int:
+    """The declared Content-Length; PayloadDecodeError unless a whole number >= 0."""
+    try:
+        declared = int(headers["content-length"])
+    except ValueError as exc:
+        raise PayloadDecodeError(f"bad {layer} Content-Length") from exc
+    if declared < 0:
+        raise PayloadDecodeError(f"bad {layer} Content-Length")
+    return declared
+
+
 def extract_payload(record: WarcSlice | bytes) -> bytes:
     """Unwrap gzip member -> WARC record -> HTTP response -> body bytes.
 
@@ -255,10 +266,7 @@ def extract_payload(record: WarcSlice | bytes) -> bytes:
         raise WarcRecordSkippedError(f"warc record type {warc_type!r}")
 
     if "content-length" in warc_headers:
-        try:
-            declared = int(warc_headers["content-length"])
-        except ValueError as exc:
-            raise PayloadDecodeError("bad WARC Content-Length") from exc
+        declared = _content_length(warc_headers, "WARC")
         if len(warc_content) < declared:
             raise PayloadDecodeError("truncated WARC content")
         http_block = warc_content[:declared]
@@ -283,10 +291,7 @@ def extract_payload(record: WarcSlice | bytes) -> bytes:
     if "chunked" in http_headers.get("transfer-encoding", "").lower():
         return _dechunk(body)
     if "content-length" in http_headers:
-        try:
-            declared = int(http_headers["content-length"])
-        except ValueError as exc:
-            raise PayloadDecodeError("bad HTTP Content-Length") from exc
+        declared = _content_length(http_headers, "HTTP")
         if len(body) < declared:
             raise PayloadDecodeError("truncated HTTP body")
         return body[:declared]

@@ -1,9 +1,6 @@
-from datetime import datetime, timezone
-
 import pytest
 
-from gpx_harvest.gpx_model import (GpxParseError, ParseStats, Segment, Track, TrackPoint,
-                                   extract_single_track, parse_gpx, strip_timestamps)
+from gpx_harvest.gpx_model import GpxParseError, ParseStats, extract_single_track, parse_gpx
 from gpx_harvest.synthetic import gpx_xml
 
 URL = "http://a.example/t.gpx"
@@ -21,7 +18,6 @@ def test_parse_minimal_document_preserves_desc():
     assert track.point_count() == 2
     first = track.segments[0].points[0]
     assert (first.lat, first.lon, first.ele) == (51.0, -0.5, 12.0)
-    assert first.time == datetime(2024, 1, 1, 10, 0, tzinfo=timezone.utc)
     assert len(doc.content_hash) == 32
 
 
@@ -116,7 +112,6 @@ def test_parse_tolerates_bad_ele_and_time():
                b'</trkseg></trk></gpx>')
     point = parse_gpx(payload, URL).tracks[0].segments[0].points[0]
     assert point.ele is None
-    assert point.time is None
 
 
 def test_content_hash_is_payload_digest():
@@ -156,38 +151,6 @@ def test_extract_single_track_drops_empty_segments():
     doc = parse_gpx(gpx_xml([{"segments": [[], [(50.0, 6.0), (50.1, 6.0)], []]}]), URL)
     track = extract_single_track(doc)
     assert len(track.segments) == 1
-
-
-# --- strip_timestamps ------------------------------------------------------------
-
-def timed_track():
-    return Track(name="t", desc="d", segments=[Segment(points=[
-        TrackPoint(lat=50.0, lon=6.0, ele=10.0, time=datetime(2024, 1, 1, tzinfo=timezone.utc)),
-        TrackPoint(lat=50.1, lon=6.0, ele=11.0, time=datetime(2024, 1, 2, tzinfo=timezone.utc)),
-        TrackPoint(lat=50.2, lon=6.0, ele=12.0, time=datetime(2024, 1, 3, tzinfo=timezone.utc)),
-    ])])
-
-
-def test_strip_timestamps_removes_times_keeps_geometry():
-    track = timed_track()
-    stripped = strip_timestamps(track)
-    assert all(p.time is None for p in stripped.iter_points())
-    assert [(p.lat, p.lon, p.ele) for p in stripped.iter_points()] == \
-           [(p.lat, p.lon, p.ele) for p in track.iter_points()]
-    assert stripped.point_count() == track.point_count()
-    # the input is untouched
-    assert all(p.time is not None for p in track.iter_points())
-
-
-def test_strip_timestamps_idempotent():
-    once = strip_timestamps(timed_track())
-    twice = strip_timestamps(once)
-    assert once == twice
-
-
-def test_strip_timestamps_empty_track():
-    track = Track(segments=[])
-    assert strip_timestamps(track) == track
 
 
 # --- geometry round-trip -----------------------------------------------------------

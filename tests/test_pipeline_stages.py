@@ -3,13 +3,17 @@
 import gzip
 import hashlib
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from gpx_harvest import judges
 from gpx_harvest import pipeline as pipeline_module
 from gpx_harvest.config import PipelineConfig
-from gpx_harvest.pipeline import (PipelinePaths, stage_enrich, stage_export, stage_fetch,
-                                  stage_metrics, stage_parse, write_jsonl)
+from gpx_harvest.pipeline import (PipelineError, PipelinePaths, StageReport, stage_enrich,
+                                  stage_export, stage_fetch, stage_metrics, stage_parse,
+                                  write_jsonl)
 from gpx_harvest.synthetic import gpx_xml, line_points, warc_response_member
 from gpx_harvest.warc_fetch import FetchPolicy
 
@@ -57,9 +61,7 @@ def seed_parsed(paths, descs):
     for i, desc in enumerate(descs):
         rows.append({"url": f"http://t.example/{i}.gpx", "mime_detected": "",
                      "warc_file": "w.warc.gz", "warc_offset": 0, "warc_len": 9,
-                     "crawl_id": "c", "content_hash": f"h{i}", "name": f"t{i}",
-                     "desc": desc, "length_2d": 2000.0,
-                     "segments": [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]]]})
+                     "crawl_id": "c", "content_hash": f"h{i}", "desc": desc})
     write_jsonl(paths.parsed, rows)
     return rows
 
@@ -138,11 +140,16 @@ def test_enrich_stage_rare_language_cut(tmp_path):
 
 
 def seed_enriched(paths, segments, desc_lang="en"):
+    """Write the track's raw payload plus the enriched.jsonl metrics reads."""
+    payload = gpx_xml([{"name": "t", "desc": GOOD_DESC, "segments": segments}])
+    digest = hashlib.sha256(payload).hexdigest()
+    payload_path = paths.raw_dir / f"{digest}.gpx"
+    paths.raw_dir.mkdir(parents=True, exist_ok=True)
+    payload_path.write_bytes(payload)
     rows = [{"url": "http://t.example/0.gpx", "mime_detected": "", "warc_file": "w",
-             "warc_offset": 0, "warc_len": 9, "crawl_id": "c", "content_hash": "h0",
-             "name": "t", "desc": GOOD_DESC, "desc_lang": desc_lang,
-             "desc_en": GOOD_DESC, "pii_flags": {"email": False, "url": False, "phone": False},
-             "length_2d": 2000.0, "segments": segments}]
+             "warc_offset": 0, "warc_len": 9, "crawl_id": "c", "content_hash": digest,
+             "payload": str(payload_path), "desc": GOOD_DESC, "desc_lang": desc_lang,
+             "desc_en": GOOD_DESC, "pii_flags": {"email": False, "url": False, "phone": False}}]
     write_jsonl(paths.enriched, rows)
     return rows
 
@@ -166,6 +173,43 @@ def test_metrics_stage_country_unknown_without_boundaries(tmp_path):
     record = json.loads(paths.final.read_text("utf-8").splitlines()[0])["record"]
     assert record["country"] == "Unknown"
     assert record["elev_source"] == "GPS"
+
+
+def test_metrics_stage_needs_the_raw_payload_unchanged(tmp_path):
+    cfg = PipelineConfig(workdir=tmp_path)
+    paths = PipelinePaths(workdir=tmp_path)
+    payload_path = Path(seed_enriched(paths, [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]]])[0]
+                        ["payload"])
+    payload_path.write_bytes(b"<html>replaced after parse</html>")
+    with pytest.raises(PipelineError, match=re.escape(str(payload_path))):
+        stage_metrics(cfg, paths)
+    payload_path.unlink()
+    with pytest.raises(PipelineError, match=re.escape(str(payload_path))):
+        stage_metrics(cfg, paths)
+    assert not paths.manifest("metrics").exists()
+
+
+def test_write_jsonl_keeps_previous_file_when_rows_fail(tmp_path):
+    path = tmp_path / "parsed.jsonl"
+    write_jsonl(path, [{"url": "http://t.example/0.gpx"}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"url": "http://t.example/1.gpx"}
+        raise RuntimeError("crash part-way through a re-run")
+
+    with pytest.raises(RuntimeError):
+        write_jsonl(path, rows())
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_finish_stage_rejects_unbalanced_funnel(tmp_path):
+    paths = PipelinePaths(workdir=tmp_path)
+    report = StageReport("parse", inputs=3, outputs=1, excluded={"too-short": 1})
+    with pytest.raises(PipelineError, match="3 inputs != 1 outputs \\+ 1 excluded"):
+        pipeline_module._finish_stage(paths, report, [])
+    assert not paths.manifest("parse").exists()
 
 
 def test_enrich_stage_with_command_translator(tmp_path):
@@ -285,6 +329,8 @@ def test_stages_share_work_per_payload_and_description(tmp_path, monkeypatch):
     assert (report.inputs, report.outputs) == (8, 6)
     assert report.excluded == {"too-short": 2}
     assert report.info == {"points_dropped": 2, "tracks_dropped": 0}
+    rows = paths.parsed.read_text("utf-8").splitlines()
+    assert rows and all("segments" not in json.loads(line) for line in rows)
 
     judge = CountingJudge()
     monkeypatch.setattr(pipeline_module, "_build_judge", lambda cfg: judge)
@@ -292,13 +338,17 @@ def test_stages_share_work_per_payload_and_description(tmp_path, monkeypatch):
     assert len(judge.prompts) == len(set(judge.prompts)) == 3  # two texts, one fails quality
     assert (report.inputs, report.outputs) == (6, 4)
     assert report.excluded == {"low-quality": 2}
+    rows = paths.enriched.read_text("utf-8").splitlines()
+    assert rows and all("segments" not in json.loads(line) for line in rows)
 
+    parsed.clear()
     measured = []
     compute = pipeline_module.compute_track_metrics
     monkeypatch.setattr(pipeline_module, "compute_track_metrics",
                         lambda track, **kw: measured.append(track) or compute(track, **kw))
     report = stage_metrics(cfg, paths)
     assert len(measured) == 2
+    assert len(parsed) == len(set(parsed)) == 2  # metrics re-reads each distinct payload once
     assert (report.inputs, report.outputs, report.excluded) == (4, 4, {})
     assert report.info == {"country_unknown": 4, "elev_gps": 4}
     final = [json.loads(line) for line in paths.final.read_text("utf-8").splitlines()]

@@ -247,10 +247,17 @@ def test_extract_payload_rejects_truncated_body():
         extract_payload(gzip.compress(warc))
 
 
-def test_extract_payload_rejects_non_integer_warc_content_length():
-    http = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
-    warc = b"WARC/1.0\r\nWARC-Type: response\r\nContent-Length: 1e3\r\n\r\n" + http
-    with pytest.raises(PayloadDecodeError, match="bad WARC Content-Length"):
+@pytest.mark.parametrize("layer, warc_length, http_length", [
+    ("WARC", "1e3", "3"),
+    ("WARC", "-3", "3"),
+    ("HTTP", None, "-3"),
+], ids=["warc-non-integer", "warc-negative", "http-negative"])
+def test_extract_payload_rejects_bad_content_length(layer, warc_length, http_length):
+    body = b"<gpx>abc</gpx>"
+    http = f"HTTP/1.1 200 OK\r\nContent-Length: {http_length}\r\n\r\n".encode() + body
+    warc = (b"WARC/1.0\r\nWARC-Type: response\r\n"
+            + f"Content-Length: {warc_length or len(http)}\r\n\r\n".encode() + http)
+    with pytest.raises(PayloadDecodeError, match=f"bad {layer} Content-Length"):
         extract_payload(gzip.compress(warc))
 
 
