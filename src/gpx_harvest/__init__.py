@@ -16,7 +16,7 @@ from .geo_metrics import (EARTH_RADIUS_M, CountryShape, TrackMetrics, assign_cou
                           compute_track_metrics, elevation_stats, find_countries,
                           haversine_m, is_circular, length_2d, length_3d,
                           load_boundaries, point_in_polygon)
-from .gpx_model import (GpxDocument, GpxParseError, Segment, Track, TrackPoint,
+from .gpx_model import (GpxDocument, GpxParseError, Segment, Track,
                         extract_single_track, parse_gpx)
 from .index_scan import (CandidateRecord, ScanStats, is_gpx_candidate, iter_shard_lines,
                          parse_index_line, scan_index)
@@ -43,7 +43,7 @@ __all__ = [
     "EARTH_RADIUS_M", "CountryShape", "TrackMetrics", "assign_country",
     "compute_track_metrics", "elevation_stats", "find_countries", "haversine_m",
     "is_circular", "length_2d", "length_3d", "load_boundaries", "point_in_polygon",
-    "GpxDocument", "GpxParseError", "Segment", "Track", "TrackPoint",
+    "GpxDocument", "GpxParseError", "Segment", "Track",
     "extract_single_track", "parse_gpx",
     "CandidateRecord", "ScanStats", "is_gpx_candidate", "iter_shard_lines",
     "parse_index_line", "scan_index",

@@ -1,5 +1,8 @@
 """SRTM elevation tiles and DEM backfill for tracks without device elevation.
 
+``sample_elevation`` reads one point; ``backfill_elevation`` samples a whole
+track's lat/lon arrays in one batch per tile, with identical values.
+
 Tiles are the standard HGT layout: one file per 1x1 degree cell named after
 its south-west corner, a square grid of big-endian 16-bit signed meters with
 row 0 along the northern edge and -32768 marking voids.
@@ -11,7 +14,7 @@ import gzip
 import math
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -158,32 +161,95 @@ class TileStore:
             return tile
 
 
+def sample_tile(tile: SrtmTile, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """``sample_elevation`` for arrays of points inside the tile's cell.
+
+    One batched bilinear sample with the same arithmetic, in the same order,
+    as the scalar function, so every value is identical to it; NaN where it
+    would return None.
+    """
+    last = tile.n - 1
+    x = (lon - tile.sw_lon) * last
+    y = (tile.sw_lat + 1 - lat) * last
+    inside = (x >= -1e-7) & (x <= last + 1e-7) & (y >= -1e-7) & (y <= last + 1e-7)
+    if not inside.all():
+        outside = np.argmin(inside)
+        raise ValueError(f"point ({lat[outside]}, {lon[outside]}) outside tile "
+                         f"{tile_name_for(tile.sw_lat, tile.sw_lon)}")
+    for grid in (x, y):
+        node = np.round(grid)
+        snap = np.abs(grid - node) < 1e-7
+        grid[snap] = node[snap]
+
+    col = np.clip(np.floor(x), 0, last - 1).astype(np.intp)
+    row = np.clip(np.floor(y), 0, last - 1).astype(np.intp)
+    fx = x - col
+    fy = y - row
+
+    corners = (
+        (tile.samples[row, col], (1 - fx) * (1 - fy)),
+        (tile.samples[row, col + 1], fx * (1 - fy)),
+        (tile.samples[row + 1, col], (1 - fx) * fy),
+        (tile.samples[row + 1, col + 1], fx * fy),
+    )
+    # Adding 0.0 for a void corner leaves the sums as skipping it would:
+    # they start at 0.0 and so are never -0.0.
+    total_weight = np.zeros(len(lat))
+    weighted = np.zeros(len(lat))
+    for value, weight in corners:
+        usable = value != VOID_VALUE
+        total_weight += np.where(usable, weight, 0.0)
+        weighted += np.where(usable, weight * value.astype(np.float64), 0.0)
+    covered = total_weight > 0.0
+    return np.divide(weighted, total_weight, out=np.full(len(lat), np.nan), where=covered)
+
+
+def _sample_points(lat: np.ndarray, lon: np.ndarray, tiles: TileStore) -> np.ndarray:
+    """DEM elevation of every point, one ``sample_tile`` call per 1-degree cell.
+
+    Cells are visited in the order their first point appears.
+    """
+    cell_lat = np.floor(lat)
+    cell_lon = np.floor(lon)
+    elevations = np.empty(len(lat))
+    pending = np.ones(len(lat), dtype=bool)
+    while pending.any():
+        head = int(np.argmax(pending))
+        tile = tiles.get(float(lat[head]), float(lon[head]))
+        if tile is None:
+            raise ElevationUnavailableError(
+                f"no tile {tile_name_for(lat[head], lon[head])} "
+                f"for point ({lat[head]}, {lon[head]})")
+        members = (cell_lat == cell_lat[head]) & (cell_lon == cell_lon[head])
+        values = sample_tile(tile, lat[members], lon[members])
+        void = np.isnan(values)
+        if void.any():
+            point = np.flatnonzero(members)[np.argmax(void)]
+            raise ElevationUnavailableError(
+                f"void DEM cell at ({lat[point]}, {lon[point]})")
+        elevations[members] = values
+        pending &= ~members
+    return elevations
+
+
 def backfill_elevation(track: Track, tiles: TileStore) -> tuple[Track, str]:
     """Ensure every point has an elevation; report where it came from.
 
     Tracks whose points all carry device elevation pass through unchanged
     with source "GPS".  Otherwise every point is re-sampled from the DEM
     (never a mix, so the per-track source stays truthful) and the source is
-    "DEM".  A point over a missing tile or an all-void cell raises
-    ElevationUnavailableError.
+    "DEM".  Points are sampled in batches, one per tile, with the same
+    values ``sample_elevation`` gives.  A point over a missing tile or an
+    all-void cell raises ElevationUnavailableError.
     """
-    points = list(track.iter_points())
-    if points and all(p.ele is not None for p in points):
+    segments = track.segments
+    if track.point_count() and not any(np.isnan(s.ele).any() for s in segments):
         return track, GPS_SOURCE
 
-    segments = []
-    for segment in track.segments:
-        resampled = []
-        for point in segment.points:
-            tile = tiles.get(point.lat, point.lon)
-            if tile is None:
-                raise ElevationUnavailableError(
-                    f"no tile {tile_name_for(point.lat, point.lon)} "
-                    f"for point ({point.lat}, {point.lon})")
-            value = sample_elevation(tile, point.lat, point.lon)
-            if value is None:
-                raise ElevationUnavailableError(
-                    f"void DEM cell at ({point.lat}, {point.lon})")
-            resampled.append(replace(point, ele=value))
-        segments.append(Segment(points=resampled))
-    return Track(name=track.name, desc=track.desc, segments=segments), DEM_SOURCE
+    lat = np.concatenate([np.empty(0)] + [s.lat for s in segments])
+    lon = np.concatenate([np.empty(0)] + [s.lon for s in segments])
+    elevations = _sample_points(lat, lon, tiles)
+    bounds = np.cumsum([len(s) for s in segments])[:-1]
+    return Track(name=track.name, desc=track.desc,
+                 segments=[Segment(s.lat, s.lon, ele)
+                           for s, ele in zip(segments, np.split(elevations, bounds))]), DEM_SOURCE

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .gpx_model import Track
 
 # Mean Earth radius, meters.  Pinned so that one degree of arc is
@@ -29,18 +31,50 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+def leg_lengths(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Great-circle distance in meters of each consecutive pair of points.
+
+    The vectorized form of ``haversine_m``, with the same arithmetic per leg;
+    ``len(lat) - 1`` legs, none for fewer than two points.
+    """
+    phi = np.radians(lat)
+    cos_phi = np.cos(phi)
+    dphi = np.radians(np.diff(lat))
+    dlam = np.radians(np.diff(lon))
+    a = np.sin(dphi / 2.0) ** 2 + cos_phi[:-1] * cos_phi[1:] * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
+def _running_sum(parts: list[np.ndarray]) -> float:
+    """Left-to-right float sum over the concatenated parts.
+
+    The order is that of a Python ``total += x`` loop, so sums are identical
+    to it; ``np.sum`` adds pairwise and can differ in the last digits.
+    """
+    values = np.concatenate([np.empty(0), *parts])
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+def _lengths(track: Track) -> tuple[float, float]:
+    """(length_2d, length_3d) from one haversine pass per segment."""
+    flat = []
+    sloped = []
+    for segment in track.segments:
+        legs = leg_lengths(segment.lat, segment.lon)
+        climb = np.diff(segment.ele)
+        flat.append(legs)
+        # A leg with an endpoint lacking elevation keeps its 2D distance.
+        sloped.append(np.where(np.isnan(climb), legs, np.hypot(legs, climb)))
+    return _running_sum(flat), _running_sum(sloped)
+
+
 def length_2d(track: Track) -> float:
     """Sum of great-circle distances between consecutive points.
 
     Pairs never span segment boundaries: segments represent recording pauses
     and bridging them would inflate the length.
     """
-    total = 0.0
-    for segment in track.segments:
-        pts = segment.points
-        for a, b in zip(pts, pts[1:]):
-            total += haversine_m(a.lat, a.lon, b.lat, b.lon)
-    return total
+    return _running_sum([leg_lengths(s.lat, s.lon) for s in track.segments])
 
 
 def length_3d(track: Track) -> float:
@@ -48,16 +82,7 @@ def length_3d(track: Track) -> float:
 
     Legs where either endpoint lacks elevation contribute their 2D distance.
     """
-    total = 0.0
-    for segment in track.segments:
-        pts = segment.points
-        for a, b in zip(pts, pts[1:]):
-            flat = haversine_m(a.lat, a.lon, b.lat, b.lon)
-            if a.ele is not None and b.ele is not None:
-                total += math.hypot(flat, b.ele - a.ele)
-            else:
-                total += flat
-    return total
+    return _lengths(track)[1]
 
 
 @dataclass
@@ -78,30 +103,47 @@ def elevation_stats(track: Track, deadband_m: float = 0.0) -> ElevationStats:
     boundary.  Every point must carry an elevation (run the DEM backfill
     first).
     """
-    elevations = [p.ele for p in track.iter_points()]
-    if not elevations:
+    elevations = np.concatenate([np.empty(0)] + [s.ele for s in track.segments])
+    if not len(elevations):
         raise ValueError("track has no points")
-    if any(e is None for e in elevations):
+    if np.isnan(elevations).any():
         raise ValueError("every point needs an elevation before computing stats")
 
-    uphill = 0.0
-    downhill = 0.0
-    for segment in track.segments:
-        pts = segment.points
-        if not pts:
-            continue
-        anchor = pts[0].ele
-        for point in pts[1:]:
-            delta = point.ele - anchor
-            if abs(delta) > deadband_m:
-                if delta > 0:
-                    uphill += delta
-                else:
-                    downhill -= delta
-                anchor = point.ele
+    if deadband_m > 0.0:
+        uphill = 0.0
+        downhill = 0.0
+        for segment in track.segments:
+            values = segment.ele.tolist()
+            if not values:
+                continue
+            anchor = values[0]
+            for value in values[1:]:
+                delta = value - anchor
+                if abs(delta) > deadband_m:
+                    if delta > 0:
+                        uphill += delta
+                    else:
+                        downhill -= delta
+                    anchor = value
+    else:
+        # Without a deadband the anchor is always the previous point.
+        deltas = [np.diff(s.ele) for s in track.segments]
+        uphill = _running_sum([d[d > 0] for d in deltas])
+        downhill = _running_sum([-d[d < 0] for d in deltas])
 
-    return ElevationStats(highest=max(elevations), lowest=min(elevations),
+    return ElevationStats(highest=float(elevations.max()), lowest=float(elevations.min()),
                           uphill=uphill, downhill=downhill)
+
+
+def _endpoints(track: Track) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(lat, lon) of the first point of the first non-empty segment and of the
+    last point of the last one."""
+    populated = [s for s in track.segments if len(s)]
+    if not populated:
+        raise ValueError("track has no points")
+    first, last = populated[0], populated[-1]
+    return ((float(first.lat[0]), float(first.lon[0])),
+            (float(last.lat[-1]), float(last.lon[-1])))
 
 
 def is_circular(track: Track, radius_m: float = 350.0) -> bool:
@@ -110,12 +152,8 @@ def is_circular(track: Track, radius_m: float = 350.0) -> bool:
     The endpoints span segments: first point of the first non-empty segment,
     last point of the last non-empty segment.
     """
-    populated = [s for s in track.segments if s.points]
-    if not populated:
-        raise ValueError("track has no points")
-    start = populated[0].points[0]
-    end = populated[-1].points[-1]
-    return haversine_m(start.lat, start.lon, end.lat, end.lon) <= radius_m
+    start, end = _endpoints(track)
+    return haversine_m(*start, *end) <= radius_m
 
 
 @dataclass
@@ -133,9 +171,10 @@ def compute_track_metrics(track: Track, circular_radius_m: float = 350.0,
                           deadband_m: float = 0.0) -> TrackMetrics:
     """All geometric properties of a fully backfilled track in one pass."""
     stats = elevation_stats(track, deadband_m=deadband_m)
+    flat, sloped = _lengths(track)
     return TrackMetrics(
-        length_2d=length_2d(track),
-        length_3d=length_3d(track),
+        length_2d=flat,
+        length_3d=sloped,
         elev_highest=stats.highest,
         elev_lowest=stats.lowest,
         uphill=stats.uphill,
@@ -251,9 +290,6 @@ def assign_country(track: Track, boundaries: list[CountryShape]) -> str:
     Border points falling inside several shapes resolve to the first shape
     in file order.
     """
-    populated = [s for s in track.segments if s.points]
-    if not populated:
-        raise ValueError("track has no points")
-    first = populated[0].points[0]
-    matches = find_countries(first.lon, first.lat, boundaries)
+    (lat, lon), _ = _endpoints(track)
+    matches = find_countries(lon, lat, boundaries)
     return matches[0] if matches else "Unknown"

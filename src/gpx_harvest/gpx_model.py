@@ -1,5 +1,7 @@
-"""GPX document model: track / segment / point hierarchy parsed from raw XML bytes.
+"""GPX document model: track / segment hierarchy parsed from raw XML bytes.
 
+A segment holds its points as three parallel float64 arrays, ``lat``, ``lon``
+and ``ele``, with NaN meaning "no elevation"; no per-point object exists.
 Accepts GPX 1.0, GPX 1.1 and namespace-less documents.  Route files
 (<rte>/<rtept>) are folded into the same track model, one segment per route.
 """
@@ -8,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator
 from xml.etree import ElementTree
+
+import numpy as np
 
 # A track that loses more than this fraction of its points to coordinate
 # validation is discarded entirely: lengths computed from the remainder
@@ -21,16 +24,30 @@ class GpxParseError(Exception):
     """Payload is not a usable GPX document."""
 
 
-@dataclass
-class TrackPoint:
-    lat: float
-    lon: float
-    ele: float | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class Segment:
-    points: list[TrackPoint] = field(default_factory=list)
+    """One uninterrupted recording: point i is ``(lat[i], lon[i], ele[i])``.
+
+    Any sequences are accepted and stored as float64 arrays; ``None`` or NaN
+    in ``ele`` means that point has no elevation, and an omitted ``ele``
+    means none has.
+    """
+
+    lat: np.ndarray
+    lon: np.ndarray
+    ele: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.lat = np.asarray(self.lat, dtype=np.float64)
+        self.lon = np.asarray(self.lon, dtype=np.float64)
+        self.ele = (np.full(self.lat.shape, np.nan) if self.ele is None
+                    else np.asarray(self.ele, dtype=np.float64))
+        if self.lat.ndim != 1 or not self.lat.shape == self.lon.shape == self.ele.shape:
+            raise ValueError(f"segment arrays must be 1-D and equally long, got "
+                             f"{self.lat.shape}, {self.lon.shape}, {self.ele.shape}")
+
+    def __len__(self) -> int:
+        return len(self.lat)
 
 
 @dataclass
@@ -39,12 +56,8 @@ class Track:
     desc: str | None = None
     segments: list[Segment] = field(default_factory=list)
 
-    def iter_points(self) -> Iterator[TrackPoint]:
-        for segment in self.segments:
-            yield from segment.points
-
     def point_count(self) -> int:
-        return sum(len(segment.points) for segment in self.segments)
+        return sum(len(segment) for segment in self.segments)
 
 
 @dataclass
@@ -74,39 +87,52 @@ def _child_text(element: ElementTree.Element, name: str) -> str | None:
     return None
 
 
-def _read_point(element: ElementTree.Element) -> TrackPoint | None:
-    try:
-        lat = float(element.get("lat", ""))
-        lon = float(element.get("lon", ""))
-    except (TypeError, ValueError):
-        return None
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        return None
+def _read_points(parent: ElementTree.Element, point_tag: str,
+                 stats: ParseStats) -> tuple[Segment, int]:
+    """The parent's ``point_tag`` children as a segment, and how many were dropped.
 
-    ele: float | None = None
-    ele_text = _child_text(element, "ele")
-    if ele_text is not None:
-        try:
-            ele = float(ele_text)
-        except ValueError:
-            ele = None
-
-    return TrackPoint(lat=lat, lon=lon, ele=ele)
-
-
-def _read_points(parent: ElementTree.Element, point_tag: str, stats: ParseStats) -> tuple[list[TrackPoint], int]:
-    points: list[TrackPoint] = []
-    dropped = 0
+    A point is dropped when lat or lon is unparsable or out of range.  The
+    elevation is the point's ``<ele>`` child in the point's own namespace; an
+    absent, unparsable or non-finite one is NaN.
+    """
+    lats: list[float] = []
+    lons: list[float] = []
+    eles: list[float] = []
+    unparsable = 0
+    ele_tags: dict[str, str | None] = {}  # child tag -> its <ele> tag, None if not a point
     for element in parent:
-        if _local(element.tag) != point_tag:
+        tag = element.tag
+        try:
+            ele_tag = ele_tags[tag]
+        except KeyError:
+            ele_tag = ele_tags[tag] = (tag[:len(tag) - len(point_tag)] + "ele"
+                                       if _local(tag) == point_tag else None)
+        if ele_tag is None:
             continue
-        point = _read_point(element)
-        if point is None:
-            dropped += 1
-            stats.points_dropped += 1
-        else:
-            points.append(point)
-    return points, dropped
+        try:
+            lat = float(element.get("lat", ""))
+            lon = float(element.get("lon", ""))
+        except ValueError:
+            unparsable += 1
+            continue
+        ele_text = element.findtext(ele_tag)
+        try:
+            ele = np.nan if ele_text is None else float(ele_text)
+        except ValueError:
+            ele = np.nan
+        lats.append(lat)
+        lons.append(lon)
+        eles.append(ele)
+
+    lat = np.array(lats, dtype=np.float64)
+    lon = np.array(lons, dtype=np.float64)
+    ele = np.array(eles, dtype=np.float64)
+    ele = np.where(np.isfinite(ele), ele, np.nan)
+    # NaN coordinates fail these comparisons too, so they are dropped.
+    valid = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+    dropped = unparsable + len(valid) - int(np.count_nonzero(valid))
+    stats.points_dropped += dropped
+    return Segment(lat[valid], lon[valid], ele[valid]), dropped
 
 
 def _read_track(element: ElementTree.Element, stats: ParseStats) -> Track | None:
@@ -116,11 +142,11 @@ def _read_track(element: ElementTree.Element, stats: ParseStats) -> Track | None
     for child in element:
         if _local(child.tag) != "trkseg":
             continue
-        points, seg_dropped = _read_points(child, "trkpt", stats)
-        kept += len(points)
+        segment, seg_dropped = _read_points(child, "trkpt", stats)
+        kept += len(segment)
         dropped += seg_dropped
-        if points:
-            segments.append(Segment(points=points))
+        if len(segment):
+            segments.append(segment)
 
     if dropped and dropped / (dropped + kept) > MAX_INVALID_POINT_RATIO:
         stats.tracks_dropped += 1
@@ -131,11 +157,11 @@ def _read_track(element: ElementTree.Element, stats: ParseStats) -> Track | None
 
 
 def _read_route(element: ElementTree.Element, stats: ParseStats) -> Track | None:
-    points, dropped = _read_points(element, "rtept", stats)
-    if dropped and dropped / (dropped + len(points)) > MAX_INVALID_POINT_RATIO:
+    segment, dropped = _read_points(element, "rtept", stats)
+    if dropped and dropped / (dropped + len(segment)) > MAX_INVALID_POINT_RATIO:
         stats.tracks_dropped += 1
         return None
-    segments = [Segment(points=points)] if points else []
+    segments = [segment] if len(segment) else []
     return Track(name=_strip_or_none(_child_text(element, "name")),
                  desc=_child_text(element, "desc"),
                  segments=segments)
@@ -151,11 +177,13 @@ def _strip_or_none(text: str | None) -> str | None:
 def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxDocument:
     """Parse raw GPX bytes into the track hierarchy.
 
-    Reads trk/trkseg/trkpt plus trk-level name and desc; the ele child is
-    optional per point.  Unknown elements (extensions, waypoints, point
-    timestamps) are ignored.  Points with unparsable or out-of-range lat/lon are dropped and
-    counted in ``stats``; a track losing more than 1% of its points that way
-    is dropped entirely.  Routes become single-segment tracks.  Descriptions
+    Reads trk/trkseg/trkpt plus trk-level name and desc into per-segment
+    lat/lon/ele arrays; the ele child is optional per point, and a missing,
+    unparsable or non-finite one (``nan``, ``inf``, ``1e400``) is NaN, i.e.
+    no elevation.  Unknown elements (extensions, waypoints, point timestamps)
+    are ignored.  Points with unparsable or out-of-range lat/lon are dropped
+    and counted in ``stats``; a track losing more than 1% of its points that
+    way is dropped entirely.  Routes become single-segment tracks.  Descriptions
     fall back to the document-level <desc> (GPX 1.0) or <metadata><desc>
     (GPX 1.1) when the track carries none.
 
@@ -208,5 +236,5 @@ def extract_single_track(doc: GpxDocument) -> Track | None:
         return None
     track = populated[0]
     return Track(name=track.name, desc=track.desc,
-                 segments=[s for s in track.segments if s.points])
+                 segments=[s for s in track.segments if len(s)])
 

@@ -26,7 +26,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -41,7 +40,7 @@ from .geo_metrics import compute_track_metrics, find_countries, length_2d, load_
 from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, parse_gpx
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .records import (OutputRecord, assemble_record, dedup, export_records,
-                      passes_track_filters)
+                      passes_track_filters, write_atomic)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, WarcRecordSkippedError, extract_payload,
                          fetch_many)
@@ -116,28 +115,13 @@ class PipelinePaths:
         return self.workdir / "manifests" / f"{stage}.json"
 
 
-def _write_atomic(path: Path, write) -> None:
-    """Call ``write(handle)`` on a temp file beside ``path``, then rename it
-    over ``path``: a crash part-way leaves the previous file untouched."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            write(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_json_atomic(path: Path, obj) -> None:
-    _write_atomic(path, lambda handle: json.dump(obj, handle, ensure_ascii=False, indent=2))
+    write_atomic((path, lambda handle: json.dump(obj, handle, ensure_ascii=False, indent=2)))
 
 
 def write_jsonl(path: Path, rows) -> None:
-    _write_atomic(path, lambda handle: handle.writelines(
-        json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    write_atomic((path, lambda handle: handle.writelines(
+        json.dumps(row, ensure_ascii=False) + "\n" for row in rows)))
 
 
 def read_jsonl(path: Path, stage: str) -> list[dict]:
@@ -394,8 +378,8 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                                         circular_radius_m=cfg.filters.circular_radius_m,
                                         deadband_m=cfg.filters.elev_deadband_m)
 
-        first = track.segments[0].points[0]
-        matches = find_countries(first.lon, first.lat, boundaries)
+        first = track.segments[0]
+        matches = find_countries(float(first.lon[0]), float(first.lat[0]), boundaries)
         country = matches[0] if matches else "Unknown"
         if not matches:
             counters.append("country_unknown")

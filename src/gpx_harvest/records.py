@@ -2,17 +2,21 @@
 
 Every exported record carries the same 17 properties; geometry is a
 MultiLineString whose vertices are [lon, lat, elevation] triples, one line
-string per original segment.
+string per original segment, built from the segment's lat/lon/ele arrays.
+Files are written through ``write_atomic``, so a failed write never leaves a
+partial file behind.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TextIO
+
+import numpy as np
 
 from .config import FilterConfig
 from .descriptions import CleanDescription
@@ -89,12 +93,9 @@ def assemble_record(candidate: CandidateRecord, track: Track, metrics: TrackMetr
 
     geometry = []
     for segment in track.segments:
-        line = []
-        for point in segment.points:
-            if point.ele is None:
-                raise RecordAssemblyError(f"point without elevation in {candidate.url}")
-            line.append([point.lon, point.lat, point.ele])
-        geometry.append(line)
+        if np.isnan(segment.ele).any():
+            raise RecordAssemblyError(f"point without elevation in {candidate.url}")
+        geometry.append(np.column_stack((segment.lon, segment.lat, segment.ele)).tolist())
 
     return OutputRecord(
         url=candidate.url,
@@ -181,37 +182,59 @@ def to_json_obj(record: OutputRecord | dict) -> dict:
     return obj
 
 
+def write_atomic(*files: tuple[Path, Callable[[TextIO], None]]) -> None:
+    """Write each ``(path, write)`` pair all-or-nothing.
+
+    ``write(handle)`` fills a temp file beside ``path``; only once every
+    write has succeeded are the temp files renamed over their targets.  A
+    failure part-way leaves all previous files untouched and no temp file.
+    """
+    temps: list[Path] = []
+    try:
+        for path, write in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps.append(path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp"))
+            with open(temps[-1], "x", encoding="utf-8") as handle:
+                write(handle)
+        for (path, _), temp in zip(files, temps):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def export_records(records: Iterable[OutputRecord | dict], out_dir: str | Path) -> dict[str, Path]:
     """Write the dataset as GeoJSON, line-delimited JSON, and scalar CSV.
 
     Output order follows the input (dedup survivor order); identical inputs
-    produce byte-identical files.
+    produce byte-identical files.  The three files are replaced together or
+    not at all.
     """
     records = list(records)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     paths = {
         "geojson": out_dir / "tracks.geojson",
         "jsonl": out_dir / "tracks.jsonl",
         "csv": out_dir / "tracks.csv",
     }
 
-    collection = {"type": "FeatureCollection",
-                  "features": [to_feature(r) for r in records]}
-    paths["geojson"].write_text(json.dumps(collection, ensure_ascii=False),
-                                encoding="utf-8")
+    def write_geojson(handle: TextIO) -> None:
+        collection = {"type": "FeatureCollection",
+                      "features": [to_feature(r) for r in records]}
+        handle.write(json.dumps(collection, ensure_ascii=False))
 
-    with open(paths["jsonl"], "w", encoding="utf-8") as handle:
+    def write_jsonl(handle: TextIO) -> None:
         for record in records:
             handle.write(json.dumps(to_json_obj(record), ensure_ascii=False))
             handle.write("\n")
 
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        writer.writerow(record_properties(record))
-    paths["csv"].write_text(buffer.getvalue(), encoding="utf-8")
+    def write_csv(handle: TextIO) -> None:
+        writer = csv.DictWriter(handle, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")
+        writer.writeheader()
+        for record in records:
+            writer.writerow(record_properties(record))
 
+    write_atomic((paths["geojson"], write_geojson), (paths["jsonl"], write_jsonl),
+                 (paths["csv"], write_csv))
     return paths

@@ -1,13 +1,16 @@
 import gzip
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpx_harvest.elevation import (DEM_SOURCE, GPS_SOURCE, VOID_VALUE,
                                    ElevationUnavailableError, SrtmTile, TileStore,
                                    backfill_elevation, parse_tile_name, read_hgt,
-                                   sample_elevation, tile_name_for, write_hgt)
-from gpx_harvest.gpx_model import Segment, Track, TrackPoint
+                                   sample_elevation, sample_tile, tile_name_for, write_hgt)
+from gpx_harvest.gpx_model import Segment, Track
 
 N = 1201
 STEP = 1.0 / (N - 1)
@@ -170,8 +173,8 @@ def test_tile_store_caches_loads(tmp_path):
 # --- backfill ----------------------------------------------------------------------
 
 def track_with_points(points):
-    return Track(name="t", desc="d",
-                 segments=[Segment(points=[TrackPoint(*p) for p in points])])
+    lat, lon, ele = zip(*points)
+    return Track(name="t", desc="d", segments=[Segment(lat=lat, lon=lon, ele=ele)])
 
 
 def test_backfill_keeps_device_elevation(tmp_path):
@@ -188,8 +191,9 @@ def test_backfill_resamples_from_dem(tmp_path):
     track = track_with_points([(49.2, 6.5, None), (49.3, 6.6, None)])
     result, source = backfill_elevation(track, store)
     assert source == DEM_SOURCE
-    assert [p.ele for p in result.iter_points()] == [250.0, 250.0]
-    assert [(p.lat, p.lon) for p in result.iter_points()] == [(49.2, 6.5), (49.3, 6.6)]
+    segment, = result.segments
+    assert segment.ele.tolist() == [250.0, 250.0]
+    assert list(zip(segment.lat.tolist(), segment.lon.tolist())) == [(49.2, 6.5), (49.3, 6.6)]
 
 
 def test_backfill_mixed_elevation_resamples_everything(tmp_path):
@@ -199,7 +203,7 @@ def test_backfill_mixed_elevation_resamples_everything(tmp_path):
     result, source = backfill_elevation(track, store)
     assert source == DEM_SOURCE
     # one provenance per track: the device value is replaced, not mixed
-    assert [p.ele for p in result.iter_points()] == [250.0, 250.0]
+    assert result.segments[0].ele.tolist() == [250.0, 250.0]
 
 
 def test_backfill_missing_tile_excludes_track(tmp_path):
@@ -222,11 +226,85 @@ def test_backfill_preserves_structure(tmp_path):
     write_hgt(tmp_path / "N49E006.hgt", np.full((N, N), 9, dtype=np.int16))
     store = TileStore(tmp_path)
     track = Track(segments=[
-        Segment(points=[TrackPoint(49.1, 6.1), TrackPoint(49.2, 6.2)]),
-        Segment(points=[TrackPoint(49.3, 6.3)]),
+        Segment(lat=[49.1, 49.2], lon=[6.1, 6.2]),
+        Segment(lat=[49.3], lon=[6.3]),
     ])
     result, _ = backfill_elevation(track, store)
-    assert [len(s.points) for s in result.segments] == [2, 1]
+    assert [len(s) for s in result.segments] == [2, 1]
+
+
+# --- batched sampling against the scalar oracle --------------------------------
+
+def noisy_tile(seed, sw_lat=49, sw_lon=6, void_share=0.0):
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(-400, 4000, size=(N, N)).astype(np.int16)
+    samples[rng.random((N, N)) < void_share] = VOID_VALUE
+    return SrtmTile(sw_lat=sw_lat, sw_lon=sw_lon, n=N, samples=samples)
+
+
+VOIDED = noisy_tile(11, void_share=0.05)
+
+
+def assert_matches_scalar(tile, lat, lon):
+    """sample_tile gives exactly sample_elevation's value, NaN where that is None."""
+    batched = sample_tile(tile, np.array(lat), np.array(lon)).tolist()
+    scalar = [sample_elevation(tile, a, b) for a, b in zip(lat, lon)]
+    assert len(batched) == len(scalar)
+    for got, expected in zip(batched, scalar):
+        assert math.isnan(got) if expected is None else got == expected
+
+
+# Cell offsets: anywhere, exactly on a grid node, or at (or a hair inside) a tile edge.
+_offsets = st.one_of(st.floats(0.0, 1.0), st.integers(0, N - 1).map(lambda k: k / (N - 1)),
+                     st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12, STEP / 2, 1.0 - STEP]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_offsets, _offsets), min_size=1, max_size=40))
+def test_sample_tile_equals_scalar_sampling(offsets):
+    assert_matches_scalar(VOIDED, [VOIDED.sw_lat + 1 - dy for dy, _ in offsets],
+                          [VOIDED.sw_lon + dx for _, dx in offsets])
+
+
+def test_sample_tile_equals_scalar_sampling_on_random_points():
+    rng = np.random.default_rng(12)
+    rows, cols = np.nonzero(VOIDED.samples == VOID_VALUE)
+    on_void = rng.choice(len(rows), 50)
+    lat = np.concatenate([VOIDED.sw_lat + rng.random(20_000),
+                          VOIDED.sw_lat + 1 - rows[on_void] / (N - 1)])
+    lon = np.concatenate([VOIDED.sw_lon + rng.random(20_000),
+                          VOIDED.sw_lon + cols[on_void] / (N - 1)])
+    # Void corners are exercised both renormalized and as the whole answer.
+    row = np.minimum(((VOIDED.sw_lat + 1 - lat) * (N - 1)).astype(int), N - 2)
+    col = np.minimum(((lon - VOIDED.sw_lon) * (N - 1)).astype(int), N - 2)
+    void_corner = (VOIDED.samples[row, col] == VOID_VALUE) | (VOIDED.samples[row + 1, col + 1]
+                                                              == VOID_VALUE)
+    assert void_corner.mean() > 0.05
+    assert np.isnan(sample_tile(VOIDED, lat, lon)).sum() >= 50
+    assert_matches_scalar(VOIDED, lat.tolist(), lon.tolist())
+
+
+def test_backfill_segment_across_two_tiles_matches_scalar(tmp_path):
+    write_hgt(tmp_path / "N49E006.hgt", noisy_tile(13).samples)
+    write_hgt(tmp_path / "N49E007.hgt", noisy_tile(14, sw_lon=7).samples)
+    store = TileStore(tmp_path)
+    lon = [6.9, 6.95, 6.999999, 7.0, 7.05, 6.97, 7.1]
+    lat = [49.5 + 0.01 * i for i in range(len(lon))]
+    track = Track(segments=[Segment(lat=lat, lon=lon)])
+    result, source = backfill_elevation(track, store)
+    assert source == DEM_SOURCE
+    assert result.segments[0].ele.tolist() == [
+        sample_elevation(store.get(a, b), a, b) for a, b in zip(lat, lon)]
+    assert store.loads == 2
+
+
+def test_backfill_missing_tile_mid_segment_excludes_track(tmp_path):
+    write_hgt(tmp_path / "N49E006.hgt", np.full((N, N), 250, dtype=np.int16))
+    write_hgt(tmp_path / "N49E008.hgt", np.full((N, N), 250, dtype=np.int16))
+    store = TileStore(tmp_path)
+    track = Track(segments=[Segment(lat=[49.5, 49.5, 49.5], lon=[6.5, 7.5, 8.5])])
+    with pytest.raises(ElevationUnavailableError, match="N49E007"):
+        backfill_elevation(track, store)
 
 
 def test_tile_store_thread_safe_single_load(tmp_path):

@@ -2,19 +2,22 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, BoundaryFileError, assign_country,
                                      compute_track_metrics, elevation_stats, find_countries,
-                                     haversine_m, is_circular, length_2d, length_3d,
-                                     load_boundaries, point_in_polygon)
-from gpx_harvest.gpx_model import Segment, Track, TrackPoint
+                                     haversine_m, is_circular, leg_lengths, length_2d,
+                                     length_3d, load_boundaries, point_in_polygon)
+from gpx_harvest.gpx_model import Segment, Track
 
 
 def track_from(*segments):
-    return Track(segments=[Segment(points=[TrackPoint(lat=p[0], lon=p[1],
-                                                      ele=p[2] if len(p) > 2 else None)
-                                           for p in seg]) for seg in segments])
+    return Track(segments=[Segment(lat=[p[0] for p in seg], lon=[p[1] for p in seg],
+                                   ele=[p[2] if len(p) > 2 else None for p in seg])
+                           for seg in segments])
 
 
 def equator_offset_deg(meters):
@@ -44,6 +47,41 @@ def test_haversine_symmetry_random_pairs():
         assert haversine_m(lat1, lon1, lat2, lon2) == pytest.approx(
             haversine_m(lat2, lon2, lat1, lon1), rel=1e-12)
 
+
+# --- vectorized leg kernel against the scalar oracle ---------------------------
+
+_SPECIAL_POINTS = [(90.0, 0.0), (-90.0, 135.0), (90.0, -60.0),  # poles
+                   (0.0, 180.0), (0.0, -180.0), (12.5, 179.9999), (12.5, -179.9999),
+                   (-33.0, 180.0), (-33.0, -179.5)]  # either side of the antimeridian
+
+
+@st.composite
+def _segment_points(draw):
+    """1-60 points drawn from a small pool, so repeated points are common."""
+    anywhere = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+    pool = draw(st.lists(st.one_of(anywhere, st.sampled_from(_SPECIAL_POINTS)),
+                         min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_segment_points(), min_size=1, max_size=3))
+def test_leg_kernel_matches_summed_scalar_haversine(segments):
+    oracle = 0.0
+    for points in segments:
+        for (lat1, lon1), (lat2, lon2) in zip(points, points[1:]):
+            oracle += haversine_m(lat1, lon1, lat2, lon2)
+    track = track_from(*segments)
+    assert length_2d(track) == pytest.approx(oracle, rel=1e-12, abs=1e-9)
+    assert compute_track_metrics(track_from(*[[(lat, lon, 0.0) for lat, lon in points]
+                                               for points in segments])).length_2d \
+        == pytest.approx(oracle, rel=1e-12, abs=1e-9)
+    for points in segments:
+        lat, lon = zip(*points)
+        legs = leg_lengths(np.array(lat), np.array(lon))
+        assert len(legs) == len(points) - 1
+        assert legs.tolist() == pytest.approx(
+            [haversine_m(*a, *b) for a, b in zip(points, points[1:])], rel=1e-12, abs=1e-9)
 
 # --- lengths ---------------------------------------------------------------------
 
@@ -174,7 +212,7 @@ def test_elevation_stats_requires_elevations():
 
 
 def reverse_track(track):
-    segments = [Segment(points=list(reversed(s.points))) for s in reversed(track.segments)]
+    segments = [Segment(s.lat[::-1], s.lon[::-1], s.ele[::-1]) for s in reversed(track.segments)]
     return Track(segments=segments)
 
 

@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
-from gpx_harvest.gpx_model import GpxParseError, ParseStats, extract_single_track, parse_gpx
+from gpx_harvest.gpx_model import (GpxParseError, ParseStats, Segment, extract_single_track,
+                                   parse_gpx)
 from gpx_harvest.synthetic import gpx_xml
 
 URL = "http://a.example/t.gpx"
@@ -16,8 +20,8 @@ def test_parse_minimal_document_preserves_desc():
     assert track.name == "Morning run"
     assert track.desc == "Two laps\naround the park"  # verbatim, cleaning happens later
     assert track.point_count() == 2
-    first = track.segments[0].points[0]
-    assert (first.lat, first.lon, first.ele) == (51.0, -0.5, 12.0)
+    first = track.segments[0]
+    assert (first.lat[0], first.lon[0], first.ele[0]) == (51.0, -0.5, 12.0)
     assert len(doc.content_hash) == 32
 
 
@@ -110,9 +114,27 @@ def test_parse_tolerates_bad_ele_and_time():
     payload = (b'<?xml version="1.0"?><gpx version="1.1"><trk><trkseg>'
                b'<trkpt lat="50.0" lon="6.0"><ele>n/a</ele><time>yesterday</time></trkpt>'
                b'</trkseg></trk></gpx>')
-    point = parse_gpx(payload, URL).tracks[0].segments[0].points[0]
-    assert point.ele is None
+    segment = parse_gpx(payload, URL).tracks[0].segments[0]
+    assert math.isnan(segment.ele[0])
 
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+def test_parse_treats_non_finite_ele_as_missing(text):
+    payload = gpx_xml([{"segments": [[(50.0, 6.0, text), (50.001, 6.0, 120.5)]]}])
+    segment = parse_gpx(payload, URL).tracks[0].segments[0]
+    assert len(segment) == 2
+    assert math.isnan(segment.ele[0])  # no elevation: the track goes to the DEM
+    assert segment.ele[1] == 120.5
+
+
+def test_segment_arrays_must_match():
+    segment = Segment(lat=[50.0, 50.1], lon=[6.0, 6.1])
+    assert segment.lat.dtype == segment.ele.dtype == np.float64
+    assert np.isnan(segment.ele).all() and len(segment) == 2
+    with pytest.raises(ValueError):
+        Segment(lat=[50.0, 50.1], lon=[6.0])
+    with pytest.raises(ValueError):
+        Segment(lat=[50.0], lon=[6.0], ele=[1.0, 2.0])
 
 def test_content_hash_is_payload_digest():
     import hashlib
@@ -155,6 +177,13 @@ def test_extract_single_track_drops_empty_segments():
 
 # --- geometry round-trip -----------------------------------------------------------
 
+def points_of(segment):
+    """(lat, lon, ele) tuples of a segment, None where there is no elevation."""
+    return [(lat, lon, None if math.isnan(ele) else ele)
+            for lat, lon, ele in zip(segment.lat.tolist(), segment.lon.tolist(),
+                                     segment.ele.tolist())]
+
+
 def test_parse_serialize_roundtrip_is_lossless():
     segments = [[(51.5, -0.25, 32.5), (51.5005, -0.2502, 33.0)],
                 [(51.501, -0.251, None), (51.5015, -0.2512, 35.25)]]
@@ -162,10 +191,9 @@ def test_parse_serialize_roundtrip_is_lossless():
     track = doc.tracks[0]
 
     reserialized = gpx_xml([{"name": track.name,
-                             "segments": [[(p.lat, p.lon, p.ele) for p in s.points]
-                                          for s in track.segments]}])
+                             "segments": [points_of(s) for s in track.segments]}])
     reparsed = parse_gpx(reserialized, URL).tracks[0]
-    assert [[(p.lat, p.lon, p.ele) for p in s.points] for s in reparsed.segments] == segments
+    assert [points_of(s) for s in reparsed.segments] == segments
 
 
 def test_parse_honors_declared_encoding():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,23 @@ def test_golden_run_byte_identical_across_runs(crawl, tmp_path):
         second = (cfg2.resolved_out_dir() / name).read_bytes()
         assert first == second, name
 
+
+# sha256 of the demo crawl's exports.  Refactors and speed-ups must keep every
+# byte; only a deliberate change to the output format updates these.
+GOLDEN_SHA256 = {
+    "tracks.geojson": "3e0b04f67a16e77dcfffdeb7db072302341df22c366f9f84649183d18a1f307f",
+    "tracks.jsonl": "f061e641d7b10261a2f904aef0a5d1ee11a0d1fc4e3223a85bd1d39ad7e9f79a",
+    "tracks.csv": "958d25e906725371bea59c1d759c5badc8971cbc70347b140213795dd87656f9",
+    "stats.json": "59683fa6accb136fe46b0cb534df41ca39a56e024a7ad77e39e5550aa5758322",
+}
+
+
+def test_golden_run_exports_match_pinned_digests(crawl, tmp_path):
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    digests = {name: hashlib.sha256((cfg.resolved_out_dir() / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
 
 def test_resume_skips_completed_stages(crawl, tmp_path):
     cfg = run_config(crawl, tmp_path, "w1")

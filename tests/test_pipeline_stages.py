@@ -10,11 +10,11 @@ import pytest
 
 from gpx_harvest import judges
 from gpx_harvest import pipeline as pipeline_module
-from gpx_harvest.config import PipelineConfig
-from gpx_harvest.pipeline import (PipelineError, PipelinePaths, StageReport, stage_enrich,
-                                  stage_export, stage_fetch, stage_metrics, stage_parse,
-                                  write_jsonl)
-from gpx_harvest.synthetic import gpx_xml, line_points, warc_response_member
+from gpx_harvest.config import FilterConfig, PipelineConfig
+from gpx_harvest.pipeline import (PipelineError, PipelinePaths, StageReport, run_pipeline,
+                                  stage_enrich, stage_export, stage_fetch, stage_metrics,
+                                  stage_parse, write_jsonl)
+from gpx_harvest.synthetic import constant_tile, gpx_xml, line_points, warc_response_member
 from gpx_harvest.warc_fetch import FetchPolicy
 
 GOOD_DESC = ("A long and rewarding walk through the valley and up to the old "
@@ -188,6 +188,31 @@ def test_metrics_stage_needs_the_raw_payload_unchanged(tmp_path):
         stage_metrics(cfg, paths)
     assert not paths.manifest("metrics").exists()
 
+
+def test_non_finite_ele_is_backfilled_and_exports_valid_json(tmp_path):
+    def reject(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    constant_tile(tmp_path / "srtm", "N50E006", 321)
+    cfg = PipelineConfig(workdir=tmp_path, srtm_dir=tmp_path / "srtm",
+                         filters=FilterConfig(rare_lang_cutoff=0))
+    elevations = ["nan", "inf", "1e400", 100.0]
+    seed_fetched(PipelinePaths(workdir=tmp_path), [gpx_xml([{
+        "name": "t", "desc": GOOD_DESC,
+        "segments": [line_points(50.0, 6.0, 30, 50.0, ele=lambda i: elevations[i % 4])]}])])
+
+    stats = run_pipeline(cfg, stages=["parse", "enrich", "metrics", "export"])
+    assert stats.records() == 1
+    out_dir = cfg.resolved_out_dir()
+    record = json.loads((out_dir / "tracks.jsonl").read_text("utf-8"), parse_constant=reject)
+    collection = json.loads((out_dir / "tracks.geojson").read_text("utf-8"),
+                            parse_constant=reject)
+    assert collection["features"][0]["properties"] == {
+        k: v for k, v in record.items() if k != "geometry"}
+    assert record["elev_source"] == "DEM"
+    assert record["elev_highest"] == record["elev_lowest"] == 321.0
+    assert {position[2] for line in record["geometry"]["coordinates"]
+            for position in line} == {321.0}
 
 def test_write_jsonl_keeps_previous_file_when_rows_fail(tmp_path):
     path = tmp_path / "parsed.jsonl"

@@ -5,23 +5,25 @@ import random
 
 import pytest
 
+from gpx_harvest import records as records_module
 from gpx_harvest.config import FilterConfig
 from gpx_harvest.descriptions import CleanDescription, PiiFlags
 from gpx_harvest.geo_metrics import EARTH_RADIUS_M, TrackMetrics
-from gpx_harvest.gpx_model import Segment, Track, TrackPoint
+from gpx_harvest.gpx_model import Segment, Track
 from gpx_harvest.index_scan import CandidateRecord
 from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES,
                                  RecordAssemblyError, assemble_record, dedup,
                                  export_records, passes_track_filters,
-                                 record_properties, to_feature)
+                                 record_properties, to_feature, to_json_obj)
 
 CONFIG = FilterConfig()
 
 
 def make_track(point_count=10, spacing_m=100.0):
     step = math.degrees(spacing_m / EARTH_RADIUS_M)
-    points = [TrackPoint(lat=0.0, lon=i * step, ele=100.0 + i) for i in range(point_count)]
-    return Track(name="t", desc="d", segments=[Segment(points=points)])
+    segment = Segment(lat=[0.0] * point_count, lon=[i * step for i in range(point_count)],
+                      ele=[100.0 + i for i in range(point_count)])
+    return Track(name="t", desc="d", segments=[segment])
 
 
 # --- track filters -------------------------------------------------------------
@@ -84,8 +86,8 @@ def description(lang="en", text=None):
 
 def two_segment_track():
     return Track(name="t", desc="d", segments=[
-        Segment(points=[TrackPoint(53.8, -2.45, 80.0), TrackPoint(53.8, -2.44, 81.0)]),
-        Segment(points=[TrackPoint(53.81, -2.44, 82.0)]),
+        Segment(lat=[53.8, 53.8], lon=[-2.45, -2.44], ele=[80.0, 81.0]),
+        Segment(lat=[53.81], lon=[-2.44], ele=[82.0]),
     ])
 
 
@@ -107,13 +109,13 @@ def test_assemble_record_names_missing_component():
 
 
 def test_assemble_record_rejects_missing_elevation():
-    track = Track(segments=[Segment(points=[TrackPoint(53.8, -2.45)])])
+    track = Track(segments=[Segment(lat=[53.8], lon=[-2.45])])
     with pytest.raises(RecordAssemblyError, match="elevation"):
         assemble_record(candidate(), track, metrics(), description(), "UK", "GPS")
 
 
 def test_properties_rounded_to_two_decimals_geometry_full_precision():
-    track = Track(segments=[Segment(points=[TrackPoint(53.812345678, -2.456789012, 80.123456)])])
+    track = Track(segments=[Segment(lat=[53.812345678], lon=[-2.456789012], ele=[80.123456])])
     record = assemble_record(candidate(), track, metrics(), description(), "UK", "GPS")
     properties = record_properties(record)
     assert properties["length_2d"] == 1234.57
@@ -183,9 +185,8 @@ def sample_records():
     other_candidate = CandidateRecord(url="http://b.example/loop.gpx", mime_detected="",
                                       warc_file="crawl-data/CC-MAIN-2024-10/w.warc.gz",
                                       warc_offset=9000, warc_len=500, crawl_id="CC-MAIN-2024-10")
-    loop = Track(segments=[Segment(points=[TrackPoint(49.3, 6.8, 250.0),
-                                           TrackPoint(49.31, 6.81, 251.0),
-                                           TrackPoint(49.3, 6.8, 250.0)])])
+    loop = Track(segments=[Segment(lat=[49.3, 49.31, 49.3], lon=[6.8, 6.81, 6.8],
+                                   ele=[250.0, 251.0, 250.0])])
     second = assemble_record(other_candidate, loop, metrics(circular=True),
                              description(lang="de", text="Eine schöne Runde am Fluss entlang, "
                                                          "mit Blick über die alte Brücke."),
@@ -214,11 +215,31 @@ def test_export_writes_three_formats(tmp_path):
     assert len(rows) == 3  # header + 2 records
 
 
+def test_export_keeps_previous_files_when_encoding_fails(tmp_path, monkeypatch):
+    paths = export_records(sample_records(), tmp_path)
+    before = {name: path.read_bytes() for name, path in paths.items()}
+
+    encoded = []
+
+    def fail_on_second_record(record):
+        if encoded:
+            raise ValueError("encoding failed part-way through the re-export")
+        encoded.append(record)
+        return to_json_obj(record)
+
+    # tracks.geojson is fully encoded by then; tracks.jsonl fails on its second line.
+    monkeypatch.setattr(records_module, "to_json_obj", fail_on_second_record)
+    with pytest.raises(ValueError, match="part-way"):
+        export_records(list(reversed(sample_records())), tmp_path)
+    assert {name: path.read_bytes() for name, path in paths.items()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "tracks.csv", "tracks.geojson", "tracks.jsonl"]
+
 def test_export_segment_count_maps_to_line_count(tmp_path):
     three_segments = Track(segments=[
-        Segment(points=[TrackPoint(53.8, -2.45, 80.0), TrackPoint(53.8, -2.44, 81.0)]),
-        Segment(points=[TrackPoint(53.81, -2.44, 82.0), TrackPoint(53.82, -2.44, 83.0)]),
-        Segment(points=[TrackPoint(53.83, -2.44, 84.0)]),
+        Segment(lat=[53.8, 53.8], lon=[-2.45, -2.44], ele=[80.0, 81.0]),
+        Segment(lat=[53.81, 53.82], lon=[-2.44, -2.44], ele=[82.0, 83.0]),
+        Segment(lat=[53.83], lon=[-2.44], ele=[84.0]),
     ])
     record = assemble_record(candidate(), three_segments, metrics(),
                              description(), "United Kingdom", "GPS")
