@@ -75,10 +75,21 @@ def clean_text(raw: str) -> str:
         current = cleaned
 
 
+def length_exclusion(text: str, config: FilterConfig) -> str | None:
+    """"desc-too-short" or "desc-too-long" when the cleaned, masked text
+    length is outside the configured bounds (inclusive minimum, exclusive
+    maximum, counted in code points); None when it is inside."""
+    if len(text) < config.desc_min_chars:
+        return "desc-too-short"
+    if len(text) >= config.desc_max_chars_exclusive:
+        return "desc-too-long"
+    return None
+
+
 def passes_length_bounds(text: str, config: FilterConfig) -> bool:
     """True when the cleaned, masked text length is inside the configured
-    bounds: inclusive minimum, exclusive maximum, counted in code points."""
-    return config.desc_min_chars <= len(text) < config.desc_max_chars_exclusive
+    bounds (see length_exclusion)."""
+    return length_exclusion(text, config) is None
 
 
 @dataclass

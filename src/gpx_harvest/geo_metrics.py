@@ -284,12 +284,21 @@ def find_countries(lon: float, lat: float, boundaries: list[CountryShape]) -> li
     return matches
 
 
-def assign_country(track: Track, boundaries: list[CountryShape]) -> str:
-    """Country of the track's first point; "Unknown" when nothing matches.
+def first_point_countries(track: Track, boundaries: list[CountryShape]) -> list[str]:
+    """Names of all shapes containing the track's first point, in file order."""
+    (lat, lon), _ = _endpoints(track)
+    return find_countries(lon, lat, boundaries)
+
+
+def pick_country(matches: list[str]) -> str:
+    """The country for a point inside the shapes ``matches`` (file order).
 
     Border points falling inside several shapes resolve to the first shape
-    in file order.
+    in file order; "Unknown" when nothing matches.
     """
-    (lat, lon), _ = _endpoints(track)
-    matches = find_countries(lon, lat, boundaries)
     return matches[0] if matches else "Unknown"
+
+
+def assign_country(track: Track, boundaries: list[CountryShape]) -> str:
+    """Country of the track's first point; "Unknown" when nothing matches."""
+    return pick_country(first_point_countries(track, boundaries))

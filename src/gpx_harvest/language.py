@@ -5,12 +5,23 @@ profile of its most frequent 1-3 grams built from embedded seed text, and a
 text is assigned the language whose profile it is closest to.  Texts that are
 mostly digits or punctuation, too short, or far from every profile come back
 as "unknown".
+
+The distance is the out-of-place measure: the sum, over the text's ranked
+grams, of the gap between a gram's rank in the text and in the profile, where
+a gram missing from the profile ranks at the profile size.  At import every
+gram of any profile gets an index into one int16 rank matrix with a row per
+language, in seed order, and a last column for "in no profile"; a text's grams
+are mapped to indices once and all profiles are scored with one numpy gather.
+Ties go to the first language in seed order.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from operator import itemgetter
+
+import numpy as np
 
 # Seed text per ISO-639-1 code.  Everyday outdoor-activity prose; what
 # matters for the profiles is ordinary function-word statistics, not content.
@@ -196,37 +207,54 @@ _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
 
 def _ngram_counts(text: str) -> Counter:
+    # Each distinct word is split once; its grams count once per occurrence.
     counts: Counter = Counter()
-    for word in _WORD_RE.findall(text.casefold()):
+    for word, times in Counter(_WORD_RE.findall(text.casefold())).items():
         padded = f" {word} "
         for n in (1, 2, 3):
             for i in range(len(padded) - n + 1):
-                counts[padded[i:i + n]] += 1
+                counts[padded[i:i + n]] += times
     return counts
 
 
 def _ranked(counts: Counter, size: int) -> list[str]:
     # Deterministic tie-break: by descending count, then lexicographically.
-    return [gram for gram, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:size]]
+    # Two stable sorts give the order of the key (-count, gram).
+    items = sorted(counts.items())
+    items.sort(key=itemgetter(1), reverse=True)
+    return [gram for gram, _ in items[:size]]
 
 
 _PROFILES: dict[str, dict[str, int]] = {
     lang: {gram: rank for rank, gram in enumerate(_ranked(_ngram_counts(seed), _PROFILE_SIZE))}
     for lang, seed in _SEEDS.items()
 }
+_LANGUAGES = list(_PROFILES)
+
+
+def _rank_matrix(profiles: dict[str, dict[str, int]]) -> tuple[dict[str, int], np.ndarray]:
+    """(column of every gram in any profile, rank matrix with a row per profile).
+
+    The matrix holds each gram's rank in that row's profile, or _PROFILE_SIZE
+    when the profile lacks it; its extra last column is "in no profile".
+    """
+    index: dict[str, int] = {}
+    for profile in profiles.values():
+        for gram in profile:
+            index.setdefault(gram, len(index))
+    ranks = np.full((len(profiles), len(index) + 1), _PROFILE_SIZE, dtype=np.int16)
+    for row, profile in enumerate(profiles.values()):
+        ranks[row, [index[gram] for gram in profile]] = list(profile.values())
+    return index, ranks
+
+
+_GRAM_INDEX, _RANKS = _rank_matrix(_PROFILES)
+_ABSENT = len(_GRAM_INDEX)
 
 
 def profile_languages() -> list[str]:
     """Language codes the detector can return (besides "unknown")."""
     return sorted(_PROFILES)
-
-
-def _distance(text_grams: list[str], profile: dict[str, int]) -> float:
-    out_of_place = 0
-    for rank, gram in enumerate(text_grams):
-        profile_rank = profile.get(gram, _PROFILE_SIZE)
-        out_of_place += min(abs(rank - profile_rank), _PROFILE_SIZE)
-    return out_of_place / (len(text_grams) * _PROFILE_SIZE)
 
 
 def detect_language(text: str) -> str:
@@ -246,12 +274,13 @@ def detect_language(text: str) -> str:
     if not text_grams:
         return "unknown"
 
-    best_lang = "unknown"
-    best_distance = float("inf")
-    for lang, profile in _PROFILES.items():
-        distance = _distance(text_grams, profile)
-        if distance < best_distance:
-            best_lang, best_distance = lang, distance
-    if best_distance > _MAX_DISTANCE:
+    columns = np.array([_GRAM_INDEX.get(gram, _ABSENT) for gram in text_grams], dtype=np.intp)
+    ranks = np.arange(len(text_grams), dtype=np.int64)
+    # Text ranks are below _PROFILE_SIZE and profile ranks at most
+    # _PROFILE_SIZE, so no gap exceeds the out-of-place cap of _PROFILE_SIZE.
+    out_of_place = np.abs(ranks - _RANKS[:, columns]).sum(axis=1)
+    # argmin returns the first minimum: ties go to the earlier language.
+    best = int(np.argmin(out_of_place))
+    if int(out_of_place[best]) / (len(text_grams) * _PROFILE_SIZE) > _MAX_DISTANCE:
         return "unknown"
-    return best_lang
+    return _LANGUAGES[best]

@@ -2,9 +2,11 @@
 
 Each stage reads its predecessor's files under the work directory, writes its
 own output plus a manifest, and reports a funnel line (inputs = outputs +
-exclusions).  A completed stage whose manifest and outputs are intact is
-skipped on re-runs, so deleting one stage's output re-executes only that
-stage.
+exclusions).  The manifest records the size and sha256 of every output, and a
+re-run skips a stage only while each output still matches them.  Once a stage
+re-executes, every later stage of the run re-executes too, so deleting,
+truncating or editing one stage's output recomputes that stage and those
+after it.
 
 Parse, enrich and metrics each do their work once per distinct input and
 repeat the outcome for every row carrying that input: parse and metrics per
@@ -34,9 +36,10 @@ from pathlib import Path
 from . import judges
 from .config import PipelineConfig
 from .descriptions import (CleanDescription, PiiFlags, clean_text, filter_rare_languages,
-                           mask_pii)
+                           length_exclusion, mask_pii)
 from .elevation import ElevationUnavailableError, TileStore, backfill_elevation
-from .geo_metrics import compute_track_metrics, find_countries, length_2d, load_boundaries
+from .geo_metrics import (compute_track_metrics, first_point_countries, length_2d,
+                          load_boundaries, pick_country)
 from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, parse_gpx
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .records import (OutputRecord, assemble_record, dedup, export_records,
@@ -141,10 +144,23 @@ def _finish_stage(paths: PipelinePaths, report: StageReport, outputs: list[Path]
                             f"+ {excluded} excluded")
     write_json_atomic(paths.manifest(report.stage), {
         "stage": report.stage,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [_output_entry(p) for p in outputs],
         "report": report.to_dict(),
     })
     return report
+
+
+def _output_entry(path: Path) -> dict:
+    """Path, size and sha256 of one stage output, as its manifest records it."""
+    digest = hashlib.sha256()
+    size = 0
+    # Small blocks: export hashes its files while its input rows are still
+    # alive, and a large read buffer would show up in peak RSS.
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+            size += len(block)
+    return {"path": str(path), "size": size, "sha256": digest.hexdigest()}
 
 
 # --- stages ---------------------------------------------------------------------
@@ -307,10 +323,9 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         """(exclusion reason, description fields replacing the row's ``desc``)."""
         text = clean_text(raw)
         text, pii_flags = mask_pii(text)
-        if len(text) < cfg.filters.desc_min_chars:
-            return "desc-too-short", None
-        if len(text) >= cfg.filters.desc_max_chars_exclusive:
-            return "desc-too-long", None
+        reason = length_exclusion(text, cfg.filters)
+        if reason is not None:
+            return reason, None
         try:
             if not judges.judge_quality(text, judge):
                 return "low-quality", None
@@ -378,9 +393,8 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                                         circular_radius_m=cfg.filters.circular_radius_m,
                                         deadband_m=cfg.filters.elev_deadband_m)
 
-        first = track.segments[0]
-        matches = find_countries(float(first.lon[0]), float(first.lat[0]), boundaries)
-        country = matches[0] if matches else "Unknown"
+        matches = first_point_countries(track, boundaries)
+        country = pick_country(matches)
         if not matches:
             counters.append("country_unknown")
         elif len(matches) > 1:
@@ -510,18 +524,20 @@ def _stage_is_complete(paths: PipelinePaths, stage: str) -> bool:
         return False
     try:
         raw = json.loads(manifest.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+        # A manifest without sizes and digests (a bare path list) is incomplete.
+        return all(_output_entry(Path(entry["path"])) == entry for entry in raw["outputs"])
+    except (json.JSONDecodeError, KeyError, TypeError, OSError):
         return False
-    return all(Path(p).exists() for p in raw.get("outputs", []))
 
 
 def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
                  resume: bool = True, paths: PipelinePaths | None = None) -> PipelineStats:
     """Run the requested stages (all six by default) and gather the report.
 
-    With resume enabled, stages whose manifest and outputs are intact are
-    skipped; the returned stats carry their saved reports plus the list of
-    stages actually executed this run.
+    With resume enabled, stages whose outputs still match their manifest
+    are skipped until the first stage that has to run; from there on every
+    stage runs.  The returned stats carry the saved reports of skipped
+    stages plus the list of stages actually executed this run.
     """
     selected = list(STAGES) if stages is None else list(stages)
     for stage in selected:
@@ -534,7 +550,9 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
 
     executed = []
     for stage in selected:
-        if resume and _stage_is_complete(paths, stage):
+        # A stage that re-ran may have written other rows, and manifests do
+        # not record inputs, so nothing after it can be trusted as up to date.
+        if resume and not executed and _stage_is_complete(paths, stage):
             logger.info("%s: up to date, skipping", stage)
             continue
         _STAGE_FUNCTIONS[stage](cfg, paths)

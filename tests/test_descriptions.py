@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gpx_harvest.config import FilterConfig
 from gpx_harvest.descriptions import (clean_text, filter_rare_languages, find_raw_pii,
-                                      mask_pii, passes_length_bounds)
+                                      length_exclusion, mask_pii, passes_length_bounds)
 
 CONFIG = FilterConfig()
 
@@ -51,6 +51,13 @@ def test_clean_idempotent(text):
                                              (1999, True), (2000, False), (2001, False)])
 def test_length_bounds(length, expected):
     assert passes_length_bounds("x" * length, CONFIG) is expected
+
+
+@pytest.mark.parametrize("length,reason", [(0, "desc-too-short"), (49, "desc-too-short"),
+                                           (50, None), (1999, None),
+                                           (2000, "desc-too-long"), (2001, "desc-too-long")])
+def test_length_exclusion_names_the_bound(length, reason):
+    assert length_exclusion("x" * length, CONFIG) == reason
 
 
 def test_length_bounds_counts_code_points_not_bytes():

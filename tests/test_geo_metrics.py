@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, BoundaryFileError, assign_country,
                                      compute_track_metrics, elevation_stats, find_countries,
-                                     haversine_m, is_circular, leg_lengths, length_2d,
-                                     length_3d, load_boundaries, point_in_polygon)
+                                     first_point_countries, haversine_m, is_circular,
+                                     leg_lengths, length_2d, length_3d, load_boundaries,
+                                     pick_country, point_in_polygon)
 from gpx_harvest.gpx_model import Segment, Track
 
 
@@ -389,6 +390,19 @@ def test_assign_country_file_order_breaks_ties(tmp_path):
     track = track_from([(1.0, 1.0)])
     assert assign_country(track, boundaries) == "First"
     assert find_countries(1.0, 1.0, boundaries) == ["First", "Second"]
+
+
+def test_pick_country_takes_the_first_match_or_unknown():
+    assert pick_country(["First", "Second"]) == "First"
+    assert pick_country(["Only"]) == "Only"
+    assert pick_country([]) == "Unknown"
+
+
+def test_first_point_countries_reads_the_first_populated_segment(tmp_path):
+    overlapping = [box("First", 0, 0, 2, 2), box("Second", 0, 0, 2, 2), box("Far", 9, 9, 10, 10)]
+    boundaries = load_boundaries(boundaries_file(tmp_path, overlapping))
+    track = track_from([], [(1.0, 1.0), (9.5, 9.5)], [(9.5, 9.5)])
+    assert first_point_countries(track, boundaries) == ["First", "Second"]
 
 
 def test_multipolygon_boundaries(tmp_path):

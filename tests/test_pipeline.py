@@ -116,6 +116,61 @@ def test_resume_skips_completed_stages(crawl, tmp_path):
     assert third.records() == 2
 
 
+EXPORTS = ("tracks.geojson", "tracks.jsonl", "tracks.csv", "stats.json")
+
+
+def assert_same_exports(cfg, reference):
+    for name in EXPORTS:
+        assert ((cfg.resolved_out_dir() / name).read_bytes()
+                == (reference.resolved_out_dir() / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("drop_exports", [False, True])
+def test_resume_recomputes_a_truncated_output(crawl, tmp_path, drop_exports):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+
+    final = PipelinePaths(workdir=cfg.workdir).final
+    lines = final.read_text("utf-8").splitlines(keepends=True)
+    assert len(lines) == 2
+    final.write_text(lines[0], encoding="utf-8")
+    if drop_exports:
+        for name in EXPORTS:
+            (cfg.resolved_out_dir() / name).unlink()
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["metrics", "export"]
+    assert resumed.records() == 2
+    assert_same_exports(cfg, fresh)
+
+
+def test_resume_recomputes_an_output_edited_in_place(crawl, tmp_path):
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    parsed = PipelinePaths(workdir=cfg.workdir).parsed
+    data = bytearray(parsed.read_bytes())
+    data[data.index(b'"url"') + 1] = ord("U")  # same size, other bytes
+    parsed.write_bytes(bytes(data))
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["parse", "enrich", "metrics", "export"]
+
+
+def test_manifest_without_output_digests_counts_as_incomplete(crawl, tmp_path):
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    paths = PipelinePaths(workdir=cfg.workdir)
+    manifest = json.loads(paths.manifest("export").read_text("utf-8"))
+    assert {"path", "size", "sha256"} <= manifest["outputs"][0].keys()
+    manifest["outputs"] = [entry["path"] for entry in manifest["outputs"]]
+    write_json_atomic(paths.manifest("export"), manifest)
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["export"]
+
+
 def test_no_resume_runs_everything(crawl, tmp_path):
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)
