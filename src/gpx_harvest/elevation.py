@@ -14,6 +14,7 @@ import gzip
 import math
 import re
 import threading
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,10 @@ DEM_SOURCE = "DEM"
 
 class ElevationUnavailableError(Exception):
     """A point's elevation cannot be resolved (missing tile or void cell)."""
+
+
+class TileFileError(ValueError):
+    """A tile file cannot be read or is not a valid HGT grid."""
 
 
 @dataclass
@@ -62,15 +67,15 @@ def parse_tile_name(name: str) -> tuple[int, int]:
 def read_hgt(path: str | Path) -> SrtmTile:
     """Load a .hgt or .hgt.gz tile; the grid size is derived from file size."""
     path = Path(path)
-    if path.name.endswith(".gz"):
-        data = gzip.decompress(path.read_bytes())
-        stem = path.name[:-len(".hgt.gz")]
-    else:
-        data = path.read_bytes()
-        stem = path.stem
+    compressed = path.name.endswith(".gz")
+    try:
+        data = gzip.decompress(path.read_bytes()) if compressed else path.read_bytes()
+    except (OSError, EOFError, zlib.error) as exc:
+        raise TileFileError(f"{path}: cannot read tile: {exc}") from exc
+    stem = path.name[:-len(".hgt.gz")] if compressed else path.stem
     n = math.isqrt(len(data) // 2)
     if n not in _GRID_SIZES or 2 * n * n != len(data):
-        raise ValueError(f"{path}: {len(data)} bytes is not a valid HGT grid")
+        raise TileFileError(f"{path}: {len(data)} bytes is not a valid HGT grid")
     sw_lat, sw_lon = parse_tile_name(stem)
     samples = np.frombuffer(data, dtype=">i2").reshape(n, n)
     return SrtmTile(sw_lat=sw_lat, sw_lon=sw_lon, n=n, samples=samples)

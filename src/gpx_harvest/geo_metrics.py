@@ -227,25 +227,37 @@ def point_in_polygon(lon: float, lat: float, rings: list[Ring]) -> bool:
     return inside
 
 
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise BoundaryFileError(f"{what} is not a JSON object")
+    return value
+
+
 def load_boundaries(path: str | Path) -> list[CountryShape]:
     """Load named country polygons from a GeoJSON FeatureCollection.
 
     Each feature needs a "shapeName" or "name" property and a Polygon or
-    MultiPolygon geometry whose rings are closed (first vertex equals last).
+    MultiPolygon geometry whose rings are closed (first vertex equals last)
+    and whose vertices start with two numbers.  Anything else raises
+    BoundaryFileError.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BoundaryFileError(f"cannot read boundaries file {path}: {exc}") from exc
+    features = _object(data, f"boundaries file {path}").get("features", [])
+    if not isinstance(features, list):
+        raise BoundaryFileError(f"boundaries file {path}: features is not a list")
 
     shapes: list[CountryShape] = []
-    for feature in data.get("features", []):
-        properties = feature.get("properties") or {}
+    for feature in features:
+        feature = _object(feature, "feature")
+        properties = _object(feature.get("properties") or {}, "feature properties")
         name = properties.get("shapeName") or properties.get("name")
         if not name:
             raise BoundaryFileError("feature without shapeName/name property")
 
-        geometry = feature.get("geometry") or {}
+        geometry = _object(feature.get("geometry") or {}, f"{name}: geometry")
         gtype = geometry.get("type")
         coords = geometry.get("coordinates")
         if gtype == "Polygon":
@@ -256,16 +268,21 @@ def load_boundaries(path: str | Path) -> list[CountryShape]:
             raise BoundaryFileError(f"{name}: unsupported geometry type {gtype!r}")
 
         polygons: list[list[Ring]] = []
-        for raw_rings in raw_polygons:
-            rings: list[Ring] = []
-            for raw_ring in raw_rings:
-                ring: Ring = [(float(v[0]), float(v[1])) for v in raw_ring]
-                if len(ring) < 4 or ring[0] != ring[-1]:
-                    raise BoundaryFileError(f"{name}: unclosed ring")
-                rings.append(ring)
-            polygons.append(rings)
+        try:
+            for raw_rings in raw_polygons:
+                rings: list[Ring] = []
+                for raw_ring in raw_rings:
+                    ring: Ring = [(float(v[0]), float(v[1])) for v in raw_ring]
+                    if len(ring) < 4 or ring[0] != ring[-1]:
+                        raise BoundaryFileError(f"{name}: unclosed ring")
+                    rings.append(ring)
+                polygons.append(rings)
+        except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+            raise BoundaryFileError(f"{name}: malformed coordinates: {exc}") from exc
 
         vertices = [v for polygon in polygons for ring in polygon for v in ring]
+        if not vertices:
+            raise BoundaryFileError(f"{name}: geometry has no vertices")
         bbox = (min(v[0] for v in vertices), min(v[1] for v in vertices),
                 max(v[0] for v in vertices), max(v[1] for v in vertices))
         shapes.append(CountryShape(name=str(name), polygons=polygons, bbox=bbox))

@@ -69,7 +69,7 @@ def parse_index_line(line: str) -> CandidateRecord | None:
         return None
     try:
         payload = json.loads(stripped[brace:])
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # bad JSON, an over-long integer, deep nesting
         return None
     if not isinstance(payload, dict):
         return None

@@ -16,9 +16,11 @@ metrics pass, however many captures carry it.  This is exact because each of
 those steps is a deterministic function of its key; exclusions and counters
 are still tallied once per row, so reports and exports do not change.
 
-Rows passed between stages carry ids, the description and scalars, never
+Rows passed up to metrics carry ids, the description and scalars, never
 geometry: parse and metrics both read the track from the ``raw/<sha256>.gpx``
 payload fetch wrote, so ``raw/`` must survive until metrics completes.
+``final.jsonl`` then carries each track's coordinates as the exact JSON text
+both exports embed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import judges
 from .config import PipelineConfig
 from .descriptions import (CleanDescription, PiiFlags, clean_text, filter_rare_languages,
                            length_exclusion, mask_pii)
-from .elevation import ElevationUnavailableError, TileStore, backfill_elevation
+from .elevation import ElevationUnavailableError, TileFileError, TileStore, backfill_elevation
 from .geo_metrics import (compute_track_metrics, first_point_countries, length_2d,
                           load_boundaries, pick_country)
 from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, parse_gpx
@@ -387,6 +389,8 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             track, elev_source = backfill_elevation(track, tiles)
         except ElevationUnavailableError:
             return "elevation-unavailable", None, ()
+        except TileFileError as exc:
+            raise PipelineError(f"stage metrics: {exc}") from exc
         counters = ["elev_gps" if elev_source == "GPS" else "elev_dem"]
 
         metrics = compute_track_metrics(track,
@@ -448,7 +452,7 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     out_dir = cfg.resolved_out_dir()
     try:
-        written = export_records([row["record"] for row in survivors], out_dir)
+        written = export_records([OutputRecord(**row["record"]) for row in survivors], out_dir)
     except OSError as exc:
         raise PipelineError(f"stage export: cannot write to {out_dir}: {exc}") from exc
     report.outputs = len(survivors)

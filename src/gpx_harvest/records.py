@@ -2,7 +2,8 @@
 
 Every exported record carries the same 17 properties; geometry is a
 MultiLineString whose vertices are [lon, lat, elevation] triples, one line
-string per original segment, built from the segment's lat/lon/ele arrays.
+string per original segment.  ``assemble_record`` encodes them to JSON text
+once; ``final.jsonl`` carries that exact text and both exports splice it in.
 Files are written through ``write_atomic``, so a failed write never leaves a
 partial file behind.
 """
@@ -58,7 +59,7 @@ class OutputRecord:
     length_2d: float
     length_3d: float
     is_circular: bool
-    geometry: list[list[list[float]]]  # segments -> [lon, lat, elevation]
+    geometry: str  # JSON text of the coordinates: segments -> [lon, lat, elevation]
 
 
 def passes_track_filters(track: Track, length_2d_m: float,
@@ -114,7 +115,7 @@ def assemble_record(candidate: CandidateRecord, track: Track, metrics: TrackMetr
         length_2d=metrics.length_2d,
         length_3d=metrics.length_3d,
         is_circular=metrics.is_circular,
-        geometry=geometry,
+        geometry=json.dumps(geometry),
     )
 
 
@@ -150,36 +151,30 @@ def dedup(rows: Iterable[dict], url_key: str = "url", crawl_key: str = "crawl_id
     return deduped
 
 
-def record_properties(record: OutputRecord | dict) -> dict:
+def record_properties(record: OutputRecord) -> dict:
     """The 16 scalar properties, with metric values rounded to 2 decimals.
 
     Centimeter precision already exceeds GPS accuracy, and fixed rounding
     keeps re-exports byte-identical.
     """
-    raw = record if isinstance(record, dict) else record.__dict__
     properties = {}
     for name in SCALAR_PROPERTIES:
-        value = raw[name]
+        value = getattr(record, name)
         if name in _ROUNDED_PROPERTIES:
             value = round(float(value), 2)
         properties[name] = value
     return properties
 
 
-def to_feature(record: OutputRecord | dict) -> dict:
-    raw = record if isinstance(record, dict) else record.__dict__
-    return {
-        "type": "Feature",
-        "properties": record_properties(record),
-        "geometry": {"type": "MultiLineString", "coordinates": raw["geometry"]},
-    }
-
-
-def to_json_obj(record: OutputRecord | dict) -> dict:
-    raw = record if isinstance(record, dict) else record.__dict__
-    obj = record_properties(record)
-    obj["geometry"] = {"type": "MultiLineString", "coordinates": raw["geometry"]}
-    return obj
+def record_json(record: OutputRecord, feature: bool = False) -> str:
+    """A ``tracks.jsonl`` line, or with ``feature`` a GeoJSON Feature, exactly as
+    ``json.dumps(..., ensure_ascii=False)`` writes it; the stored coordinates
+    text is spliced in, never re-encoded."""
+    properties = json.dumps(record_properties(record), ensure_ascii=False)
+    geometry = f'{{"type": "MultiLineString", "coordinates": {record.geometry}}}'
+    if feature:
+        return f'{{"type": "Feature", "properties": {properties}, "geometry": {geometry}}}'
+    return f'{properties[:-1]}, "geometry": {geometry}}}'
 
 
 def write_atomic(*files: tuple[Path, Callable[[TextIO], None]]) -> None:
@@ -204,7 +199,7 @@ def write_atomic(*files: tuple[Path, Callable[[TextIO], None]]) -> None:
         raise
 
 
-def export_records(records: Iterable[OutputRecord | dict], out_dir: str | Path) -> dict[str, Path]:
+def export_records(records: Iterable[OutputRecord], out_dir: str | Path) -> dict[str, Path]:
     """Write the dataset as GeoJSON, line-delimited JSON, and scalar CSV.
 
     Output order follows the input (dedup survivor order); identical inputs
@@ -220,14 +215,14 @@ def export_records(records: Iterable[OutputRecord | dict], out_dir: str | Path) 
     }
 
     def write_geojson(handle: TextIO) -> None:
-        collection = {"type": "FeatureCollection",
-                      "features": [to_feature(r) for r in records]}
-        handle.write(json.dumps(collection, ensure_ascii=False))
+        handle.write('{"type": "FeatureCollection", "features": [')
+        for index, record in enumerate(records):
+            handle.write((", " if index else "") + record_json(record, feature=True))
+        handle.write("]}")
 
     def write_jsonl(handle: TextIO) -> None:
         for record in records:
-            handle.write(json.dumps(to_json_obj(record), ensure_ascii=False))
-            handle.write("\n")
+            handle.write(record_json(record) + "\n")
 
     def write_csv(handle: TextIO) -> None:
         writer = csv.DictWriter(handle, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")

@@ -11,6 +11,7 @@ import gzip
 import os
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,7 +252,7 @@ def extract_payload(record: WarcSlice | bytes) -> bytes:
     member = record.record_bytes if isinstance(record, WarcSlice) else record
     try:
         raw = gzip.decompress(member)
-    except (OSError, EOFError) as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         raise PayloadDecodeError(f"record is not gzip: {exc}") from exc
 
     warc_head, sep, warc_content = raw.partition(b"\r\n\r\n")

@@ -370,6 +370,27 @@ def test_load_boundaries_rejects_missing_name(tmp_path):
         load_boundaries(boundaries_file(tmp_path, [feature]))
 
 
+def _with_coordinates(coordinates):
+    feature = box("Broken", 0, 0, 1, 1)
+    feature["geometry"]["coordinates"] = coordinates
+    return {"type": "FeatureCollection", "features": [feature]}
+
+
+@pytest.mark.parametrize("document", [
+    [box("France", -5, 42, 8, 51)],
+    {"type": "FeatureCollection", "features": ["not a feature"]},
+    _with_coordinates([[[0, 0], [1, "east"], [1, 1], [0, 0]]]),
+    _with_coordinates([[[0, 0], [1], [1, 1], [0, 0]]]),
+    _with_coordinates(None),
+], ids=["top-level-list", "non-dict-feature", "non-numeric-vertex", "one-number-vertex",
+        "null-coordinates"])
+def test_load_boundaries_classifies_malformed_documents(tmp_path, document):
+    path = tmp_path / "countries.geojson"
+    path.write_text(json.dumps(document))
+    with pytest.raises(BoundaryFileError):
+        load_boundaries(path)
+
+
 def test_assign_country_first_point_in_france(tmp_path):
     path = boundaries_file(tmp_path, [box("France", -5.0, 42.0, 8.0, 51.0),
                                       box("Belgium", 2.5, 49.5, 6.4, 51.5)])

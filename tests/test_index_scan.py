@@ -130,6 +130,18 @@ def test_scan_index_counts_malformed():
     assert stats.candidates + stats.not_candidate == 4
 
 
+@pytest.mark.parametrize("payload", [
+    '{"a":' * 100_000,
+    '{"url": "http://a.example/t.gpx", "filename": "f", "offset": ' + "1" * 5000
+    + ', "length": 3}',
+], ids=["deeply-nested", "over-long-integer"])
+def test_scan_index_counts_hostile_json_as_malformed(payload):
+    assert parse_index_line(f"key 20240101000000 {payload}") is None
+    stats = ScanStats()
+    assert list(scan_index([f"key 20240101000000 {payload}"], stats)) == []
+    assert stats.malformed == 1
+
+
 def test_scan_index_blank_lines_not_malformed():
     stats = ScanStats()
     list(scan_index(["", "   ", cdxj("http://a.example/t.gpx")], stats))

@@ -279,6 +279,19 @@ def test_cli_fatal_error_exit_code(tmp_path):
                  "--workdir", str(tmp_path / "w")]) == 1
 
 
+@pytest.mark.parametrize("tile_name, content", [
+    ("N49E006.hgt", b"\x00" * 100),
+    ("N49E006.hgt.gz", b"\x1f\x8b not really gzip"),
+], ids=["short-hgt", "corrupt-gzip"])
+def test_cli_reports_corrupt_dem_tile(crawl, tmp_path, capsys, tile_name, content):
+    for tile in crawl.srtm_dir.iterdir():
+        tile.unlink()
+    (crawl.srtm_dir / tile_name).write_bytes(content)
+    code = main(["run", "--config", str(crawl.config), "--workdir", str(tmp_path / "w")])
+    assert code == 1
+    assert f"error: stage metrics: {crawl.srtm_dir / tile_name}" in capsys.readouterr().err
+
+
 def test_cli_failure_exit_code(crawl, tmp_path):
     workdir = tmp_path / "w"
     paths = PipelinePaths(workdir=workdir)

@@ -297,6 +297,21 @@ def test_fetch_stage_counts_bad_warc_content_length_as_decode_error(tmp_path):
     assert failure == {"url": "http://t.example/bad.gpx", "reason": "bad WARC Content-Length"}
 
 
+def test_fetch_stage_counts_corrupt_deflate_data_as_decode_error(tmp_path):
+    paths = PipelinePaths(workdir=tmp_path)
+    corrupt = bytearray(warc_response_member("http://t.example/bad.gpx", good_track_payload()))
+    for i in range(12, 40):  # inside the deflate stream, past the gzip header
+        corrupt[i] ^= 0xFF
+    cfg, _ = seed_candidates(tmp_path, paths, [
+        ("http://t.example/bad.gpx", "CC-MAIN-2024-10", bytes(corrupt)),
+        ("http://t.example/ok.gpx", "CC-MAIN-2024-10",
+         warc_response_member("http://t.example/ok.gpx", good_track_payload())),
+    ])
+    report = stage_fetch(cfg, paths)
+    assert report.excluded == {"decode-error": 1}
+    assert report.outputs == 1
+
+
 class CountingJudge(KeywordJudge):
     """KeywordJudge that keeps every prompt it was asked."""
 

@@ -2,8 +2,11 @@ import csv
 import json
 import math
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpx_harvest import records as records_module
 from gpx_harvest.config import FilterConfig
@@ -14,7 +17,7 @@ from gpx_harvest.index_scan import CandidateRecord
 from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES,
                                  RecordAssemblyError, assemble_record, dedup,
                                  export_records, passes_track_filters,
-                                 record_properties, to_feature, to_json_obj)
+                                 record_json, record_properties)
 
 CONFIG = FilterConfig()
 
@@ -97,8 +100,8 @@ def test_assemble_record_has_all_17_properties():
     assert set(record.__dict__) == set(ALL_PROPERTIES)
     assert record.url == "http://a.example/t.gpx"
     assert record.country == "United Kingdom"
-    assert record.geometry == [[[-2.45, 53.8, 80.0], [-2.44, 53.8, 81.0]],
-                               [[-2.44, 53.81, 82.0]]]
+    assert json.loads(record.geometry) == [[[-2.45, 53.8, 80.0], [-2.44, 53.8, 81.0]],
+                                           [[-2.44, 53.81, 82.0]]]
 
 
 def test_assemble_record_names_missing_component():
@@ -122,8 +125,8 @@ def test_properties_rounded_to_two_decimals_geometry_full_precision():
     assert properties["length_3d"] == 1250.12
     assert properties["uphill"] == 55.56
     assert properties["downhill"] == 44.44
-    assert record.geometry[0][0] == [-2.456789012, 53.812345678, 80.123456]
-    feature = to_feature(record)
+    assert json.loads(record.geometry)[0][0] == [-2.456789012, 53.812345678, 80.123456]
+    feature = json.loads(record_json(record, feature=True))
     assert feature["geometry"]["coordinates"][0][0] == [-2.456789012, 53.812345678, 80.123456]
 
 
@@ -221,14 +224,14 @@ def test_export_keeps_previous_files_when_encoding_fails(tmp_path, monkeypatch):
 
     encoded = []
 
-    def fail_on_second_record(record):
-        if encoded:
+    def fail_on_fourth_record(record, feature=False):
+        if len(encoded) == 3:
             raise ValueError("encoding failed part-way through the re-export")
         encoded.append(record)
-        return to_json_obj(record)
+        return record_json(record, feature)
 
     # tracks.geojson is fully encoded by then; tracks.jsonl fails on its second line.
-    monkeypatch.setattr(records_module, "to_json_obj", fail_on_second_record)
+    monkeypatch.setattr(records_module, "record_json", fail_on_fourth_record)
     with pytest.raises(ValueError, match="part-way"):
         export_records(list(reversed(sample_records())), tmp_path)
     assert {name: path.read_bytes() for name, path in paths.items()} == before
@@ -243,7 +246,7 @@ def test_export_segment_count_maps_to_line_count(tmp_path):
     ])
     record = assemble_record(candidate(), three_segments, metrics(),
                              description(), "United Kingdom", "GPS")
-    assert len(record.geometry) == 3
+    assert len(json.loads(record.geometry)) == 3
     paths = export_records([record], tmp_path)
     collection = json.loads(paths["geojson"].read_text(encoding="utf-8"))
     assert len(collection["features"][0]["geometry"]["coordinates"]) == 3
@@ -279,3 +282,61 @@ def test_exported_descriptions_keep_unicode(tmp_path):
     paths = export_records(sample_records(), tmp_path)
     text = paths["jsonl"].read_text(encoding="utf-8")
     assert "Eine schöne Runde" in text  # not escaped to ö
+
+
+# --- export bytes against the dict-based encoding ------------------------------------
+# The reference is the former encoder: whole dicts with the coordinates as nested
+# lists, each passed to one json.dumps.
+
+def reference_feature(record, coordinates):
+    return {
+        "type": "Feature",
+        "properties": record_properties(record),
+        "geometry": {"type": "MultiLineString", "coordinates": coordinates},
+    }
+
+
+def reference_json_obj(record, coordinates):
+    obj = record_properties(record)
+    obj["geometry"] = {"type": "MultiLineString", "coordinates": coordinates}
+    return obj
+
+
+_NUMBERS = st.one_of(st.sampled_from([-0.0, 0.0, 1e-7, -1e-7, 123456.789012345, 5e-324]),
+                     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+_POINTS = st.tuples(_NUMBERS, _NUMBERS, _NUMBERS)
+_TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "ö", "日"]),
+                          st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=40)
+
+
+@st.composite
+def _records(draw):
+    """An assembled record and its coordinates as the nested lists export used to take."""
+    segments = draw(st.lists(st.lists(_POINTS, min_size=1, max_size=4), min_size=1, max_size=3))
+    track = Track(segments=[Segment(lat=[p[1] for p in points], lon=[p[0] for p in points],
+                                    ele=[p[2] for p in points]) for points in segments])
+    desc = CleanDescription(text=draw(_TEXT), lang=draw(st.sampled_from(["en", "de", "ja"])),
+                            text_en=draw(_TEXT), pii=PiiFlags())
+    values = [draw(_NUMBERS) for _ in range(6)]
+    track_metrics = TrackMetrics(length_2d=values[0], length_3d=values[1],
+                                 elev_highest=values[2], elev_lowest=values[3],
+                                 uphill=values[4], downhill=values[5],
+                                 is_circular=draw(st.booleans()))
+    record = assemble_record(candidate(), track, track_metrics, desc, draw(_TEXT),
+                             draw(st.sampled_from(["GPS", "DEM"])))
+    return record, [[list(point) for point in points] for points in segments]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_records(), max_size=3))
+def test_export_bytes_equal_the_dict_based_encoding(drawn):
+    collection = {"type": "FeatureCollection",
+                  "features": [reference_feature(r, coords) for r, coords in drawn]}
+    jsonl = "".join(json.dumps(reference_json_obj(r, coords), ensure_ascii=False) + "\n"
+                    for r, coords in drawn)
+    with tempfile.TemporaryDirectory() as out_dir:
+        paths = export_records([record for record, _ in drawn], out_dir)
+        assert paths["geojson"].read_bytes() == json.dumps(
+            collection, ensure_ascii=False).encode("utf-8")
+        assert paths["jsonl"].read_bytes() == jsonl.encode("utf-8")
+
