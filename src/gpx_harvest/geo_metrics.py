@@ -233,12 +233,23 @@ def _object(value: object, what: str) -> dict:
     return value
 
 
+def _vertex(raw: object, name: str) -> tuple[float, float]:
+    """(lon, lat) of a vertex: a JSON array starting with two finite numbers."""
+    if (isinstance(raw, list) and len(raw) >= 2
+            and all(type(c) in (int, float) for c in raw[:2])):
+        lon, lat = float(raw[0]), float(raw[1])
+        if math.isfinite(lon) and math.isfinite(lat):
+            return lon, lat
+    raise BoundaryFileError(f"{name}: malformed vertex {raw!r:.40}")
+
+
 def load_boundaries(path: str | Path) -> list[CountryShape]:
     """Load named country polygons from a GeoJSON FeatureCollection.
 
     Each feature needs a "shapeName" or "name" property and a Polygon or
     MultiPolygon geometry whose rings are closed (first vertex equals last)
-    and whose vertices start with two numbers.  Anything else raises
+    and whose vertices are JSON arrays starting with two finite numbers
+    (not strings, booleans, NaN or infinities).  Anything else raises
     BoundaryFileError.
     """
     try:
@@ -272,7 +283,7 @@ def load_boundaries(path: str | Path) -> list[CountryShape]:
             for raw_rings in raw_polygons:
                 rings: list[Ring] = []
                 for raw_ring in raw_rings:
-                    ring: Ring = [(float(v[0]), float(v[1])) for v in raw_ring]
+                    ring: Ring = [_vertex(v, name) for v in raw_ring]
                     if len(ring) < 4 or ring[0] != ring[-1]:
                         raise BoundaryFileError(f"{name}: unclosed ring")
                     rings.append(ring)

@@ -187,13 +187,16 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
     fall back to the document-level <desc> (GPX 1.0) or <metadata><desc>
     (GPX 1.1) when the track carries none.
 
-    Raises GpxParseError for non-XML payloads or a non-<gpx> root.
+    Raises GpxParseError for non-XML payloads, an XML declaration naming an
+    encoding expat cannot read, or a non-<gpx> root.
     """
     if stats is None:
         stats = ParseStats()
     try:
         root = ElementTree.fromstring(payload)
-    except ElementTree.ParseError as exc:
+    # An unknown declared encoding raises LookupError; a multi-byte one, or
+    # one whose codec fails on the bytes, raises ValueError.
+    except (ElementTree.ParseError, LookupError, ValueError) as exc:
         raise GpxParseError(f"not parseable XML: {exc}") from exc
     if _local(root.tag) != "gpx":
         raise GpxParseError(f"root element is <{_local(root.tag)}>, expected <gpx>")

@@ -18,6 +18,11 @@ from urllib.parse import urlsplit
 
 _CRAWL_ID_RE = re.compile(r"CC-MAIN-\d{4}-\d{2}")
 
+# The longest WARC record a candidate may point at, in compressed bytes.  One
+# index line must not make fetch request an unbounded range; a longer one is
+# a malformed line.
+MAX_WARC_LEN = 16 << 20
+
 
 @dataclass
 class CandidateRecord:
@@ -35,6 +40,8 @@ class CandidateRecord:
             raise ValueError(f"warc_offset must be >= 0, got {self.warc_offset}")
         if self.warc_len <= 0:
             raise ValueError(f"warc_len must be > 0, got {self.warc_len}")
+        if self.warc_len > MAX_WARC_LEN:
+            raise ValueError(f"warc_len must be <= {MAX_WARC_LEN}, got {self.warc_len}")
         parts = urlsplit(self.url)
         if not parts.scheme or not parts.netloc:
             raise ValueError(f"url must be absolute, got {self.url!r}")

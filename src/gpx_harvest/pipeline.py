@@ -17,10 +17,16 @@ those steps is a deterministic function of its key; exclusions and counters
 are still tallied once per row, so reports and exports do not change.
 
 Rows passed up to metrics carry ids, the description and scalars, never
-geometry: parse and metrics both read the track from the ``raw/<sha256>.gpx``
-payload fetch wrote, so ``raw/`` must survive until metrics completes.
-``final.jsonl`` then carries each track's coordinates as the exact JSON text
-both exports embed.
+geometry.  Parse is the only stage that reads the ``raw/<sha256>.gpx``
+payloads fetch wrote, so ``raw/`` must survive only until parse completes.
+Parse appends each accepted track's arrays to one ``tracks.f64`` file of raw
+little-endian float64 values (lat block, lon block, ele block, each over all
+segments), written together with ``parsed.jsonl``; each row carries the
+file's path, the track's byte offset, its segment lengths and the sha256 of
+its bytes.  Metrics reads the arrays back from that file and never parses
+GPX; a missing file, a short read or a digest mismatch stops it with an
+error naming the file.  ``final.jsonl`` then carries each track's
+coordinates as the exact JSON text both exports embed.
 """
 
 from __future__ import annotations
@@ -32,8 +38,12 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import BinaryIO, TextIO
+
+import numpy as np
 
 from . import judges
 from .config import PipelineConfig
@@ -42,17 +52,21 @@ from .descriptions import (CleanDescription, PiiFlags, clean_text, filter_rare_l
 from .elevation import ElevationUnavailableError, TileFileError, TileStore, backfill_elevation
 from .geo_metrics import (compute_track_metrics, first_point_countries, length_2d,
                           load_boundaries, pick_country)
-from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, parse_gpx
+from .gpx_model import (GpxParseError, ParseStats, Segment, Track, extract_single_track,
+                        parse_gpx)
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .records import (OutputRecord, assemble_record, dedup, export_records,
                       passes_track_filters, write_atomic)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
-                         PayloadDecodeError, WarcRecordSkippedError, extract_payload,
-                         fetch_many)
+                         PayloadDecodeError, PayloadTooLargeError, WarcRecordSkippedError,
+                         extract_payload, fetch_many)
 
 logger = logging.getLogger(__name__)
 
 STAGES = ("index", "fetch", "parse", "enrich", "metrics", "export")
+
+# Element type of the tracks file parse writes: raw little-endian float64.
+TRACK_DTYPE = np.dtype("<f8")
 
 # Operational problems, as opposed to data-quality exclusions; any of these
 # turns the run's exit status into "completed with failures".
@@ -98,6 +112,7 @@ class PipelinePaths:
     fetched: Path | None = None
     fetch_failures: Path | None = None
     parsed: Path | None = None
+    tracks: Path | None = None
     enriched: Path | None = None
     final: Path | None = None
 
@@ -109,6 +124,7 @@ class PipelinePaths:
             "fetched": self.workdir / "fetched.jsonl",
             "fetch_failures": self.workdir / "fetch_failures.jsonl",
             "parsed": self.workdir / "parsed.jsonl",
+            "tracks": self.workdir / "tracks.f64",
             "enriched": self.workdir / "enriched.jsonl",
             "final": self.workdir / "final.jsonl",
         }
@@ -124,9 +140,12 @@ def write_json_atomic(path: Path, obj) -> None:
     write_atomic((path, lambda handle: json.dump(obj, handle, ensure_ascii=False, indent=2)))
 
 
+def _write_rows(handle: TextIO, rows) -> None:
+    handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
 def write_jsonl(path: Path, rows) -> None:
-    write_atomic((path, lambda handle: handle.writelines(
-        json.dumps(row, ensure_ascii=False) + "\n" for row in rows)))
+    write_atomic((path, lambda handle: _write_rows(handle, rows)))
 
 
 def read_jsonl(path: Path, stage: str) -> list[dict]:
@@ -223,6 +242,10 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             report.exclude("decode-error")
             failure_rows.append({"url": candidate.url, "reason": str(exc)})
             continue
+        except PayloadTooLargeError as exc:
+            report.exclude("payload-too-large")
+            failure_rows.append({"url": candidate.url, "reason": str(exc)})
+            continue
         digest = hashlib.sha256(payload).hexdigest()
         payload_path = paths.raw_dir / f"{digest}.gpx"
         if digest not in written:
@@ -239,63 +262,93 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     return _finish_stage(paths, report, [paths.fetched, paths.fetch_failures])
 
 
-def _payload_path(row: dict, paths: PipelinePaths) -> Path:
-    return Path(row.get("payload") or paths.raw_dir / f"{row['content_hash']}.gpx")
-
-
-def _read_track(row: dict, paths: PipelinePaths, stage: str,
-                stats: ParseStats) -> tuple[str | None, Track | None]:
-    """(exclusion reason, the single track) read from the row's raw payload."""
-    payload_path = _payload_path(row, paths)
-    if not payload_path.exists():
-        raise PipelineError(f"stage {stage}: missing payload {payload_path}")
-    try:
-        doc = parse_gpx(payload_path.read_bytes(), row["url"], stats)
-    except GpxParseError:
-        return "parse-error", None
-    track = extract_single_track(doc)
-    if track is None:
-        populated = sum(1 for t in doc.tracks if t.point_count() > 0)
-        return ("multi-track" if populated > 1 else "no-track"), None
-    return None, track
-
-
 def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     rows = read_jsonl(paths.fetched, "parse")
     report = StageReport("parse")
     report.inputs = len(rows)
+    tracks_path = str(paths.tracks)
 
-    def parse_one(row: dict) -> tuple[str | None, dict | None, ParseStats]:
-        """(exclusion reason, fields added to the row, what parsing dropped)."""
+    def parse_one(row: dict, tracks: BinaryIO) -> tuple[str | None, dict | None, ParseStats]:
+        """(exclusion reason, fields added to the row, what parsing dropped).
+
+        An accepted track's arrays are appended to ``tracks``; the fields
+        locate them there.
+        """
         stats = ParseStats()
-        reason, track = _read_track(row, paths, "parse", stats)
-        if reason is None:
-            _, reason = passes_track_filters(track, length_2d(track), cfg.filters)
+        payload_path = Path(row.get("payload") or paths.raw_dir / f"{row['content_hash']}.gpx")
+        if not payload_path.exists():
+            raise PipelineError(f"stage parse: missing payload {payload_path}")
+        try:
+            doc = parse_gpx(payload_path.read_bytes(), row["url"], stats)
+        except GpxParseError:
+            return "parse-error", None, stats
+        track = extract_single_track(doc)
+        if track is None:
+            populated = sum(1 for t in doc.tracks if t.point_count() > 0)
+            return ("multi-track" if populated > 1 else "no-track"), None, stats
+        _, reason = passes_track_filters(track, length_2d(track), cfg.filters)
         if reason is not None:
             return reason, None, stats
-        return None, {"desc": track.desc}, stats
+        segments = track.segments
+        values = np.concatenate([s.lat for s in segments] + [s.lon for s in segments]
+                                + [s.ele for s in segments]).astype(TRACK_DTYPE, copy=False)
+        offset = tracks.tell()
+        tracks.write(values)
+        return None, {"desc": track.desc, "track_file": tracks_path, "track_offset": offset,
+                      "segment_lengths": [len(s) for s in segments],
+                      "track_sha256": hashlib.sha256(values).hexdigest()}, stats
 
-    outcomes: dict[str, tuple] = {}
     totals = ParseStats()
     parsed_rows = []
-    for row in rows:
-        digest = row["content_hash"]
-        if digest not in outcomes:
-            outcomes[digest] = parse_one(row)
-        reason, fields, stats = outcomes[digest]
-        totals.points_dropped += stats.points_dropped
-        totals.tracks_dropped += stats.tracks_dropped
-        if reason is not None:
-            report.exclude(reason)
-        else:
-            parsed_rows.append({**row, **fields})
 
-    write_jsonl(paths.parsed, parsed_rows)
+    def write_tracks(tracks: BinaryIO) -> None:
+        # Parsing runs inside this writer so that each accepted track streams
+        # into the tracks file as soon as it is parsed.
+        outcomes: dict[str, tuple] = {}
+        for row in rows:
+            digest = row["content_hash"]
+            if digest not in outcomes:
+                outcomes[digest] = parse_one(row, tracks)
+            reason, fields, stats = outcomes[digest]
+            totals.points_dropped += stats.points_dropped
+            totals.tracks_dropped += stats.tracks_dropped
+            if reason is not None:
+                report.exclude(reason)
+            else:
+                parsed_rows.append({**row, **fields})
+
+    write_atomic((paths.tracks, write_tracks, "b"),
+                 (paths.parsed, lambda handle: _write_rows(handle, parsed_rows)))
     report.outputs = len(parsed_rows)
     report.info = {"points_dropped": totals.points_dropped,
                    "tracks_dropped": totals.tracks_dropped}
     logger.info("parse: %d payloads -> %d single-track activities", len(rows), len(parsed_rows))
-    return _finish_stage(paths, report, [paths.parsed])
+    return _finish_stage(paths, report, [paths.parsed, paths.tracks])
+
+
+def _read_parsed_track(row: dict, handles: dict[str, BinaryIO], open_files: ExitStack) -> Track:
+    """The track parse stored for ``row``, checked against its sha256.
+
+    A tracks file is opened on first use, kept in ``handles`` and closed with
+    ``open_files``.
+    """
+    path, lengths = row["track_file"], row["segment_lengths"]
+    if path not in handles:
+        try:
+            handles[path] = open_files.enter_context(open(path, "rb"))
+        except OSError as exc:
+            raise PipelineError(f"stage metrics: cannot open tracks file {path}: {exc}") from exc
+    points = sum(lengths)
+    handles[path].seek(row["track_offset"])
+    values = np.fromfile(handles[path], dtype=TRACK_DTYPE, count=3 * points)
+    if len(values) != 3 * points:
+        raise PipelineError(f"stage metrics: tracks file {path} is truncated")
+    if hashlib.sha256(values).hexdigest() != row["track_sha256"]:
+        raise PipelineError(f"stage metrics: tracks file {path} changed after parse")
+    lat, lon, ele = values.reshape(3, points)
+    bounds = np.cumsum(lengths)[:-1]
+    return Track(segments=[Segment(*arrays) for arrays in
+                           zip(np.split(lat, bounds), np.split(lon, bounds), np.split(ele, bounds))])
 
 
 def _build_judge(cfg: PipelineConfig):
@@ -377,14 +430,12 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     tiles = TileStore(cfg.srtm_dir) if cfg.srtm_dir else TileStore(Path(os.devnull))
     boundaries = load_boundaries(cfg.boundaries) if cfg.boundaries else []
+    open_files = ExitStack()  # the tracks files, each opened once for the whole stage
+    handles: dict[str, BinaryIO] = {}
 
     def metrics_one(row: dict) -> tuple[str | None, OutputRecord | None, tuple[str, ...]]:
         """(exclusion reason, assembled record, info counters to bump)."""
-        # Parse already counted what parsing drops, so its stats are discarded.
-        reason, track = _read_track(row, paths, "metrics", ParseStats())
-        if reason is not None:
-            raise PipelineError(f"stage metrics: {_payload_path(row, paths)} no longer "
-                                f"yields a track ({reason}); it changed after parse")
+        track = _read_parsed_track(row, handles, open_files)
         try:
             track, elev_source = backfill_elevation(track, tiles)
         except ElevationUnavailableError:
@@ -417,20 +468,21 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     outcomes: dict[str, tuple] = {}
     final_rows = []
     info = Counter()
-    for row in rows:
-        digest = row["content_hash"]
-        if digest not in outcomes:
-            outcomes[digest] = metrics_one(row)
-        reason, record, counters = outcomes[digest]
-        info.update(counters)
-        if reason is not None:
-            report.exclude(reason)
-            continue
-        record = replace(record, url=row["url"], warc_file=row["warc_file"],
-                         warc_offset=row["warc_offset"], warc_len=row["warc_len"])
-        final_rows.append({"url": row["url"], "crawl_id": row.get("crawl_id", ""),
-                           "content_hash": row["content_hash"],
-                           "record": record.__dict__})
+    with open_files:
+        for row in rows:
+            digest = row["content_hash"]
+            if digest not in outcomes:
+                outcomes[digest] = metrics_one(row)
+            reason, record, counters = outcomes[digest]
+            info.update(counters)
+            if reason is not None:
+                report.exclude(reason)
+                continue
+            record = replace(record, url=row["url"], warc_file=row["warc_file"],
+                             warc_offset=row["warc_offset"], warc_len=row["warc_len"])
+            final_rows.append({"url": row["url"], "crawl_id": row.get("crawl_id", ""),
+                               "content_hash": row["content_hash"],
+                               "record": record.__dict__})
 
     write_jsonl(paths.final, final_rows)
     report.outputs = len(final_rows)

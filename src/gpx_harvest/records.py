@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import BinaryIO, Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -177,21 +177,25 @@ def record_json(record: OutputRecord, feature: bool = False) -> str:
     return f'{properties[:-1]}, "geometry": {geometry}}}'
 
 
-def write_atomic(*files: tuple[Path, Callable[[TextIO], None]]) -> None:
-    """Write each ``(path, write)`` pair all-or-nothing.
+def write_atomic(*files: tuple[Path, Callable[[TextIO], None]]
+                 | tuple[Path, Callable[[BinaryIO], None], str]) -> None:
+    """Write each ``(path, write)`` pair all-or-nothing, in the given order.
 
-    ``write(handle)`` fills a temp file beside ``path``; only once every
-    write has succeeded are the temp files renamed over their targets.  A
-    failure part-way leaves all previous files untouched and no temp file.
+    ``write(handle)`` fills a temp file beside ``path`` through a UTF-8 text
+    handle, or through a binary one for a ``(path, write, "b")`` triple.
+    Only once every write has succeeded are the temp files renamed over
+    their targets.  A failure part-way leaves all previous files untouched
+    and no temp file.
     """
     temps: list[Path] = []
     try:
-        for path, write in files:
+        for path, write, *mode in files:
             path.parent.mkdir(parents=True, exist_ok=True)
             temps.append(path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp"))
-            with open(temps[-1], "x", encoding="utf-8") as handle:
+            with (open(temps[-1], "xb") if mode == ["b"]
+                  else open(temps[-1], "x", encoding="utf-8")) as handle:
                 write(handle)
-        for (path, _), temp in zip(files, temps):
+        for (path, *_), temp in zip(files, temps):
             os.replace(temp, path)
     except BaseException:
         for temp in temps:

@@ -7,7 +7,6 @@ record without downloading the archive.
 
 from __future__ import annotations
 
-import gzip
 import os
 import threading
 import time
@@ -24,6 +23,11 @@ from .index_scan import CandidateRecord
 
 DEFAULT_BASE_URL = "https://data.commoncrawl.org"
 BASE_URL_ENV = "GPX_HARVEST_BASE_URL"
+
+# The most bytes one record may decompress to (WARC and HTTP headers plus
+# body).  Deflate expands up to about 1000x, so a small hostile member could
+# otherwise exhaust memory; a larger one is excluded as "payload-too-large".
+MAX_DECOMPRESSED_BYTES = 64 << 20
 
 
 def default_base_url() -> str:
@@ -71,6 +75,10 @@ class PayloadDecodeError(PayloadError):
 
 class WarcRecordSkippedError(PayloadError):
     """Record is well-formed but not a usable response (wrong type or status)."""
+
+
+class PayloadTooLargeError(PayloadError):
+    """Record decompresses to more than MAX_DECOMPRESSED_BYTES."""
 
 
 def build_range_header(offset: int, length: int) -> str:
@@ -209,25 +217,53 @@ def _parse_header_block(block: bytes, what: str) -> dict[str, str]:
 
 
 def _dechunk(body: bytes) -> bytes:
+    """Decode a chunked transfer-encoded body in one pass over ``body``."""
     out = bytearray()
-    rest = body
+    pos = 0
     while True:
-        line, sep, rest = rest.partition(b"\r\n")
-        if not sep:
+        end = body.find(b"\r\n", pos)
+        if end < 0:
             raise PayloadDecodeError("truncated chunked body")
+        line = body[pos:end]
         try:
             size = int(line.split(b";")[0].strip(), 16)
         except ValueError as exc:
             raise PayloadDecodeError(f"bad chunk size line {line!r}") from exc
+        if size < 0:
+            raise PayloadDecodeError(f"bad chunk size line {line!r}")
         if size == 0:
             return bytes(out)
-        if len(rest) < size:
+        pos = end + 2
+        if len(body) - pos < size:
             raise PayloadDecodeError("truncated chunk")
-        out += rest[:size]
-        rest = rest[size:]
-        if rest[:2] != b"\r\n":
+        out += body[pos:pos + size]
+        pos += size
+        if body[pos:pos + 2] != b"\r\n":
             raise PayloadDecodeError("missing chunk terminator")
-        rest = rest[2:]
+        pos += 2
+
+
+def _gunzip(member: bytes) -> bytes:
+    """Decompress the single gzip member a WARC record is stored as, never
+    past MAX_DECOMPRESSED_BYTES.
+
+    Anything but zero padding after the member is a PayloadDecodeError, as a
+    second member is: ``gzip.decompress`` would join members, copying the
+    rest of the input once per member, so many tiny ones took quadratic time.
+    """
+    inflater = zlib.decompressobj(31)  # 16 + MAX_WBITS: a gzip header and trailer
+    try:
+        raw = inflater.decompress(member, MAX_DECOMPRESSED_BYTES + 1)
+    except zlib.error as exc:
+        raise PayloadDecodeError(f"record is not gzip: {exc}") from exc
+    if len(raw) > MAX_DECOMPRESSED_BYTES:
+        raise PayloadTooLargeError(
+            f"record decompresses to more than {MAX_DECOMPRESSED_BYTES} bytes")
+    if not inflater.eof:
+        raise PayloadDecodeError("record is not gzip: truncated member")
+    if inflater.unused_data.lstrip(b"\x00"):
+        raise PayloadDecodeError("record is not gzip: data after the member")
+    return raw
 
 
 def _content_length(headers: dict[str, str], layer: str) -> int:
@@ -247,13 +283,11 @@ def extract_payload(record: WarcSlice | bytes) -> bytes:
     Only WARC "response" records carrying an HTTP 200 are accepted; anything
     else raises WarcRecordSkippedError.  Content-Length is honored when
     present and chunked transfer encoding is decoded.  Corrupt or truncated
-    records raise PayloadDecodeError.
+    records raise PayloadDecodeError, and one decompressing to more than
+    MAX_DECOMPRESSED_BYTES raises PayloadTooLargeError.
     """
     member = record.record_bytes if isinstance(record, WarcSlice) else record
-    try:
-        raw = gzip.decompress(member)
-    except (OSError, EOFError, zlib.error) as exc:
-        raise PayloadDecodeError(f"record is not gzip: {exc}") from exc
+    raw = _gunzip(member)
 
     warc_head, sep, warc_content = raw.partition(b"\r\n\r\n")
     if not sep:

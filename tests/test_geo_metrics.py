@@ -391,6 +391,20 @@ def test_load_boundaries_classifies_malformed_documents(tmp_path, document):
         load_boundaries(path)
 
 
+@pytest.mark.parametrize("ring", [
+    ["00", "20", "22", "02", "00"],
+    [[False, False], [True, False], [True, True], [False, True], [False, False]],
+    [[0, 0], ["NaN", "NaN"], [1, 1], [0, 0]],
+    [[0, 0], [float("nan"), 0], [1, 1], [0, 0]],
+    [[0, 0], [1, float("inf")], [1, 1], [0, 0]],
+], ids=["two-digit-strings", "booleans", "nan-string", "nan-literal", "infinity-literal"])
+def test_load_boundaries_rejects_vertices_that_are_not_finite_numbers(tmp_path, ring):
+    path = tmp_path / "countries.geojson"
+    path.write_text(json.dumps(_with_coordinates([ring])))  # writes NaN/Infinity literals
+    with pytest.raises(BoundaryFileError, match="Broken: malformed vertex"):
+        load_boundaries(path)
+
+
 def test_assign_country_first_point_in_france(tmp_path):
     path = boundaries_file(tmp_path, [box("France", -5.0, 42.0, 8.0, 51.0),
                                       box("Belgium", 2.5, 49.5, 6.4, 51.5)])

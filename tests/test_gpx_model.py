@@ -32,6 +32,13 @@ def test_parse_rejects_html():
         parse_gpx(b"\x00\x01 not xml at all", URL)
 
 
+@pytest.mark.parametrize("encoding", ["UT7-8", "rot13", "utf-32", "idna", "punycode"])
+def test_parse_rejects_an_encoding_expat_cannot_read(encoding):
+    payload = f'<?xml version="1.0" encoding="{encoding}"?><gpx>\xe9</gpx>'.encode("latin-1")
+    with pytest.raises(GpxParseError, match="not parseable XML"):
+        parse_gpx(payload, URL)
+
+
 def test_parse_counts_two_tracks():
     payload = gpx_xml([{"segments": [[(50.0, 6.0)]]}, {"segments": [[(50.1, 6.1)]]}])
     assert len(parse_gpx(payload, URL).tracks) == 2

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gpx_harvest import index_scan
 from gpx_harvest.index_scan import (CandidateRecord, ScanStats, is_gpx_candidate,
                                     iter_shard_lines, parse_index_line, scan_index)
 
@@ -140,6 +141,18 @@ def test_scan_index_counts_hostile_json_as_malformed(payload):
     stats = ScanStats()
     assert list(scan_index([f"key 20240101000000 {payload}"], stats)) == []
     assert stats.malformed == 1
+
+
+def test_scan_index_counts_a_warc_len_above_the_cap_as_malformed(monkeypatch):
+    monkeypatch.setattr(index_scan, "MAX_WARC_LEN", 1091)
+    at_cap = cdxj("http://a.example/at.gpx", length="1091")
+    above = cdxj("http://a.example/above.gpx", length="1092")
+    with pytest.raises(ValueError, match="warc_len"):
+        CandidateRecord(url="http://x/a", mime_detected="", warc_file="f",
+                        warc_offset=0, warc_len=1092, crawl_id="")
+    stats = ScanStats()
+    assert [r.url for r in scan_index([at_cap, above], stats)] == ["http://a.example/at.gpx"]
+    assert (stats.candidates, stats.malformed) == (1, 1)
 
 
 def test_scan_index_blank_lines_not_malformed():

@@ -158,6 +158,22 @@ def test_resume_recomputes_an_output_edited_in_place(crawl, tmp_path):
     assert resumed.executed == ["parse", "enrich", "metrics", "export"]
 
 
+def test_resume_recomputes_from_parse_when_the_tracks_file_is_edited(crawl, tmp_path):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    tracks = PipelinePaths(workdir=cfg.workdir).tracks
+    data = bytearray(tracks.read_bytes())
+    data[-1] ^= 0x01  # the last elevation: same size, other value
+    tracks.write_bytes(bytes(data))
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["parse", "enrich", "metrics", "export"]
+    assert tracks.read_bytes() == PipelinePaths(workdir=fresh.workdir).tracks.read_bytes()
+    assert_same_exports(cfg, fresh)
+
+
 def test_manifest_without_output_digests_counts_as_incomplete(crawl, tmp_path):
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)

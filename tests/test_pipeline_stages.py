@@ -139,17 +139,17 @@ def test_enrich_stage_rare_language_cut(tmp_path):
     assert report.outputs == 0
 
 
-def seed_enriched(paths, segments, desc_lang="en"):
-    """Write the track's raw payload plus the enriched.jsonl metrics reads."""
-    payload = gpx_xml([{"name": "t", "desc": GOOD_DESC, "segments": segments}])
-    digest = hashlib.sha256(payload).hexdigest()
-    payload_path = paths.raw_dir / f"{digest}.gpx"
-    paths.raw_dir.mkdir(parents=True, exist_ok=True)
-    payload_path.write_bytes(payload)
-    rows = [{"url": "http://t.example/0.gpx", "mime_detected": "", "warc_file": "w",
-             "warc_offset": 0, "warc_len": 9, "crawl_id": "c", "content_hash": digest,
-             "payload": str(payload_path), "desc": GOOD_DESC, "desc_lang": desc_lang,
-             "desc_en": GOOD_DESC, "pii_flags": {"email": False, "url": False, "phone": False}}]
+def seed_enriched(paths, *tracks, desc_lang="en"):
+    """Parse one payload per track (a list of segments) through the parse stage,
+    then write the enriched.jsonl metrics reads."""
+    seed_fetched(paths, [gpx_xml([{"name": "t", "desc": GOOD_DESC, "segments": segments}])
+                         for segments in tracks])
+    report = stage_parse(PipelineConfig(workdir=paths.workdir,
+                                        filters=FilterConfig(min_points_per_100m=0.1)), paths)
+    assert report.outputs == len(tracks)
+    rows = [{**json.loads(line), "desc_lang": desc_lang, "desc_en": GOOD_DESC,
+             "pii_flags": {"email": False, "url": False, "phone": False}}
+            for line in paths.parsed.read_text("utf-8").splitlines()]
     write_jsonl(paths.enriched, rows)
     return rows
 
@@ -175,18 +175,45 @@ def test_metrics_stage_country_unknown_without_boundaries(tmp_path):
     assert record["elev_source"] == "GPS"
 
 
-def test_metrics_stage_needs_the_raw_payload_unchanged(tmp_path):
+def test_metrics_stage_reads_the_tracks_file_without_the_raw_payloads(tmp_path):
     cfg = PipelineConfig(workdir=tmp_path)
     paths = PipelinePaths(workdir=tmp_path)
-    payload_path = Path(seed_enriched(paths, [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]]])[0]
-                        ["payload"])
-    payload_path.write_bytes(b"<html>replaced after parse</html>")
-    with pytest.raises(PipelineError, match=re.escape(str(payload_path))):
-        stage_metrics(cfg, paths)
-    payload_path.unlink()
-    with pytest.raises(PipelineError, match=re.escape(str(payload_path))):
+    split = [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]],
+             [[50.02, 6.0, 120.0], [50.03, 6.0, 90.0], [50.04, 6.0, 95.0]]]
+    rows = seed_enriched(paths, split, [[[51.0, 6.0, 100.0], [51.01, 6.0, 105.0]]])
+    assert [row["segment_lengths"] for row in rows] == [[2, 3], [2]]
+    assert rows[1]["track_offset"] == 3 * 5 * 8
+    assert paths.tracks.stat().st_size == 3 * 7 * 8
+    for payload in paths.raw_dir.iterdir():
+        payload.unlink()
+
+    report = stage_metrics(cfg, paths)
+    assert report.outputs == 2
+    final = [json.loads(line)["record"] for line in paths.final.read_text("utf-8").splitlines()]
+    assert json.loads(final[0]["geometry"]) == [[[lon, lat, ele] for lat, lon, ele in segment]
+                                                for segment in split]
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "edited"])
+def test_metrics_stage_needs_the_tracks_file_unchanged(tmp_path, damage):
+    cfg = PipelineConfig(workdir=tmp_path)
+    paths = PipelinePaths(workdir=tmp_path)
+    rows = seed_enriched(paths, [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]]],
+                         [[[51.0, 6.0, 100.0], [51.01, 6.0, 105.0]]])
+    tracks = Path(rows[0]["track_file"])
+    assert tracks == paths.tracks
+    data = bytearray(tracks.read_bytes())
+    if damage == "missing":
+        tracks.unlink()
+    elif damage == "truncated":
+        tracks.write_bytes(data[:-8])
+    else:  # one elevation of the second track, same size
+        data[rows[1]["track_offset"] + 4 * 8] ^= 0x01
+        tracks.write_bytes(bytes(data))
+    with pytest.raises(PipelineError, match=re.escape(str(tracks))):
         stage_metrics(cfg, paths)
     assert not paths.manifest("metrics").exists()
+    assert not paths.final.exists()
 
 
 def test_non_finite_ele_is_backfilled_and_exports_valid_json(tmp_path):
@@ -312,6 +339,24 @@ def test_fetch_stage_counts_corrupt_deflate_data_as_decode_error(tmp_path):
     assert report.outputs == 1
 
 
+def test_fetch_stage_excludes_an_oversized_record(tmp_path, monkeypatch):
+    from gpx_harvest import warc_fetch
+
+    paths = PipelinePaths(workdir=tmp_path)
+    small = warc_response_member("http://t.example/ok.gpx", b"<gpx/>")
+    big = warc_response_member("http://t.example/big.gpx", good_track_payload())
+    cfg, _ = seed_candidates(tmp_path, paths, [
+        ("http://t.example/big.gpx", "CC-MAIN-2024-10", big),
+        ("http://t.example/ok.gpx", "CC-MAIN-2024-10", small),
+    ])
+    monkeypatch.setattr(warc_fetch, "MAX_DECOMPRESSED_BYTES", len(gzip.decompress(small)))
+    report = stage_fetch(cfg, paths)
+    assert report.excluded == {"payload-too-large": 1}
+    assert report.outputs == 1
+    failure = json.loads(paths.fetch_failures.read_text("utf-8"))
+    assert failure["url"] == "http://t.example/big.gpx"
+
+
 class CountingJudge(KeywordJudge):
     """KeywordJudge that keeps every prompt it was asked."""
 
@@ -388,7 +433,7 @@ def test_stages_share_work_per_payload_and_description(tmp_path, monkeypatch):
                         lambda track, **kw: measured.append(track) or compute(track, **kw))
     report = stage_metrics(cfg, paths)
     assert len(measured) == 2
-    assert len(parsed) == len(set(parsed)) == 2  # metrics re-reads each distinct payload once
+    assert parsed == []  # metrics reads the tracks file parse wrote
     assert (report.inputs, report.outputs, report.excluded) == (4, 4, {})
     assert report.info == {"country_unknown": 4, "elev_gps": 4}
     final = [json.loads(line) for line in paths.final.read_text("utf-8").splitlines()]

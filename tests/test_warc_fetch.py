@@ -4,15 +4,16 @@ import threading
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpx_harvest import warc_fetch
 from gpx_harvest.index_scan import CandidateRecord
 from gpx_harvest.synthetic import warc_response_member, write_warc
 from gpx_harvest.warc_fetch import (FetchFailedError, FetchPolicy, FixtureTransport,
-                                    PayloadDecodeError, RateLimiter, WarcRecordSkippedError,
-                                    WarcSlice, build_range_header, extract_payload,
-                                    fetch_candidate, fetch_many)
+                                    PayloadDecodeError, PayloadTooLargeError, RateLimiter,
+                                    WarcRecordSkippedError, WarcSlice, build_range_header,
+                                    extract_payload, fetch_candidate, fetch_many)
 
 
 def candidate(offset=0, length=1, url="http://a.example/t.gpx",
@@ -275,3 +276,91 @@ def test_extract_payload_honors_content_length_over_trailing_bytes():
     # the member carries the WARC record terminator after the body
     assert extract_payload(member) == payload
     assert not extract_payload(member).endswith(b"\r\n")
+
+
+def test_extract_payload_caps_the_decompressed_size(monkeypatch):
+    payload = b"<gpx>" + b"\x00" * 10_000 + b"</gpx>"  # deflates to a few dozen bytes
+    member = warc_response_member("http://a.example/t.gpx", payload)
+    size = len(gzip.decompress(member))
+    monkeypatch.setattr(warc_fetch, "MAX_DECOMPRESSED_BYTES", size)
+    assert extract_payload(member) == payload
+    monkeypatch.setattr(warc_fetch, "MAX_DECOMPRESSED_BYTES", size - 1)
+    with pytest.raises(PayloadTooLargeError, match=f"more than {size - 1} bytes"):
+        extract_payload(member)
+
+
+@pytest.mark.parametrize("member, reason", [
+    (gzip.compress(b"WARC/1.0") + b"\x00\x00", "missing WARC header terminator"),
+    (gzip.compress(b"WARC/1.0")[:-3], "truncated member"),
+    (gzip.compress(b"WARC/1.0") + b"junk", "data after the member"),
+    (gzip.compress(b"WARC/1.0") + gzip.compress(b"\r\n\r\n"), "data after the member"),
+], ids=["zero-padding", "truncated", "trailing-junk", "second-member"])
+def test_extract_payload_unwraps_exactly_one_gzip_member(member, reason):
+    # Zero padding is skipped, so that record fails only on its WARC header.
+    with pytest.raises(PayloadDecodeError, match=reason):
+        extract_payload(member)
+
+
+def _dechunk_reference(body: bytes) -> bytes:
+    """The former ``_dechunk``, which copied the rest of the body per chunk."""
+    out = bytearray()
+    rest = body
+    while True:
+        line, sep, rest = rest.partition(b"\r\n")
+        if not sep:
+            raise PayloadDecodeError("truncated chunked body")
+        try:
+            size = int(line.split(b";")[0].strip(), 16)
+        except ValueError as exc:
+            raise PayloadDecodeError(f"bad chunk size line {line!r}") from exc
+        if size == 0:
+            return bytes(out)
+        if len(rest) < size:
+            raise PayloadDecodeError("truncated chunk")
+        out += rest[:size]
+        rest = rest[size:]
+        if rest[:2] != b"\r\n":
+            raise PayloadDecodeError("missing chunk terminator")
+        rest = rest[2:]
+
+
+@st.composite
+def _chunked_bodies(draw):
+    """Chunked bodies, well-formed or damaged: wrong sizes, odd size lines,
+    missing terminators, cut short."""
+    body = b""
+    for data in draw(st.lists(st.binary(max_size=20), max_size=6)) + [b""]:
+        size_line = draw(st.one_of(
+            st.just(b"%x" % len(data)),
+            st.just(b"%X; ext=1" % len(data)),
+            st.just(b" 0%x " % len(data)),
+            st.integers(0, 40).map(lambda n: b"%x" % n),
+            st.sampled_from([b"", b"zz", b"0x1", b"1_0", b"+2", b"-2", b";", b"\r"]),
+        ))
+        terminator = draw(st.sampled_from([b"\r\n", b"\r\n", b"\n", b""]))
+        body += size_line + b"\r\n" + data + terminator
+    return body[:draw(st.integers(0, len(body)))] if draw(st.booleans()) else body
+
+
+def _outcome(decode, body):
+    try:
+        return decode(body)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_chunked_bodies(), st.binary(max_size=200)))
+def test_dechunk_matches_the_former_implementation(body):
+    if _outcome(warc_fetch._dechunk, body) != _outcome(_dechunk_reference, body):
+        # The former one read a negative size ("-5") backwards from the end of
+        # the body; that, and only that, is now a bad chunk size line.
+        with pytest.raises(PayloadDecodeError, match=r"bad chunk size line b'\s*-"):
+            warc_fetch._dechunk(body)
+
+
+def test_dechunk_rejects_a_negative_chunk_size():
+    body = b"-5\r\nabcde\r\n0\r\n"
+    assert _dechunk_reference(body) == b"abcde"
+    with pytest.raises(PayloadDecodeError, match="bad chunk size line"):
+        warc_fetch._dechunk(body)
