@@ -8,18 +8,22 @@ as "unknown".
 
 The distance is the out-of-place measure: the sum, over the text's ranked
 grams, of the gap between a gram's rank in the text and in the profile, where
-a gram missing from the profile ranks at the profile size.  At import every
-gram of any profile gets an index into one int16 rank matrix with a row per
-language, in seed order, and a last column for "in no profile"; a text's grams
-are mapped to indices once and all profiles are scored with one numpy gather.
-Ties go to the first language in seed order.
+a gram missing from the profile ranks at the profile size.
+
+Grams are counted by one numpy kernel, the same for the seed profiles at
+import and for every text.  The casefolded words are joined with NULs between
+them and every 1-3 gram without a NUL is packed into one int64 code, 21 bits
+per code point, so that code order is string order.  The codes are sorted,
+counted and ranked by (-count, gram).  Every gram of any profile has a column
+of one int16 rank matrix with a row per language, in seed order, plus a last
+column for "in no profile"; a text's ranked codes find their columns with one
+``np.searchsorted`` and all profiles are scored with one numpy gather.  Ties
+go to the first language in seed order.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from operator import itemgetter
 
 import numpy as np
 
@@ -205,51 +209,95 @@ _MAX_DISTANCE = 0.55
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
-
-def _ngram_counts(text: str) -> Counter:
-    # Each distinct word is split once; its grams count once per occurrence.
-    counts: Counter = Counter()
-    for word, times in Counter(_WORD_RE.findall(text.casefold())).items():
-        padded = f" {word} "
-        for n in (1, 2, 3):
-            for i in range(len(padded) - n + 1):
-                counts[padded[i:i + n]] += times
-    return counts
+# A gram of up to three code points packs into one int64: 21 bits per code
+# point, first character in the highest bits, missing characters zero.  Code
+# points are below 2**21, so a code never reaches the sign bit.
+_BITS = 21
+_CHAR_MASK = (1 << _BITS) - 1
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def _ranked(counts: Counter, size: int) -> list[str]:
-    # Deterministic tie-break: by descending count, then lexicographically.
-    # Two stable sorts give the order of the key (-count, gram).
-    items = sorted(counts.items())
-    items.sort(key=itemgetter(1), reverse=True)
-    return [gram for gram, _ in items[:size]]
+def _gram_counts(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted codes of the text's distinct 1-3 grams, occurrences of each).
 
-
-_PROFILES: dict[str, dict[str, int]] = {
-    lang: {gram: rank for rank, gram in enumerate(_ranked(_ngram_counts(seed), _PROFILE_SIZE))}
-    for lang, seed in _SEEDS.items()
-}
-_LANGUAGES = list(_PROFILES)
-
-
-def _rank_matrix(profiles: dict[str, dict[str, int]]) -> tuple[dict[str, int], np.ndarray]:
-    """(column of every gram in any profile, rank matrix with a row per profile).
-
-    The matrix holds each gram's rank in that row's profile, or _PROFILE_SIZE
-    when the profile lacks it; its extra last column is "in no profile".
+    A word's grams are those of the word with one space on each side.  The
+    padded words are joined with NULs, so a gram holding a NUL crosses a
+    word boundary and is dropped.  No word character is NUL, so code order
+    is Python string order of the grams.
     """
-    index: dict[str, int] = {}
-    for profile in profiles.values():
-        for gram in profile:
-            index.setdefault(gram, len(index))
-    ranks = np.full((len(profiles), len(index) + 1), _PROFILE_SIZE, dtype=np.int16)
-    for row, profile in enumerate(profiles.values()):
-        ranks[row, [index[gram] for gram in profile]] = list(profile.values())
-    return index, ranks
+    words = _WORD_RE.findall(text.casefold())
+    if not words:
+        return _EMPTY, _EMPTY
+    joined = "\0 " + " \0 ".join(words) + " \0"
+    chars = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+    real = chars != 0
+    pair = real[:-1] & real[1:]
+    first = chars << (2 * _BITS)
+    second = first[:-1] | (chars[1:] << _BITS)
+    codes = np.concatenate((
+        first[real],
+        second[pair],
+        (second[:-1] | chars[2:])[pair[:-1] & real[2:]],
+    ))
+    codes.sort()
+    return _distinct(codes)
 
 
-_GRAM_INDEX, _RANKS = _rank_matrix(_PROFILES)
-_ABSENT = len(_GRAM_INDEX)
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values, occurrences of each) of a sorted, non-empty array.
+
+    What ``np.unique(codes, return_counts=True)`` returns, without the
+    ``numpy.ma`` import it triggers on numpy 2, which costs about 2 MB of
+    resident memory.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.diff(np.append(starts, len(codes)))
+
+
+def _ranked_codes(text: str) -> np.ndarray:
+    """Codes of the text's top _PROFILE_SIZE grams by (-count, gram)."""
+    codes, counts = _gram_counts(text)
+    # The codes are sorted, so a stable sort by descending count breaks ties
+    # by gram.
+    return codes[np.argsort(-counts, kind="stable")[:_PROFILE_SIZE]]
+
+
+def _decode(code: int) -> str:
+    return "".join(chr(c) for c in ((code >> (2 * _BITS)) & _CHAR_MASK,
+                                    (code >> _BITS) & _CHAR_MASK, code & _CHAR_MASK) if c)
+
+
+_SEED_CODES = [_ranked_codes(seed) for seed in _SEEDS.values()]
+_LANGUAGES = list(_SEEDS)
+_PROFILES: dict[str, dict[str, int]] = {
+    lang: {_decode(code): rank for rank, code in enumerate(codes.tolist())}
+    for lang, codes in zip(_LANGUAGES, _SEED_CODES)
+}
+
+
+def _rank_matrix(seed_codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted codes of every gram in any profile, rank matrix with a row per profile).
+
+    Column i of the matrix is the gram with the i-th code, and each row holds
+    that gram's rank in its profile, or _PROFILE_SIZE when the profile lacks
+    it; the extra last column is "in no profile".
+    """
+    codes, _ = _distinct(np.sort(np.concatenate(seed_codes)))
+    ranks = np.full((len(seed_codes), len(codes) + 1), _PROFILE_SIZE, dtype=np.int16)
+    for row, ranked in enumerate(seed_codes):
+        ranks[row, np.searchsorted(codes, ranked)] = np.arange(len(ranked))
+    return codes, ranks
+
+
+_PROFILE_CODES, _RANKS = _rank_matrix(_SEED_CODES)
+_ABSENT = len(_PROFILE_CODES)
+
+
+def _columns(codes: np.ndarray) -> np.ndarray:
+    """Rank-matrix column of each code: its profile column, or _ABSENT."""
+    columns = np.searchsorted(_PROFILE_CODES, codes)
+    found = _PROFILE_CODES[np.minimum(columns, _ABSENT - 1)] == codes
+    return np.where(found, columns, _ABSENT)
 
 
 def profile_languages() -> list[str]:
@@ -263,24 +311,23 @@ def detect_language(text: str) -> str:
     "unknown" covers texts with too few letters, texts dominated by digits
     or symbols, and texts no profile is reasonably close to.
     """
-    letters = sum(1 for c in text if c.isalpha())
+    letters = sum(map(str.isalpha, text))
     if letters < _MIN_LETTERS:
         return "unknown"
-    non_space = sum(1 for c in text if not c.isspace())
+    non_space = len(text) - sum(map(str.isspace, text))
     if non_space and letters / non_space < _MIN_LETTER_FRACTION:
         return "unknown"
 
-    text_grams = _ranked(_ngram_counts(text), _PROFILE_SIZE)
-    if not text_grams:
+    text_codes = _ranked_codes(text)
+    if not text_codes.size:
         return "unknown"
 
-    columns = np.array([_GRAM_INDEX.get(gram, _ABSENT) for gram in text_grams], dtype=np.intp)
-    ranks = np.arange(len(text_grams), dtype=np.int64)
+    ranks = np.arange(len(text_codes), dtype=np.int64)
     # Text ranks are below _PROFILE_SIZE and profile ranks at most
     # _PROFILE_SIZE, so no gap exceeds the out-of-place cap of _PROFILE_SIZE.
-    out_of_place = np.abs(ranks - _RANKS[:, columns]).sum(axis=1)
+    out_of_place = np.abs(ranks - _RANKS[:, _columns(text_codes)]).sum(axis=1)
     # argmin returns the first minimum: ties go to the earlier language.
     best = int(np.argmin(out_of_place))
-    if int(out_of_place[best]) / (len(text_grams) * _PROFILE_SIZE) > _MAX_DISTANCE:
+    if int(out_of_place[best]) / (len(text_codes) * _PROFILE_SIZE) > _MAX_DISTANCE:
         return "unknown"
     return _LANGUAGES[best]

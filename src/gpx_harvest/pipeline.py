@@ -55,7 +55,8 @@ from .geo_metrics import (compute_track_metrics, first_point_countries, length_2
 from .gpx_model import (GpxParseError, ParseStats, Segment, Track, extract_single_track,
                         parse_gpx)
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
-from .records import (OutputRecord, assemble_record, dedup, export_records,
+from .language import detect_language
+from .records import (OutputRecord, assemble_record, dedup, export_paths, export_records,
                       passes_track_filters, write_atomic)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, PayloadTooLargeError, WarcRecordSkippedError,
@@ -171,6 +172,18 @@ def _finish_stage(paths: PipelinePaths, report: StageReport, outputs: list[Path]
     return report
 
 
+def _stage_outputs(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> list[Path]:
+    """The files ``stage`` writes, in the order its manifest lists them."""
+    if stage == "export":
+        out_dir = cfg.resolved_out_dir()
+        return [*export_paths(out_dir).values(), out_dir / "stats.json"]
+    return {"index": [paths.candidates],
+            "fetch": [paths.fetched, paths.fetch_failures],
+            "parse": [paths.parsed, paths.tracks],
+            "enrich": [paths.enriched],
+            "metrics": [paths.final]}[stage]
+
+
 def _output_entry(path: Path) -> dict:
     """Path, size and sha256 of one stage output, as its manifest records it."""
     digest = hashlib.sha256()
@@ -211,7 +224,7 @@ def stage_index(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                    "malformed": stats.malformed, "blank": stats.blank}
     logger.info("index: %d lines -> %d candidates (%d malformed)",
                 stats.lines, stats.candidates, stats.malformed)
-    return _finish_stage(paths, report, [paths.candidates])
+    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "index"))
 
 
 def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -259,7 +272,7 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.outputs = len(fetched_rows)
     logger.info("fetch: %d candidates -> %d payloads (%d failed)",
                 len(candidates), len(fetched_rows), len(failure_rows))
-    return _finish_stage(paths, report, [paths.fetched, paths.fetch_failures])
+    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "fetch"))
 
 
 def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -323,7 +336,7 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.info = {"points_dropped": totals.points_dropped,
                    "tracks_dropped": totals.tracks_dropped}
     logger.info("parse: %d payloads -> %d single-track activities", len(rows), len(parsed_rows))
-    return _finish_stage(paths, report, [paths.parsed, paths.tracks])
+    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "parse"))
 
 
 def _read_parsed_track(row: dict, handles: dict[str, BinaryIO], open_files: ExitStack) -> Track:
@@ -365,8 +378,6 @@ def _build_translator(cfg: PipelineConfig):
 
 
 def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    from .language import detect_language
-
     rows = read_jsonl(paths.parsed, "enrich")
     report = StageReport("enrich")
     report.inputs = len(rows)
@@ -420,7 +431,7 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.outputs = len(survivors)
     report.info = {"languages": dict(sorted(Counter(r["desc_lang"] for r in survivors).items()))}
     logger.info("enrich: %d tracks -> %d with usable descriptions", len(rows), len(survivors))
-    return _finish_stage(paths, report, [paths.enriched])
+    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "enrich"))
 
 
 def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -488,7 +499,7 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.outputs = len(final_rows)
     report.info = dict(sorted(info.items()))
     logger.info("metrics: %d tracks -> %d records", len(rows), len(final_rows))
-    return _finish_stage(paths, report, [paths.final])
+    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "metrics"))
 
 
 def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -504,16 +515,14 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     out_dir = cfg.resolved_out_dir()
     try:
-        written = export_records([OutputRecord(**row["record"]) for row in survivors], out_dir)
+        export_records([OutputRecord(**row["record"]) for row in survivors], out_dir)
     except OSError as exc:
         raise PipelineError(f"stage export: cannot write to {out_dir}: {exc}") from exc
     report.outputs = len(survivors)
 
-    stats_path = out_dir / "stats.json"
-    write_json_atomic(stats_path, _collect_stats(paths, report).to_dict())
+    write_json_atomic(out_dir / "stats.json", _collect_stats(paths, report).to_dict())
     logger.info("export: %d records -> %s", len(survivors), out_dir)
-    return _finish_stage(paths, report,
-                         [written["geojson"], written["jsonl"], written["csv"], stats_path])
+    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "export"))
 
 
 _STAGE_FUNCTIONS = {
@@ -574,13 +583,18 @@ def _collect_stats(paths: PipelinePaths, current: StageReport | None = None) -> 
     return PipelineStats(reports=reports, executed=[])
 
 
-def _stage_is_complete(paths: PipelinePaths, stage: str) -> bool:
+def _stage_is_complete(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> bool:
     manifest = paths.manifest(stage)
     if not manifest.exists():
         return False
     try:
         raw = json.loads(manifest.read_text(encoding="utf-8"))
-        # A manifest without sizes and digests (a bare path list) is incomplete.
+        # A manifest without sizes and digests (a bare path list) is incomplete,
+        # and so is one listing other files than the stage writes now, such as
+        # one written before the stage gained an output.
+        recorded = [entry["path"] for entry in raw["outputs"]]
+        if recorded != [str(path) for path in _stage_outputs(cfg, paths, stage)]:
+            return False
         return all(_output_entry(Path(entry["path"])) == entry for entry in raw["outputs"])
     except (json.JSONDecodeError, KeyError, TypeError, OSError):
         return False
@@ -608,7 +622,7 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     for stage in selected:
         # A stage that re-ran may have written other rows, and manifests do
         # not record inputs, so nothing after it can be trusted as up to date.
-        if resume and not executed and _stage_is_complete(paths, stage):
+        if resume and not executed and _stage_is_complete(cfg, paths, stage):
             logger.info("%s: up to date, skipping", stage)
             continue
         _STAGE_FUNCTIONS[stage](cfg, paths)

@@ -203,6 +203,16 @@ def write_atomic(*files: tuple[Path, Callable[[TextIO], None]]
         raise
 
 
+def export_paths(out_dir: str | Path) -> dict[str, Path]:
+    """The three files ``export_records`` writes into ``out_dir``."""
+    out_dir = Path(out_dir)
+    return {
+        "geojson": out_dir / "tracks.geojson",
+        "jsonl": out_dir / "tracks.jsonl",
+        "csv": out_dir / "tracks.csv",
+    }
+
+
 def export_records(records: Iterable[OutputRecord], out_dir: str | Path) -> dict[str, Path]:
     """Write the dataset as GeoJSON, line-delimited JSON, and scalar CSV.
 
@@ -211,12 +221,7 @@ def export_records(records: Iterable[OutputRecord], out_dir: str | Path) -> dict
     not at all.
     """
     records = list(records)
-    out_dir = Path(out_dir)
-    paths = {
-        "geojson": out_dir / "tracks.geojson",
-        "jsonl": out_dir / "tracks.jsonl",
-        "csv": out_dir / "tracks.csv",
-    }
+    paths = export_paths(out_dir)
 
     def write_geojson(handle: TextIO) -> None:
         handle.write('{"type": "FeatureCollection", "features": [')

@@ -144,13 +144,37 @@ def test_detect_language_matches_the_reference_on_whole_seeds_and_splices():
         assert detect_language(text) == _reference_detect(text)
 
 
+def _decoded_counts(text: str) -> dict[str, int]:
+    codes, counts = language._gram_counts(text)
+    return {language._decode(code): count for code, count in zip(codes.tolist(), counts.tolist())}
+
+
+def _decoded_ranked(text: str) -> list[str]:
+    return [language._decode(code) for code in language._ranked_codes(text).tolist()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(max_size=300), _seed_slice()))
 def test_ngram_counts_equal_a_per_occurrence_counter(text):
-    assert dict(language._ngram_counts(text)) == dict(_reference_ngram_counts(text))
-    counts = language._ngram_counts(text)
-    assert (language._ranked(counts, language._PROFILE_SIZE)
-            == _reference_ranked(counts, language._PROFILE_SIZE))
+    reference = _reference_ngram_counts(text)
+    assert _decoded_counts(text) == dict(reference)
+    assert _decoded_ranked(text) == _reference_ranked(reference, language._PROFILE_SIZE)
+
+
+# Astral-plane letters, casefold expansions (ß -> ss, ﬁ -> fi, İ -> i + U+0307),
+# combining marks, and digits or "_" next to letters.
+_AWKWARD_TEXT = st.lists(
+    st.one_of(st.text(max_size=40),
+              st.text("𝔸𝔹𐐀𐐨ßẞﬁﬂİıΣσς\u0301\u0308\u0307aé_09 ", max_size=40)),
+    min_size=1, max_size=6,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_AWKWARD_TEXT)
+def test_ranked_codes_decode_to_the_reference_ranking(text):
+    assert (_decoded_ranked(text)
+            == _reference_ranked(_reference_ngram_counts(text), language._PROFILE_SIZE))
 
 
 def test_profiles_equal_the_per_occurrence_build():
@@ -174,6 +198,7 @@ def test_equal_profile_rows_resolve_to_the_earlier_seed_language(monkeypatch):
 def test_rank_matrix_is_int16_with_an_absent_column():
     ranks = language._RANKS
     assert ranks.dtype == np.int16
-    assert ranks.shape == (len(language._SEEDS), len(language._GRAM_INDEX) + 1)
+    assert ranks.shape == (len(language._SEEDS), len(language._PROFILE_CODES) + 1)
+    assert (np.diff(language._PROFILE_CODES) > 0).all()
     assert (ranks[:, -1] == language._PROFILE_SIZE).all()
     assert ((ranks < language._PROFILE_SIZE).sum(axis=1) == language._PROFILE_SIZE).all()

@@ -187,6 +187,32 @@ def test_manifest_without_output_digests_counts_as_incomplete(crawl, tmp_path):
     assert resumed.executed == ["export"]
 
 
+def test_work_directory_from_before_the_tracks_file_reruns_parse(crawl, tmp_path):
+    # Parse used to write only parsed.jsonl, with no track location fields,
+    # and its manifest listed that one file.
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    paths = PipelinePaths(workdir=cfg.workdir)
+    track_fields = ("track_file", "track_offset", "segment_lengths", "track_sha256")
+    for stage, path in (("parse", paths.parsed), ("enrich", paths.enriched)):
+        rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+        path.write_text("".join(json.dumps({k: v for k, v in row.items() if k not in track_fields},
+                                           ensure_ascii=False) + "\n" for row in rows), "utf-8")
+        manifest = json.loads(paths.manifest(stage).read_text("utf-8"))
+        data = path.read_bytes()
+        manifest["outputs"] = [{"path": str(path), "size": len(data),
+                                "sha256": hashlib.sha256(data).hexdigest()}]
+        write_json_atomic(paths.manifest(stage), manifest)
+    paths.tracks.unlink()
+    paths.final.unlink()
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["parse", "enrich", "metrics", "export"]
+    assert_same_exports(cfg, fresh)
+
+
 def test_no_resume_runs_everything(crawl, tmp_path):
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)
