@@ -6,6 +6,12 @@ track's lat/lon arrays in one batch per tile, with identical values.
 Tiles are the standard HGT layout: one file per 1x1 degree cell named after
 its south-west corner, a square grid of big-endian 16-bit signed meters with
 row 0 along the northern edge and -32768 marking voids.
+
+A tile is either held in memory or, for an uncompressed ``.hgt`` opened by
+``TileStore``, kept as a header whose rows are read from the file on demand:
+each batch reads only the rows its points fall between, with one read, so a
+stage's memory does not grow with the tiles it touches.  A ``.hgt.gz`` tile
+cannot be read by row window; it is decompressed and held whole.
 """
 
 from __future__ import annotations
@@ -43,7 +49,21 @@ class SrtmTile:
     sw_lat: int
     sw_lon: int
     n: int
-    samples: np.ndarray  # (n, n) int16, row 0 = northern edge
+    samples: np.ndarray | None  # (n, n) int16, row 0 = northern edge; None: rows stay in ``path``
+    path: Path | None = None
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Grid rows ``start`` to ``stop - 1``: a view of ``samples``, or one read of ``path``."""
+        if self.samples is not None:
+            return self.samples[start:stop]
+        count = (stop - start) * self.n
+        try:
+            window = np.fromfile(self.path, dtype=">i2", count=count, offset=2 * start * self.n)
+        except OSError as exc:
+            raise TileFileError(f"{self.path}: cannot read tile: {exc}") from exc
+        if len(window) != count:
+            raise TileFileError(f"{self.path}: truncated after it was opened")
+        return window.reshape(stop - start, self.n)
 
 
 def tile_name_for(lat: float, lon: float) -> str:
@@ -64,19 +84,30 @@ def parse_tile_name(name: str) -> tuple[int, int]:
     return lat, lon
 
 
-def read_hgt(path: str | Path) -> SrtmTile:
-    """Load a .hgt or .hgt.gz tile; the grid size is derived from file size."""
+def read_hgt(path: str | Path, windowed: bool = False) -> SrtmTile:
+    """Load a .hgt or .hgt.gz tile; the grid size is derived from file size.
+
+    With ``windowed``, an uncompressed .hgt is only checked for its size and
+    the tile keeps ``path`` instead of the samples (see ``SrtmTile.rows``); a
+    .hgt.gz is loaded whole either way.
+    """
     path = Path(path)
     compressed = path.name.endswith(".gz")
     try:
-        data = gzip.decompress(path.read_bytes()) if compressed else path.read_bytes()
+        if compressed:
+            data = gzip.decompress(path.read_bytes())
+        else:
+            data = None if windowed else path.read_bytes()
+        size = path.stat().st_size if data is None else len(data)
     except (OSError, EOFError, zlib.error) as exc:
         raise TileFileError(f"{path}: cannot read tile: {exc}") from exc
     stem = path.name[:-len(".hgt.gz")] if compressed else path.stem
-    n = math.isqrt(len(data) // 2)
-    if n not in _GRID_SIZES or 2 * n * n != len(data):
-        raise TileFileError(f"{path}: {len(data)} bytes is not a valid HGT grid")
+    n = math.isqrt(size // 2)
+    if n not in _GRID_SIZES or 2 * n * n != size:
+        raise TileFileError(f"{path}: {size} bytes is not a valid HGT grid")
     sw_lat, sw_lon = parse_tile_name(stem)
+    if data is None:
+        return SrtmTile(sw_lat=sw_lat, sw_lon=sw_lon, n=n, samples=None, path=path)
     samples = np.frombuffer(data, dtype=">i2").reshape(n, n)
     return SrtmTile(sw_lat=sw_lat, sw_lon=sw_lon, n=n, samples=samples)
 
@@ -119,11 +150,12 @@ def sample_elevation(tile: SrtmTile, lat: float, lon: float) -> float | None:
     fx = x - col
     fy = y - row
 
+    top, bottom = tile.rows(row, row + 2)
     corners = (
-        (tile.samples[row, col], (1 - fx) * (1 - fy)),
-        (tile.samples[row, col + 1], fx * (1 - fy)),
-        (tile.samples[row + 1, col], (1 - fx) * fy),
-        (tile.samples[row + 1, col + 1], fx * fy),
+        (top[col], (1 - fx) * (1 - fy)),
+        (top[col + 1], fx * (1 - fy)),
+        (bottom[col], (1 - fx) * fy),
+        (bottom[col + 1], fx * fy),
     )
     total_weight = 0.0
     weighted = 0.0
@@ -141,7 +173,8 @@ class TileStore:
     """Read-only tile cache over a directory of <TILE>.hgt[.gz] files.
 
     Each tile loads at most once; lookups for absent files are cached too.
-    Safe for concurrent readers.
+    An uncompressed tile is cached as its header and sampled by row window;
+    a .hgt.gz tile is cached whole.  Safe for concurrent readers.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -159,7 +192,7 @@ class TileStore:
             for suffix in (".hgt", ".hgt.gz"):
                 path = self.root / f"{name}{suffix}"
                 if path.exists():
-                    tile = read_hgt(path)
+                    tile = read_hgt(path, windowed=True)
                     self.loads += 1
                     break
             self._tiles[name] = tile
@@ -171,7 +204,8 @@ def sample_tile(tile: SrtmTile, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
 
     One batched bilinear sample with the same arithmetic, in the same order,
     as the scalar function, so every value is identical to it; NaN where it
-    would return None.
+    would return None.  Only the grid rows between the points are read, so a
+    tile kept on disk costs one read of that window.
     """
     last = tile.n - 1
     x = (lon - tile.sw_lon) * last
@@ -191,11 +225,14 @@ def sample_tile(tile: SrtmTile, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     fx = x - col
     fy = y - row
 
+    first, stop = (int(row.min()), int(row.max()) + 2) if len(row) else (0, 0)
+    window = tile.rows(first, stop)
+    top = row - first
     corners = (
-        (tile.samples[row, col], (1 - fx) * (1 - fy)),
-        (tile.samples[row, col + 1], fx * (1 - fy)),
-        (tile.samples[row + 1, col], (1 - fx) * fy),
-        (tile.samples[row + 1, col + 1], fx * fy),
+        (window[top, col], (1 - fx) * (1 - fy)),
+        (window[top, col + 1], fx * (1 - fy)),
+        (window[top + 1, col], (1 - fx) * fy),
+        (window[top + 1, col + 1], fx * fy),
     )
     # Adding 0.0 for a void corner leaves the sums as skipping it would:
     # they start at 0.0 and so are never -0.0.

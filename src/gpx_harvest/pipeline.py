@@ -25,8 +25,16 @@ segments), written together with ``parsed.jsonl``; each row carries the
 file's path, the track's byte offset, its segment lengths and the sha256 of
 its bytes.  Metrics reads the arrays back from that file and never parses
 GPX; a missing file, a short read or a digest mismatch stops it with an
-error naming the file.  ``final.jsonl`` then carries each track's
-coordinates as the exact JSON text both exports embed.
+error naming the file.
+
+Metrics writes each content hash's coordinates once, as the exact JSON text
+both exports embed, to one ``geometry.jsonl`` file (one text per line),
+written together with ``final.jsonl`` and listed in metrics' manifest.  Each
+``final.jsonl`` row carries the scalar record plus that file's path, the
+text's byte offset, its length and its sha256, never the text.  Export
+dedups those thin rows and then reads each survivor's text by offset, with
+the same checks, one record at a time.  Parse and metrics stream their rows
+to disk as they go; DEM tiles are read by row window (see ``elevation``).
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, TextIO
 
@@ -56,8 +64,8 @@ from .gpx_model import (GpxParseError, ParseStats, Segment, Track, extract_singl
                         parse_gpx)
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .language import detect_language
-from .records import (OutputRecord, assemble_record, dedup, export_paths, export_records,
-                      passes_track_filters, write_atomic)
+from .records import (OutputRecord, assemble_record, atomic_files, dedup, export_paths,
+                      export_records, passes_track_filters)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, PayloadTooLargeError, WarcRecordSkippedError,
                          extract_payload, fetch_many)
@@ -116,6 +124,7 @@ class PipelinePaths:
     tracks: Path | None = None
     enriched: Path | None = None
     final: Path | None = None
+    geometry: Path | None = None
 
     def __post_init__(self) -> None:
         self.workdir = Path(self.workdir)
@@ -128,6 +137,7 @@ class PipelinePaths:
             "tracks": self.workdir / "tracks.f64",
             "enriched": self.workdir / "enriched.jsonl",
             "final": self.workdir / "final.jsonl",
+            "geometry": self.workdir / "geometry.jsonl",
         }
         for name, default in defaults.items():
             if getattr(self, name) is None:
@@ -138,7 +148,8 @@ class PipelinePaths:
 
 
 def write_json_atomic(path: Path, obj) -> None:
-    write_atomic((path, lambda handle: json.dump(obj, handle, ensure_ascii=False, indent=2)))
+    with atomic_files((path, "w")) as (handle,):
+        json.dump(obj, handle, ensure_ascii=False, indent=2)
 
 
 def _write_rows(handle: TextIO, rows) -> None:
@@ -146,7 +157,8 @@ def _write_rows(handle: TextIO, rows) -> None:
 
 
 def write_jsonl(path: Path, rows) -> None:
-    write_atomic((path, lambda handle: _write_rows(handle, rows)))
+    with atomic_files((path, "w")) as (handle,):
+        _write_rows(handle, rows)
 
 
 def read_jsonl(path: Path, stage: str) -> list[dict]:
@@ -181,7 +193,7 @@ def _stage_outputs(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> lis
             "fetch": [paths.fetched, paths.fetch_failures],
             "parse": [paths.parsed, paths.tracks],
             "enrich": [paths.enriched],
-            "metrics": [paths.final]}[stage]
+            "metrics": [paths.final, paths.geometry]}[stage]
 
 
 def _output_entry(path: Path) -> dict:
@@ -312,12 +324,10 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                       "track_sha256": hashlib.sha256(values).hexdigest()}, stats
 
     totals = ParseStats()
-    parsed_rows = []
-
-    def write_tracks(tracks: BinaryIO) -> None:
-        # Parsing runs inside this writer so that each accepted track streams
-        # into the tracks file as soon as it is parsed.
-        outcomes: dict[str, tuple] = {}
+    outcomes: dict[str, tuple] = {}
+    # Each accepted track streams into the tracks file, and its row into
+    # parsed.jsonl, as soon as it is parsed.
+    with atomic_files((paths.tracks, "wb"), (paths.parsed, "w")) as (tracks, parsed):
         for row in rows:
             digest = row["content_hash"]
             if digest not in outcomes:
@@ -328,37 +338,54 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             if reason is not None:
                 report.exclude(reason)
             else:
-                parsed_rows.append({**row, **fields})
+                _write_rows(parsed, [{**row, **fields}])
+                report.outputs += 1
 
-    write_atomic((paths.tracks, write_tracks, "b"),
-                 (paths.parsed, lambda handle: _write_rows(handle, parsed_rows)))
-    report.outputs = len(parsed_rows)
     report.info = {"points_dropped": totals.points_dropped,
                    "tracks_dropped": totals.tracks_dropped}
-    logger.info("parse: %d payloads -> %d single-track activities", len(rows), len(parsed_rows))
+    logger.info("parse: %d payloads -> %d single-track activities", len(rows), report.outputs)
     return _finish_stage(paths, report, _stage_outputs(cfg, paths, "parse"))
 
 
-def _read_parsed_track(row: dict, handles: dict[str, BinaryIO], open_files: ExitStack) -> Track:
-    """The track parse stored for ``row``, checked against its sha256.
+class StoredFiles(ExitStack):
+    """Checked reads from the files an earlier stage wrote, each opened once.
 
-    A tracks file is opened on first use, kept in ``handles`` and closed with
-    ``open_files``.
+    ``read`` returns ``size`` bytes at ``offset`` and checks them against the
+    sha256 the row recorded; a file that cannot be opened, a short read or a
+    digest mismatch is a ``PipelineError`` naming the file.  Leaving the
+    ``with`` block closes the files.
     """
-    path, lengths = row["track_file"], row["segment_lengths"]
-    if path not in handles:
+
+    def __init__(self, stage: str, kind: str, writer: str) -> None:
+        super().__init__()
+        self.stage, self.kind, self.writer = stage, kind, writer
+        self._handles: dict[str, BinaryIO] = {}
+
+    def read(self, path: str, offset: int, size: int, sha256: str) -> bytearray:
+        where = f"stage {self.stage}: {self.kind} file {path}"
+        data = bytearray(size)
         try:
-            handles[path] = open_files.enter_context(open(path, "rb"))
+            if path not in self._handles:
+                self._handles[path] = self.enter_context(open(path, "rb"))
+            handle = self._handles[path]
+            handle.seek(offset)
+            got = handle.readinto(data)
         except OSError as exc:
-            raise PipelineError(f"stage metrics: cannot open tracks file {path}: {exc}") from exc
+            raise PipelineError(f"{where} cannot be read: {exc}") from exc
+        if got != size:
+            raise PipelineError(f"{where} is truncated")
+        if hashlib.sha256(data).hexdigest() != sha256:
+            raise PipelineError(f"{where} changed after {self.writer}")
+        return data
+
+
+def _read_parsed_track(row: dict, tracks: StoredFiles) -> Track:
+    """The track parse stored for ``row``, checked against its sha256."""
+    lengths = row["segment_lengths"]
     points = sum(lengths)
-    handles[path].seek(row["track_offset"])
-    values = np.fromfile(handles[path], dtype=TRACK_DTYPE, count=3 * points)
-    if len(values) != 3 * points:
-        raise PipelineError(f"stage metrics: tracks file {path} is truncated")
-    if hashlib.sha256(values).hexdigest() != row["track_sha256"]:
-        raise PipelineError(f"stage metrics: tracks file {path} changed after parse")
-    lat, lon, ele = values.reshape(3, points)
+    data = tracks.read(row["track_file"], row["track_offset"],
+                       3 * points * TRACK_DTYPE.itemsize, row["track_sha256"])
+    lat, lon, ele = np.frombuffer(data, dtype=TRACK_DTYPE).reshape(3, points)
     bounds = np.cumsum(lengths)[:-1]
     return Track(segments=[Segment(*arrays) for arrays in
                            zip(np.split(lat, bounds), np.split(lon, bounds), np.split(ele, bounds))])
@@ -441,16 +468,21 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     tiles = TileStore(cfg.srtm_dir) if cfg.srtm_dir else TileStore(Path(os.devnull))
     boundaries = load_boundaries(cfg.boundaries) if cfg.boundaries else []
-    open_files = ExitStack()  # the tracks files, each opened once for the whole stage
-    handles: dict[str, BinaryIO] = {}
+    geometry_path = str(paths.geometry)
 
-    def metrics_one(row: dict) -> tuple[str | None, OutputRecord | None, tuple[str, ...]]:
-        """(exclusion reason, assembled record, info counters to bump)."""
-        track = _read_parsed_track(row, handles, open_files)
+    def metrics_one(row: dict, tracks: StoredFiles, geometry: BinaryIO
+                    ) -> tuple[str | None, dict | None, dict | None, tuple[str, ...]]:
+        """(exclusion reason, record without geometry, where its geometry is,
+        info counters to bump).
+
+        The record's coordinates text is appended to ``geometry``; the
+        ``geometry_*`` fields of the location point at it there.
+        """
+        track = _read_parsed_track(row, tracks)
         try:
             track, elev_source = backfill_elevation(track, tiles)
         except ElevationUnavailableError:
-            return "elevation-unavailable", None, ()
+            return "elevation-unavailable", None, None, ()
         except TileFileError as exc:
             raise PipelineError(f"stage metrics: {exc}") from exc
         counters = ["elev_gps" if elev_source == "GPS" else "elev_dem"]
@@ -471,34 +503,38 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                                     warc_len=row["warc_len"], crawl_id=row.get("crawl_id", ""))
         desc = CleanDescription(text=row["desc"], lang=row["desc_lang"],
                                 text_en=row["desc_en"], pii=PiiFlags(**row["pii_flags"]))
-        record = assemble_record(candidate, track, metrics, desc, country, elev_source)
-        return None, record, tuple(counters)
+        record = vars(assemble_record(candidate, track, metrics, desc, country, elev_source))
+        text = record.pop("geometry").encode("utf-8")
+        offset = geometry.tell()
+        geometry.write(text + b"\n")
+        return None, record, {"geometry_file": geometry_path, "geometry_offset": offset,
+                              "geometry_length": len(text),
+                              "geometry_sha256": hashlib.sha256(text).hexdigest()}, tuple(counters)
 
     # Everything but the capture fields follows from the content hash, so the
-    # record is built once per hash and each row gets its own url/warc_* copy.
+    # record is built, and its geometry written, once per hash; each row gets
+    # its own url/warc_* copy.  Rows stream to final.jsonl as they go.
     outcomes: dict[str, tuple] = {}
-    final_rows = []
     info = Counter()
-    with open_files:
+    with (StoredFiles("metrics", "tracks", "parse") as tracks,
+          atomic_files((paths.geometry, "wb"), (paths.final, "w")) as (geometry, final)):
         for row in rows:
             digest = row["content_hash"]
             if digest not in outcomes:
-                outcomes[digest] = metrics_one(row)
-            reason, record, counters = outcomes[digest]
+                outcomes[digest] = metrics_one(row, tracks, geometry)
+            reason, record, location, counters = outcomes[digest]
             info.update(counters)
             if reason is not None:
                 report.exclude(reason)
                 continue
-            record = replace(record, url=row["url"], warc_file=row["warc_file"],
-                             warc_offset=row["warc_offset"], warc_len=row["warc_len"])
-            final_rows.append({"url": row["url"], "crawl_id": row.get("crawl_id", ""),
-                               "content_hash": row["content_hash"],
-                               "record": record.__dict__})
+            capture = {name: row[name] for name in ("url", "warc_file", "warc_offset", "warc_len")}
+            _write_rows(final, [{"url": row["url"], "crawl_id": row.get("crawl_id", ""),
+                                 "content_hash": digest, "record": {**record, **capture},
+                                 **location}])
+            report.outputs += 1
 
-    write_jsonl(paths.final, final_rows)
-    report.outputs = len(final_rows)
     report.info = dict(sorted(info.items()))
-    logger.info("metrics: %d tracks -> %d records", len(rows), len(final_rows))
+    logger.info("metrics: %d tracks -> %d records", len(rows), report.outputs)
     return _finish_stage(paths, report, _stage_outputs(cfg, paths, "metrics"))
 
 
@@ -514,10 +550,15 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             report.exclude(reason, count)
 
     out_dir = cfg.resolved_out_dir()
-    try:
-        export_records([OutputRecord(**row["record"]) for row in survivors], out_dir)
-    except OSError as exc:
-        raise PipelineError(f"stage export: cannot write to {out_dir}: {exc}") from exc
+    with StoredFiles("export", "geometry", "metrics") as geometry:
+        # Each survivor's coordinates are read only as export reaches it.
+        records = (OutputRecord(**row["record"], geometry=geometry.read(
+            row["geometry_file"], row["geometry_offset"], row["geometry_length"],
+            row["geometry_sha256"]).decode("utf-8")) for row in survivors)
+        try:
+            export_records(records, out_dir)
+        except OSError as exc:
+            raise PipelineError(f"stage export: cannot write to {out_dir}: {exc}") from exc
     report.outputs = len(survivors)
 
     write_json_atomic(out_dir / "stats.json", _collect_stats(paths, report).to_dict())

@@ -3,9 +3,10 @@
 Every exported record carries the same 17 properties; geometry is a
 MultiLineString whose vertices are [lon, lat, elevation] triples, one line
 string per original segment.  ``assemble_record`` encodes them to JSON text
-once; ``final.jsonl`` carries that exact text and both exports splice it in.
-Files are written through ``write_atomic``, so a failed write never leaves a
-partial file behind.
+once; metrics stores that exact text and both exports splice it in.
+``export_records`` writes all three files in one pass, building and encoding
+each record's properties once.  Files are written through ``atomic_files``,
+so a failed write never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, TextIO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -166,36 +168,43 @@ def record_properties(record: OutputRecord) -> dict:
     return properties
 
 
-def record_json(record: OutputRecord, feature: bool = False) -> str:
-    """A ``tracks.jsonl`` line, or with ``feature`` a GeoJSON Feature, exactly as
-    ``json.dumps(..., ensure_ascii=False)`` writes it; the stored coordinates
-    text is spliced in, never re-encoded."""
-    properties = json.dumps(record_properties(record), ensure_ascii=False)
+def encode_record(record: OutputRecord) -> tuple[dict, str, str]:
+    """The record's scalar properties, its GeoJSON Feature and its ``tracks.jsonl`` line.
+
+    Both texts are exactly what ``json.dumps(..., ensure_ascii=False)`` writes.
+    The properties are built and encoded once for both, and the stored
+    coordinates text is spliced in, never re-encoded.
+    """
+    properties = record_properties(record)
+    text = json.dumps(properties, ensure_ascii=False)
     geometry = f'{{"type": "MultiLineString", "coordinates": {record.geometry}}}'
-    if feature:
-        return f'{{"type": "Feature", "properties": {properties}, "geometry": {geometry}}}'
-    return f'{properties[:-1]}, "geometry": {geometry}}}'
+    return (properties,
+            f'{{"type": "Feature", "properties": {text}, "geometry": {geometry}}}',
+            f'{text[:-1]}, "geometry": {geometry}}}')
 
 
-def write_atomic(*files: tuple[Path, Callable[[TextIO], None]]
-                 | tuple[Path, Callable[[BinaryIO], None], str]) -> None:
-    """Write each ``(path, write)`` pair all-or-nothing, in the given order.
+@contextmanager
+def atomic_files(*files: tuple[Path, str]) -> Iterator[list[IO]]:
+    """Open a temp file beside each ``(path, mode)`` and yield their handles.
 
-    ``write(handle)`` fills a temp file beside ``path`` through a UTF-8 text
-    handle, or through a binary one for a ``(path, write, "b")`` triple.
-    Only once every write has succeeded are the temp files renamed over
-    their targets.  A failure part-way leaves all previous files untouched
-    and no temp file.
+    ``mode`` is ``"w"`` (UTF-8 text) or ``"wb"``.  Only once the block has
+    succeeded are the temp files renamed over their targets, in the given
+    order; a failure part-way leaves all previous files untouched and no
+    temp file.
     """
     temps: list[Path] = []
     try:
-        for path, write, *mode in files:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temps.append(path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp"))
-            with (open(temps[-1], "xb") if mode == ["b"]
-                  else open(temps[-1], "x", encoding="utf-8")) as handle:
-                write(handle)
-        for (path, *_), temp in zip(files, temps):
+        with ExitStack() as stack:
+            handles = []
+            for path, mode in files:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                temps.append(path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp"))
+                exclusive = mode.replace("w", "x")
+                handles.append(stack.enter_context(
+                    open(temps[-1], exclusive) if "b" in mode
+                    else open(temps[-1], exclusive, encoding="utf-8")))
+            yield handles
+        for (path, _), temp in zip(files, temps):
             os.replace(temp, path)
     except BaseException:
         for temp in temps:
@@ -217,28 +226,21 @@ def export_records(records: Iterable[OutputRecord], out_dir: str | Path) -> dict
     """Write the dataset as GeoJSON, line-delimited JSON, and scalar CSV.
 
     Output order follows the input (dedup survivor order); identical inputs
-    produce byte-identical files.  The three files are replaced together or
+    produce byte-identical files.  ``records`` is consumed once, each record
+    going to all three files before the next is taken, so a generator keeps
+    one record in memory at a time.  The three files are replaced together or
     not at all.
     """
-    records = list(records)
     paths = export_paths(out_dir)
-
-    def write_geojson(handle: TextIO) -> None:
-        handle.write('{"type": "FeatureCollection", "features": [')
-        for index, record in enumerate(records):
-            handle.write((", " if index else "") + record_json(record, feature=True))
-        handle.write("]}")
-
-    def write_jsonl(handle: TextIO) -> None:
-        for record in records:
-            handle.write(record_json(record) + "\n")
-
-    def write_csv(handle: TextIO) -> None:
-        writer = csv.DictWriter(handle, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")
+    with atomic_files((paths["geojson"], "w"), (paths["jsonl"], "w"),
+                      (paths["csv"], "w")) as (geojson, jsonl, csv_file):
+        writer = csv.DictWriter(csv_file, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")
         writer.writeheader()
-        for record in records:
-            writer.writerow(record_properties(record))
-
-    write_atomic((paths["geojson"], write_geojson), (paths["jsonl"], write_jsonl),
-                 (paths["csv"], write_csv))
+        geojson.write('{"type": "FeatureCollection", "features": [')
+        for index, record in enumerate(records):
+            properties, feature, line = encode_record(record)
+            geojson.write((", " if index else "") + feature)
+            jsonl.write(line + "\n")
+            writer.writerow(properties)
+        geojson.write("]}")
     return paths

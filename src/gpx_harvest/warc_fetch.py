@@ -11,6 +11,7 @@ import os
 import threading
 import time
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,10 @@ BASE_URL_ENV = "GPX_HARVEST_BASE_URL"
 # body).  Deflate expands up to about 1000x, so a small hostile member could
 # otherwise exhaust memory; a larger one is excluded as "payload-too-large".
 MAX_DECOMPRESSED_BYTES = 64 << 20
+
+# fetch_many keeps this many fetches per worker submitted ahead of its
+# consumer: enough to keep every worker busy, few enough to bound memory.
+FETCHES_AHEAD_PER_WORKER = 2
 
 
 def default_base_url() -> str:
@@ -188,11 +193,13 @@ def fetch_many(candidates: Iterable[CandidateRecord], policy: FetchPolicy,
     """Fetch candidates concurrently, yielding results in candidate order.
 
     Concurrency is capped at policy.max_parallel and all workers share one
-    rate limiter.  Failures are yielded as FetchFailedError values so the
-    caller can log them and keep going.
+    rate limiter.  At most FETCHES_AHEAD_PER_WORKER * max_parallel fetches
+    are submitted and not yet yielded, so finished record bytes never pile
+    up ahead of a slow consumer.  Failures are yielded as FetchFailedError
+    values so the caller can log them and keep going.
     """
-    items = list(candidates)
     limiter = RateLimiter(policy.rate_limit_per_s)
+    ahead = FETCHES_AHEAD_PER_WORKER * policy.max_parallel
 
     def fetch_one(candidate: CandidateRecord) -> WarcSlice | FetchFailedError:
         try:
@@ -200,8 +207,16 @@ def fetch_many(candidates: Iterable[CandidateRecord], policy: FetchPolicy,
         except FetchFailedError as exc:
             return exc
 
+    pending: deque = deque()
     with ThreadPoolExecutor(max_workers=policy.max_parallel) as pool:
-        yield from zip(items, pool.map(fetch_one, items))
+        for candidate in candidates:
+            if len(pending) == ahead:
+                done, future = pending.popleft()
+                yield done, future.result()
+            pending.append((candidate, pool.submit(fetch_one, candidate)))
+        while pending:
+            done, future = pending.popleft()
+            yield done, future.result()
 
 
 def _parse_header_block(block: bytes, what: str) -> dict[str, str]:

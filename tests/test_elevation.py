@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpx_harvest.elevation import (DEM_SOURCE, GPS_SOURCE, VOID_VALUE,
-                                   ElevationUnavailableError, SrtmTile, TileStore,
-                                   backfill_elevation, parse_tile_name, read_hgt,
+                                   ElevationUnavailableError, SrtmTile, TileFileError, TileStore,
+                                   _sample_points, backfill_elevation, parse_tile_name, read_hgt,
                                    sample_elevation, sample_tile, tile_name_for, write_hgt)
 from gpx_harvest.gpx_model import Segment, Track
 
@@ -325,3 +325,122 @@ def test_tile_store_thread_safe_single_load(tmp_path):
         thread.join()
     assert results == [8.0] * 16
     assert store.loads == 1
+
+
+# --- row windows of tiles kept on disk ------------------------------------------
+
+# Tile name -> grid size; N49E006 and N49E007 share an edge.
+DISK_TILES = {"N49E006": 1201, "N49E007": 1201, "N50E006": 3601}
+
+
+@pytest.fixture(scope="module")
+def disk_tiles(tmp_path_factory):
+    """A tile store over noisy, 5% void tiles plus the same grids held in memory."""
+    root = tmp_path_factory.mktemp("srtm")
+    in_memory = {}
+    for seed, (name, n) in enumerate(DISK_TILES.items()):
+        rng = np.random.default_rng(seed)
+        samples = rng.integers(-400, 4000, size=(n, n), dtype=np.int16)
+        samples[rng.integers(0, 20, size=(n, n), dtype=np.int8) == 0] = VOID_VALUE
+        write_hgt(root / f"{name}.hgt", samples)
+        sw_lat, sw_lon = parse_tile_name(name)
+        in_memory[name] = SrtmTile(sw_lat=sw_lat, sw_lon=sw_lon, n=n, samples=samples)
+    return TileStore(root), in_memory
+
+
+def assert_window_matches_whole_tile(store, tile, lat, lon):
+    """Points sampled by row window from disk equal sample_tile on the whole grid."""
+    lat, lon = np.array(lat), np.array(lon)
+    on_disk = store.get(tile.sw_lat + 0.5, tile.sw_lon + 0.5)
+    assert on_disk.samples is None and on_disk.n == tile.n
+    windowed = sample_tile(on_disk, lat, lon)
+    assert np.array_equal(windowed, sample_tile(tile, lat, lon), equal_nan=True)
+
+
+def _cell_offsets(n):
+    # Anywhere, exactly on a grid node (rows 0 and n - 1 included), or at a tile edge.
+    return st.one_of(st.floats(0.0, 1.0), st.integers(0, n - 1).map(lambda k: k / (n - 1)),
+                     st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5 / (n - 1)]))
+
+
+@pytest.mark.parametrize("name", ["N49E006", "N50E006"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_window_sampling_equals_whole_tile_sampling(disk_tiles, name, data):
+    store, in_memory = disk_tiles
+    tile = in_memory[name]
+    offsets = data.draw(st.lists(st.tuples(_cell_offsets(tile.n), _cell_offsets(tile.n)),
+                                 min_size=1, max_size=40))
+    assert_window_matches_whole_tile(store, tile, [tile.sw_lat + 1 - dy for dy, _ in offsets],
+                                     [tile.sw_lon + dx for _, dx in offsets])
+
+
+def test_row_window_sampling_covers_edge_rows_nodes_and_voids(disk_tiles):
+    store, in_memory = disk_tiles
+    for name in ("N49E006", "N50E006"):
+        tile = in_memory[name]
+        last = tile.n - 1
+        rows, cols = np.nonzero(tile.samples[1:-1, 1:-1] == VOID_VALUE)
+        lat = [tile.sw_lat + 1, tile.sw_lat, tile.sw_lat + 1 - (rows[0] + 1) / last,
+               tile.sw_lat + 1 - (rows[1] + 1.5) / last]
+        lon = [tile.sw_lon + 0.5, tile.sw_lon + 0.25, tile.sw_lon + (cols[0] + 1) / last,
+               tile.sw_lon + (cols[1] + 1.5) / last]
+        whole = sample_tile(tile, np.array(lat), np.array(lon))
+        assert np.isnan(whole[2])  # exactly on a void node
+        assert_window_matches_whole_tile(store, tile, lat, lon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(49.0, 50.0, exclude_max=True), st.floats(6.9, 7.1)),
+                min_size=1, max_size=40))
+def test_row_window_sampling_of_a_track_across_two_tiles(disk_tiles, points):
+    store, in_memory = disk_tiles
+    lat, lon = (np.array(values) for values in zip(*points))
+    expected = np.array([sample_tile(in_memory[tile_name_for(a, b)], np.array([a]),
+                                     np.array([b]))[0] for a, b in points])
+    if np.isnan(expected).any():
+        with pytest.raises(ElevationUnavailableError, match="void"):
+            _sample_points(lat, lon, store)
+    else:
+        assert np.array_equal(_sample_points(lat, lon, store), expected)
+
+
+def test_backfill_reads_only_the_rows_a_track_spans(tmp_path, monkeypatch):
+    write_hgt(tmp_path / "N49E006.hgt", noisy_tile(13).samples)
+    store = TileStore(tmp_path)
+    reads = []
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile",
+                        lambda *args, **kw: reads.append(kw["count"]) or fromfile(*args, **kw))
+    track = Track(segments=[Segment(lat=[49.5, 49.51, 49.505], lon=[6.2, 6.3, 6.4])])
+    result, source = backfill_elevation(track, store)
+    assert source == DEM_SOURCE
+    rows = round(0.01 * (N - 1)) + 2
+    assert reads == [rows * N]  # one read of the rows between the points
+    assert result.segments[0].ele.tolist() == [
+        sample_elevation(noisy_tile(13), a, b) for a, b in [(49.5, 6.2), (49.51, 6.3),
+                                                            (49.505, 6.4)]]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def test_tile_damaged_after_the_store_opened_it_is_a_tile_file_error(tmp_path, damage):
+    path = tmp_path / "N49E006.hgt"
+    write_hgt(path, np.full((N, N), 250, dtype=np.int16))
+    store = TileStore(tmp_path)
+    assert store.get(49.5, 6.5).samples is None
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:N * N])
+    else:
+        path.unlink()
+    track = track_with_points([(49.1, 6.5, None), (49.2, 6.5, None)])
+    with pytest.raises(TileFileError, match=str(path)):
+        backfill_elevation(track, store)
+
+
+def test_compressed_tiles_are_held_whole(tmp_path):
+    write_hgt(tmp_path / "N49E006.hgt.gz", np.full((N, N), 7, dtype=np.int16))
+    store = TileStore(tmp_path)
+    tile = store.get(49.5, 6.5)
+    assert tile.samples is not None and tile.samples.shape == (N, N)
+    (tmp_path / "N49E006.hgt.gz").unlink()
+    assert sample_elevation(tile, 49.5, 6.5) == 7.0

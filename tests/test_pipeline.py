@@ -213,6 +213,52 @@ def test_work_directory_from_before_the_tracks_file_reruns_parse(crawl, tmp_path
     assert_same_exports(cfg, fresh)
 
 
+def test_resume_recomputes_from_metrics_when_the_geometry_file_is_edited(crawl, tmp_path):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    geometry = PipelinePaths(workdir=cfg.workdir).geometry
+    data = bytearray(geometry.read_bytes())
+    data[3] ^= 0x01  # the first longitude's first digit: same size, other value
+    geometry.write_bytes(bytes(data))
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["metrics", "export"]
+    assert geometry.read_bytes() == PipelinePaths(workdir=fresh.workdir).geometry.read_bytes()
+    assert_same_exports(cfg, fresh)
+
+
+def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_path):
+    # Metrics used to write each row's coordinates text into final.jsonl, and
+    # its manifest listed that one file.
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    paths = PipelinePaths(workdir=cfg.workdir)
+    rows = []
+    for line in paths.final.read_text("utf-8").splitlines():
+        row = json.loads(line)
+        with open(row.pop("geometry_file"), "rb") as handle:
+            handle.seek(row.pop("geometry_offset"))
+            text = handle.read(row.pop("geometry_length")).decode("utf-8")
+        del row["geometry_sha256"]
+        rows.append({**row, "record": {**row["record"], "geometry": text}})
+    paths.final.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                           "utf-8")
+    manifest = json.loads(paths.manifest("metrics").read_text("utf-8"))
+    data = paths.final.read_bytes()
+    manifest["outputs"] = [{"path": str(paths.final), "size": len(data),
+                            "sha256": hashlib.sha256(data).hexdigest()}]
+    write_json_atomic(paths.manifest("metrics"), manifest)
+    paths.geometry.unlink()
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["metrics", "export"]
+    assert_same_exports(cfg, fresh)
+
+
 def test_no_resume_runs_everything(crawl, tmp_path):
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)

@@ -38,6 +38,13 @@ def seed_fetched(paths, payloads):
     return rows
 
 
+def stored_geometry(row):
+    """The coordinates text a final.jsonl row points at in the geometry file."""
+    with open(row["geometry_file"], "rb") as handle:
+        handle.seek(row["geometry_offset"])
+        return handle.read(row["geometry_length"]).decode("utf-8")
+
+
 def good_track_payload(desc=GOOD_DESC):
     return gpx_xml([{"name": "ok", "desc": desc,
                      "segments": [line_points(50.0, 6.0, 30, 50.0, ele=100.0)]}])
@@ -189,9 +196,10 @@ def test_metrics_stage_reads_the_tracks_file_without_the_raw_payloads(tmp_path):
 
     report = stage_metrics(cfg, paths)
     assert report.outputs == 2
-    final = [json.loads(line)["record"] for line in paths.final.read_text("utf-8").splitlines()]
-    assert json.loads(final[0]["geometry"]) == [[[lon, lat, ele] for lat, lon, ele in segment]
-                                                for segment in split]
+    final = [json.loads(line) for line in paths.final.read_text("utf-8").splitlines()]
+    assert "geometry" not in final[0]["record"]
+    assert json.loads(stored_geometry(final[0])) == [[[lon, lat, ele] for lat, lon, ele in segment]
+                                                     for segment in split]
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated", "edited"])
@@ -214,6 +222,51 @@ def test_metrics_stage_needs_the_tracks_file_unchanged(tmp_path, damage):
         stage_metrics(cfg, paths)
     assert not paths.manifest("metrics").exists()
     assert not paths.final.exists()
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "edited"])
+def test_export_stage_needs_the_geometry_file_unchanged(tmp_path, damage):
+    cfg = PipelineConfig(workdir=tmp_path, out_dir=tmp_path / "out")
+    paths = PipelinePaths(workdir=tmp_path)
+    seed_enriched(paths, [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]]],
+                  [[[51.0, 6.0, 100.0], [51.01, 6.0, 105.0]]])
+    assert stage_metrics(cfg, paths).outputs == 2
+    rows = [json.loads(line) for line in paths.final.read_text("utf-8").splitlines()]
+    geometry = Path(rows[0]["geometry_file"])
+    assert geometry == paths.geometry
+    data = bytearray(geometry.read_bytes())
+    if damage == "missing":
+        geometry.unlink()
+    elif damage == "truncated":
+        geometry.write_bytes(data[:-2])
+    else:  # the second track's first longitude digit, same size
+        data[rows[1]["geometry_offset"] + 3] ^= 0x01
+        geometry.write_bytes(bytes(data))
+    with pytest.raises(PipelineError, match=re.escape(str(geometry))):
+        stage_export(cfg, paths)
+    assert not paths.manifest("export").exists()
+    assert not cfg.out_dir.exists() or not any(cfg.out_dir.iterdir())
+
+
+def test_metrics_stage_stops_on_a_tile_truncated_after_it_was_opened(tmp_path, monkeypatch):
+    from gpx_harvest import elevation
+
+    tile = constant_tile(tmp_path / "srtm", "N50E006", 321)
+    read_hgt = elevation.read_hgt
+
+    def read_then_truncate(path, **kwargs):
+        opened = read_hgt(path, **kwargs)
+        Path(path).write_bytes(Path(path).read_bytes()[:1000])
+        return opened
+
+    monkeypatch.setattr(elevation, "read_hgt", read_then_truncate)
+    cfg = PipelineConfig(workdir=tmp_path, srtm_dir=tmp_path / "srtm")
+    paths = PipelinePaths(workdir=tmp_path)
+    seed_enriched(paths, [[[50.0, 6.0, None], [50.01, 6.0, None]]])
+    with pytest.raises(PipelineError, match=re.escape(str(tile))):
+        stage_metrics(cfg, paths)
+    assert not paths.manifest("metrics").exists()
+    assert not paths.final.exists() and not paths.geometry.exists()
 
 
 def test_non_finite_ele_is_backfilled_and_exports_valid_json(tmp_path):
@@ -442,7 +495,12 @@ def test_stages_share_work_per_payload_and_description(tmp_path, monkeypatch):
         capture = by_capture[row["url"], row["crawl_id"]]
         assert {k: row["record"][k] for k in ("url", "warc_file", "warc_offset", "warc_len")} \
             == {k: capture[k] for k in ("url", "warc_file", "warc_offset", "warc_len")}
-    assert final[0]["record"]["geometry"] == final[1]["record"]["geometry"]
+    # One coordinates text per content hash, shared by that hash's rows.
+    locations = [(row["geometry_offset"], row["geometry_length"]) for row in final]
+    assert locations[0] == locations[1]
+    assert len(set(locations)) == 2
+    assert paths.geometry.read_bytes() == "".join(
+        text + "\n" for text in dict.fromkeys(map(stored_geometry, final))).encode("utf-8")
 
     report = stage_export(cfg, paths)
     assert report.excluded == {"duplicate-url": 1, "duplicate-content": 1}

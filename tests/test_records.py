@@ -16,8 +16,8 @@ from gpx_harvest.gpx_model import Segment, Track
 from gpx_harvest.index_scan import CandidateRecord
 from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES,
                                  RecordAssemblyError, assemble_record, dedup,
-                                 export_records, passes_track_filters,
-                                 record_json, record_properties)
+                                 encode_record, export_records, passes_track_filters,
+                                 record_properties)
 
 CONFIG = FilterConfig()
 
@@ -126,7 +126,7 @@ def test_properties_rounded_to_two_decimals_geometry_full_precision():
     assert properties["uphill"] == 55.56
     assert properties["downhill"] == 44.44
     assert json.loads(record.geometry)[0][0] == [-2.456789012, 53.812345678, 80.123456]
-    feature = json.loads(record_json(record, feature=True))
+    feature = json.loads(encode_record(record)[1])
     assert feature["geometry"]["coordinates"][0][0] == [-2.456789012, 53.812345678, 80.123456]
 
 
@@ -224,14 +224,14 @@ def test_export_keeps_previous_files_when_encoding_fails(tmp_path, monkeypatch):
 
     encoded = []
 
-    def fail_on_fourth_record(record, feature=False):
-        if len(encoded) == 3:
+    def fail_on_second_record(record):
+        if len(encoded) == 1:
             raise ValueError("encoding failed part-way through the re-export")
         encoded.append(record)
-        return record_json(record, feature)
+        return encode_record(record)
 
-    # tracks.geojson is fully encoded by then; tracks.jsonl fails on its second line.
-    monkeypatch.setattr(records_module, "record_json", fail_on_fourth_record)
+    # The first record is already in all three temp files by then.
+    monkeypatch.setattr(records_module, "encode_record", fail_on_second_record)
     with pytest.raises(ValueError, match="part-way"):
         export_records(list(reversed(sample_records())), tmp_path)
     assert {name: path.read_bytes() for name, path in paths.items()} == before

@@ -189,6 +189,55 @@ def test_fetch_many_preserves_candidate_order_and_reports_failures():
     assert all(isinstance(r, WarcSlice) for _, r in results if not isinstance(r, FetchFailedError))
 
 
+class BlockingTransport:
+    """Holds the fetch at offset 0 until ``release`` is set; counts fetches started."""
+
+    def __init__(self):
+        self.release = threading.Event()
+        self.started = 0
+        self.lock = threading.Lock()
+
+    def get_range(self, url, offset, length):
+        with self.lock:
+            self.started += 1
+        if offset == 0:
+            self.release.wait(10)
+        return 206, bytes([offset]) * length
+
+
+def test_fetch_many_keeps_a_bounded_number_of_fetches_ahead_of_its_consumer():
+    ahead = warc_fetch.FETCHES_AHEAD_PER_WORKER * 2
+    candidates = [candidate(offset=i, length=1, url=f"http://a.example/{i}.gpx")
+                  for i in range(30)]
+    transport = BlockingTransport()
+    received = []
+    unconsumed = []  # fetches started but not yet handed over, at each hand-over
+
+    def consume():
+        for item in fetch_many(candidates, policy(max_parallel=2), transport):
+            with transport.lock:
+                unconsumed.append(transport.started - len(received))
+            received.append(item)
+
+    consumer = threading.Thread(target=consume)
+    consumer.start()
+    try:
+        # The consumer waits on the first fetch while the pool serves every
+        # other fetch it has been given.
+        deadline = time.monotonic() + 5
+        while transport.started < ahead and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)
+        stalled = transport.started
+    finally:
+        transport.release.set()
+        consumer.join(10)
+    assert stalled == ahead
+    assert max(unconsumed) <= ahead
+    assert [(c.warc_offset, r.record_bytes) for c, r in received] == [
+        (i, bytes([i])) for i in range(30)]
+
+
 def test_rate_limiter_spaces_acquisitions():
     clock_value = [0.0]
     sleeps = []
