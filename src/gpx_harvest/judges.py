@@ -5,19 +5,19 @@ reply string; a translator takes (text, source language) and returns English
 text.  Both are pluggable so tests and offline runs can use deterministic
 stand-ins while production points at a chat-completions endpoint or a local
 NMT command.
+
+``requests`` is loaded only when a ``ChatEndpointJudge`` is built for a live
+judge, and ``subprocess`` only when a ``CommandTranslator`` runs; offline
+runs with the stand-ins import neither.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-import shlex
-import subprocess
 import time
 from dataclasses import dataclass
 from typing import Callable
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -96,8 +96,11 @@ class ChatEndpointJudge:
 
     def __init__(self, url: str, model: str = "", api_key: str | None = None,
                  timeout_s: float = 60.0, max_retries: int = 3,
-                 post: Callable = requests.post,
+                 post: Callable | None = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
+        if post is None:
+            import requests
+            post = requests.post
         self.url = url
         self.model = model
         self._headers = {"Content-Type": "application/json"}
@@ -168,6 +171,9 @@ class CommandTranslator:
         self._timeout = timeout_s
 
     def __call__(self, text: str, lang: str) -> str:
+        import shlex
+        import subprocess
+
         command = [part.replace("{lang}", lang)
                    for part in shlex.split(self.command_template)]
         try:

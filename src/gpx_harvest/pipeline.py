@@ -3,10 +3,10 @@
 Each stage reads its predecessor's files under the work directory, writes its
 own output plus a manifest, and reports a funnel line (inputs = outputs +
 exclusions).  The manifest records the size and sha256 of every output, and a
-re-run skips a stage only while each output still matches them.  Once a stage
-re-executes, every later stage of the run re-executes too, so deleting,
+re-run skips a stage only while each output still matches them.  Before a
+stage executes, the manifests of every later stage are deleted, so deleting,
 truncating or editing one stage's output recomputes that stage and those
-after it.
+after it, and so does running one stage on its own before the next ``run``.
 
 Parse, enrich and metrics each do their work once per distinct input and
 repeat the outcome for every row carrying that input: parse and metrics per
@@ -33,8 +33,8 @@ written together with ``final.jsonl`` and listed in metrics' manifest.  Each
 ``final.jsonl`` row carries the scalar record plus that file's path, the
 text's byte offset, its length and its sha256, never the text.  Export
 dedups those thin rows and then reads each survivor's text by offset, with
-the same checks, one record at a time.  Parse and metrics stream their rows
-to disk as they go; DEM tiles are read by row window (see ``elevation``).
+the same checks, one record at a time.  Fetch, parse and metrics stream their
+rows to disk as they go; DEM tiles are read by row window (see ``elevation``).
 """
 
 from __future__ import annotations
@@ -249,41 +249,39 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.inputs = len(candidates)
     paths.raw_dir.mkdir(parents=True, exist_ok=True)
 
-    fetched_rows = []
-    failure_rows = []
     written = set()
-    for candidate, result in fetch_many(candidates, cfg.fetch, transport):
-        if isinstance(result, FetchFailedError):
-            report.exclude("fetch-failed")
-            failure_rows.append({"url": candidate.url, "reason": str(result)})
-            continue
-        try:
-            payload = extract_payload(result)
-        except WarcRecordSkippedError as exc:
-            report.exclude("skipped-record")
-            failure_rows.append({"url": candidate.url, "reason": str(exc)})
-            continue
-        except PayloadDecodeError as exc:
-            report.exclude("decode-error")
-            failure_rows.append({"url": candidate.url, "reason": str(exc)})
-            continue
-        except PayloadTooLargeError as exc:
-            report.exclude("payload-too-large")
-            failure_rows.append({"url": candidate.url, "reason": str(exc)})
-            continue
-        digest = hashlib.sha256(payload).hexdigest()
-        payload_path = paths.raw_dir / f"{digest}.gpx"
-        if digest not in written:
-            payload_path.write_bytes(payload)
-            written.add(digest)
-        fetched_rows.append({**candidate.__dict__, "content_hash": digest,
-                             "payload": str(payload_path)})
+    # Each result streams to fetched.jsonl or fetch_failures.jsonl as it
+    # arrives; both files are replaced together once every candidate is done.
+    with atomic_files((paths.fetched, "w"), (paths.fetch_failures, "w")) as (fetched, failures):
+        for candidate, result in fetch_many(candidates, cfg.fetch, transport):
+            if isinstance(result, FetchFailedError):
+                reason, problem = "fetch-failed", result
+            else:
+                try:
+                    payload = extract_payload(result)
+                except WarcRecordSkippedError as exc:
+                    reason, problem = "skipped-record", exc
+                except PayloadDecodeError as exc:
+                    reason, problem = "decode-error", exc
+                except PayloadTooLargeError as exc:
+                    reason, problem = "payload-too-large", exc
+                else:
+                    reason = None
+            if reason is not None:
+                report.exclude(reason)
+                _write_rows(failures, [{"url": candidate.url, "reason": str(problem)}])
+                continue
+            digest = hashlib.sha256(payload).hexdigest()
+            payload_path = paths.raw_dir / f"{digest}.gpx"
+            if digest not in written:
+                payload_path.write_bytes(payload)
+                written.add(digest)
+            _write_rows(fetched, [{**candidate.__dict__, "content_hash": digest,
+                                   "payload": str(payload_path)}])
+            report.outputs += 1
 
-    write_jsonl(paths.fetched, fetched_rows)
-    write_jsonl(paths.fetch_failures, failure_rows)
-    report.outputs = len(fetched_rows)
     logger.info("fetch: %d candidates -> %d payloads (%d failed)",
-                len(candidates), len(fetched_rows), len(failure_rows))
+                len(candidates), report.outputs, sum(report.excluded.values()))
     return _finish_stage(paths, report, _stage_outputs(cfg, paths, "fetch"))
 
 
@@ -646,9 +644,10 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     """Run the requested stages (all six by default) and gather the report.
 
     With resume enabled, stages whose outputs still match their manifest
-    are skipped until the first stage that has to run; from there on every
-    stage runs.  The returned stats carry the saved reports of skipped
-    stages plus the list of stages actually executed this run.
+    are skipped.  Before a stage executes, the manifests of every later stage
+    are deleted, so every later stage runs too, in this run or the next.
+    The returned stats carry the saved reports of skipped stages plus the
+    list of stages actually executed this run.
     """
     selected = list(STAGES) if stages is None else list(stages)
     for stage in selected:
@@ -661,11 +660,14 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
 
     executed = []
     for stage in selected:
-        # A stage that re-ran may have written other rows, and manifests do
-        # not record inputs, so nothing after it can be trusted as up to date.
-        if resume and not executed and _stage_is_complete(cfg, paths, stage):
+        if resume and _stage_is_complete(cfg, paths, stage):
             logger.info("%s: up to date, skipping", stage)
             continue
+        # A stage that re-runs may write other rows, and manifests do not
+        # record inputs, so no later stage's outputs can be trusted as up to
+        # date, in this run or the next.
+        for later in STAGES[STAGES.index(stage) + 1:]:
+            paths.manifest(later).unlink(missing_ok=True)
         _STAGE_FUNCTIONS[stage](cfg, paths)
         executed.append(stage)
 

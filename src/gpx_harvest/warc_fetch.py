@@ -3,6 +3,9 @@
 A WARC file is a concatenation of independently gzip-compressed records; the
 index gives each record's offset and length, so one ranged GET retrieves one
 record without downloading the archive.
+
+``requests`` is loaded only when an ``HttpRangeTransport`` is built for a
+live fetch; offline runs over ``FixtureTransport`` never import it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 from urllib.parse import urlsplit
-
-import requests
 
 from .index_scan import CandidateRecord
 
@@ -120,7 +121,10 @@ class RateLimiter:
 class HttpRangeTransport:
     """Ranged GET over live HTTP.  Returns (status_code, body bytes)."""
 
-    def __init__(self, timeout_s: float = 60.0, get: Callable = requests.get) -> None:
+    def __init__(self, timeout_s: float = 60.0, get: Callable | None = None) -> None:
+        if get is None:
+            import requests
+            get = requests.get
         self._timeout = timeout_s
         self._get = get
 

@@ -1,6 +1,7 @@
 import sys
 
 import pytest
+import requests
 
 from gpx_harvest.judges import (PII_PROMPT_TEMPLATE, QUALITY_PROMPT_TEMPLATE,
                                 ChatEndpointJudge, CommandTranslator,
@@ -115,6 +116,23 @@ def test_chat_endpoint_judge_posts_prompt():
     assert body["model"] == "judge-8b"
     assert body["messages"] == [{"role": "user", "content": "the prompt"}]
     assert headers["Authorization"] == "Bearer sekret"
+
+
+def test_chat_endpoint_judge_binds_requests_post_when_built(monkeypatch):
+    calls = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        calls.append((url, json, headers, timeout))
+        return FakeResponse(content="True")
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    judge = ChatEndpointJudge("http://llm.internal/v1/chat", model="judge-8b")
+    assert judge("the prompt") == "True"
+    assert calls == [("http://llm.internal/v1/chat",
+                      {"model": "judge-8b",
+                       "messages": [{"role": "user", "content": "the prompt"}],
+                       "temperature": 0},
+                      {"Content-Type": "application/json"}, 60.0)]
 
 
 def test_chat_endpoint_judge_retries_then_raises():

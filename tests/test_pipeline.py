@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +268,51 @@ def test_no_resume_runs_everything(crawl, tmp_path):
     run_pipeline(cfg)
     rerun = run_pipeline(cfg, resume=False)
     assert rerun.executed == list(STAGES)
+
+
+def test_a_stage_run_on_its_own_makes_the_next_run_recompute_later_stages(crawl, tmp_path):
+    cfg = run_config(crawl, tmp_path, "w1")
+    assert run_pipeline(cfg).records() == 2
+
+    # What `gpx-harvest parse` does, here with a threshold no demo track meets.
+    cfg.filters.min_length_m = 5000
+    alone = run_pipeline(cfg, stages=["parse"], resume=False)
+    assert alone.executed == ["parse"]
+    assert alone.reports["parse"].outputs == 0
+    paths = PipelinePaths(workdir=cfg.workdir)
+    assert not any(paths.manifest(stage).exists() for stage in ("enrich", "metrics", "export"))
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["enrich", "metrics", "export"]
+    assert resumed.reports["enrich"].inputs == 0
+    assert resumed.records() == 0
+    assert json.loads((cfg.resolved_out_dir() / "tracks.geojson").read_text("utf-8"))[
+        "features"] == []
+
+
+_OFFLINE_RUN = """
+import json, sys
+import gpx_harvest, gpx_harvest.cli
+from gpx_harvest.config import load_config
+from gpx_harvest.synthetic import build_demo_crawl
+
+cfg = load_config(build_demo_crawl(sys.argv[1]).config)
+records = gpx_harvest.run_pipeline(cfg).records()
+print(json.dumps({"records": records, "loaded": sorted(
+    name for name in ("requests", "urllib3", "charset_normalizer", "subprocess")
+    if name in sys.modules)}))
+"""
+
+
+def test_an_offline_run_never_imports_the_http_stack_or_subprocess(tmp_path):
+    # pytest itself has loaded subprocess, so only a fresh interpreter can tell.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _OFFLINE_RUN, str(tmp_path / "crawl")],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == {"records": 2, "loaded": []}
 
 
 def test_empty_candidates_file_gives_empty_outputs(crawl, tmp_path):

@@ -4,6 +4,7 @@ import threading
 import time
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from gpx_harvest import warc_fetch
 from gpx_harvest.index_scan import CandidateRecord
 from gpx_harvest.synthetic import warc_response_member, write_warc
 from gpx_harvest.warc_fetch import (FetchFailedError, FetchPolicy, FixtureTransport,
-                                    PayloadDecodeError, PayloadTooLargeError, RateLimiter,
+                                    HttpRangeTransport, PayloadDecodeError, PayloadTooLargeError, RateLimiter,
                                     WarcRecordSkippedError, WarcSlice, build_range_header,
                                     extract_payload, fetch_candidate, fetch_many)
 
@@ -98,6 +99,23 @@ def test_fixture_transport_reads_only_the_range(tmp_path):
     with pytest.raises(FetchFailedError, match="short read: 24 of 50 bytes"):
         fetch_candidate(candidate(offset=1000, length=50), policy(max_retries=1),
                         transport)
+
+
+def test_http_range_transport_binds_requests_get_when_built(monkeypatch):
+    calls = []
+
+    class Response:
+        status_code = 206
+        content = b"abcde"
+
+    def fake_get(url, headers=None, timeout=None):
+        calls.append((url, headers, timeout))
+        return Response()
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    transport = HttpRangeTransport(timeout_s=7.5)
+    assert transport.get_range("https://data.example/x.warc.gz", 10, 5) == (206, b"abcde")
+    assert calls == [("https://data.example/x.warc.gz", {"Range": "bytes=10-14"}, 7.5)]
 
 
 def test_fetch_candidate_404_exhausts_retries():
