@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fetch = add_stage("fetch", "Fetch candidate payloads by byte range")
     fetch.add_argument("--candidates", help="Candidates file from the index stage")
-    fetch.add_argument("--out", help="Directory for raw payloads (default <workdir>/raw)")
+    fetch.add_argument("--out", help="File the payloads are appended to, or a directory "
+                                     "for payloads.bin (default <workdir>/payloads.bin)")
     fetch.add_argument("--fixture-dir", help="Serve WARC ranges from this local directory")
     fetch.add_argument("--base-url", help="Archive endpoint (or set GPX_HARVEST_BASE_URL)")
 
@@ -119,7 +120,7 @@ def _build_paths(cfg: PipelineConfig, args: argparse.Namespace) -> PipelinePaths
         if getattr(args, "candidates", None):
             paths.candidates = Path(args.candidates)
         if out:
-            paths.raw_dir = Path(out)
+            paths.payloads = _file_arg(out, "payloads.bin")
     if command == "parse":
         if in_path:
             paths.fetched = _file_arg(in_path, "fetched.jsonl")

@@ -8,7 +8,6 @@ Accepts GPX 1.0, GPX 1.1 and namespace-less documents.  Route files
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
 
@@ -64,7 +63,6 @@ class Track:
 class GpxDocument:
     tracks: list[Track]
     source_url: str
-    content_hash: bytes  # sha256 over the exact payload bytes
 
 
 @dataclass
@@ -223,8 +221,7 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
             if track.desc is None:
                 track.desc = doc_desc
 
-    return GpxDocument(tracks=tracks, source_url=url,
-                       content_hash=hashlib.sha256(payload).digest())
+    return GpxDocument(tracks=tracks, source_url=url)
 
 
 def extract_single_track(doc: GpxDocument) -> Track | None:

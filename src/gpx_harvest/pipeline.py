@@ -16,25 +16,34 @@ metrics pass, however many captures carry it.  This is exact because each of
 those steps is a deterministic function of its key; exclusions and counters
 are still tallied once per row, so reports and exports do not change.
 
+Fetch appends each distinct payload once to one ``payloads.bin`` file,
+written together with ``fetched.jsonl``; each row carries the file's path,
+the payload's byte offset and its length, and its ``content_hash`` is the
+sha256 of those bytes.  Parse is the only stage that reads ``payloads.bin``,
+so it must survive only until parse completes, and fetch's manifest does not
+list it.
+
 Rows passed up to metrics carry ids, the description and scalars, never
-geometry.  Parse is the only stage that reads the ``raw/<sha256>.gpx``
-payloads fetch wrote, so ``raw/`` must survive only until parse completes.
-Parse appends each accepted track's arrays to one ``tracks.f64`` file of raw
-little-endian float64 values (lat block, lon block, ele block, each over all
-segments), written together with ``parsed.jsonl``; each row carries the
-file's path, the track's byte offset, its segment lengths and the sha256 of
-its bytes.  Metrics reads the arrays back from that file and never parses
-GPX; a missing file, a short read or a digest mismatch stops it with an
-error naming the file.
+geometry.  Parse appends each accepted track's arrays to one ``tracks.f64``
+file of raw little-endian float64 values (lat block, lon block, ele block,
+each over all segments), written together with ``parsed.jsonl``; each row
+carries the file's path, the track's byte offset, its segment lengths and
+the sha256 of its bytes.  Metrics reads the arrays back from that file and
+never parses GPX.
 
 Metrics writes each content hash's coordinates once, as the exact JSON text
 both exports embed, to one ``geometry.jsonl`` file (one text per line),
 written together with ``final.jsonl`` and listed in metrics' manifest.  Each
 ``final.jsonl`` row carries the scalar record plus that file's path, the
 text's byte offset, its length and its sha256, never the text.  Export
-dedups those thin rows and then reads each survivor's text by offset, with
-the same checks, one record at a time.  Fetch, parse and metrics stream their
-rows to disk as they go; DEM tiles are read by row window (see ``elevation``).
+dedups those thin rows and then reads each survivor's text by offset, one
+record at a time.
+
+Payloads, tracks and coordinates texts are all read back through
+``StoredFiles``: a missing file, a short read or bytes that no longer match
+the row's sha256 stop the reading stage with an error naming the file.
+Index, fetch, parse and metrics stream their rows to disk as they go; DEM
+tiles are read by row window (see ``elevation``).
 """
 
 from __future__ import annotations
@@ -46,10 +55,10 @@ import logging
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -117,7 +126,7 @@ class PipelinePaths:
 
     workdir: Path
     candidates: Path | None = None
-    raw_dir: Path | None = None
+    payloads: Path | None = None
     fetched: Path | None = None
     fetch_failures: Path | None = None
     parsed: Path | None = None
@@ -130,7 +139,7 @@ class PipelinePaths:
         self.workdir = Path(self.workdir)
         defaults = {
             "candidates": self.workdir / "candidates.jsonl",
-            "raw_dir": self.workdir / "raw",
+            "payloads": self.workdir / "payloads.bin",
             "fetched": self.workdir / "fetched.jsonl",
             "fetch_failures": self.workdir / "fetch_failures.jsonl",
             "parsed": self.workdir / "parsed.jsonl",
@@ -220,15 +229,11 @@ def stage_index(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     report = StageReport("index")
     stats = ScanStats()
-    rows = []
-    for shard in shard_paths:
-        try:
-            for record in scan_index(iter_shard_lines(shard), stats):
-                rows.append(record.__dict__)
-        except OSError as exc:
-            raise PipelineError(f"stage index: cannot read shard {shard}: {exc}") from exc
-
-    write_jsonl(paths.candidates, rows)
+    # Each candidate streams to candidates.jsonl as the scan yields it.
+    with atomic_files((paths.candidates, "w")) as (candidates,):
+        for shard in shard_paths:
+            _write_rows(candidates, (record.__dict__
+                                     for record in scan_index(_shard_lines(shard), stats)))
     report.inputs = stats.lines
     report.outputs = stats.candidates
     report.excluded = {}
@@ -239,6 +244,14 @@ def stage_index(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     return _finish_stage(paths, report, _stage_outputs(cfg, paths, "index"))
 
 
+def _shard_lines(shard: str) -> Iterator[str]:
+    """``iter_shard_lines``, with a failure to read the shard as a PipelineError."""
+    try:
+        yield from iter_shard_lines(shard)
+    except OSError as exc:
+        raise PipelineError(f"stage index: cannot read shard {shard}: {exc}") from exc
+
+
 def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     rows = read_jsonl(paths.candidates, "fetch")
     candidates = [CandidateRecord(**row) for row in rows]
@@ -247,12 +260,16 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     report = StageReport("fetch")
     report.inputs = len(candidates)
-    paths.raw_dir.mkdir(parents=True, exist_ok=True)
+    payloads_path = str(paths.payloads)
 
-    written = set()
+    offsets: dict[str, int] = {}  # content hash -> where its bytes start in payloads.bin
     # Each result streams to fetched.jsonl or fetch_failures.jsonl as it
-    # arrives; both files are replaced together once every candidate is done.
-    with atomic_files((paths.fetched, "w"), (paths.fetch_failures, "w")) as (fetched, failures):
+    # arrives, and each distinct payload to payloads.bin; the three files are
+    # replaced together once every candidate is done.  The transport is closed
+    # when fetching ends, releasing a live transport's connections.
+    with (closing(transport),
+          atomic_files((paths.payloads, "wb"), (paths.fetched, "w"),
+                       (paths.fetch_failures, "w")) as (payloads, fetched, failures)):
         for candidate, result in fetch_many(candidates, cfg.fetch, transport):
             if isinstance(result, FetchFailedError):
                 reason, problem = "fetch-failed", result
@@ -272,12 +289,13 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                 _write_rows(failures, [{"url": candidate.url, "reason": str(problem)}])
                 continue
             digest = hashlib.sha256(payload).hexdigest()
-            payload_path = paths.raw_dir / f"{digest}.gpx"
-            if digest not in written:
-                payload_path.write_bytes(payload)
-                written.add(digest)
+            if digest not in offsets:
+                offsets[digest] = payloads.tell()
+                payloads.write(payload)
             _write_rows(fetched, [{**candidate.__dict__, "content_hash": digest,
-                                   "payload": str(payload_path)}])
+                                   "payload_file": payloads_path,
+                                   "payload_offset": offsets[digest],
+                                   "payload_length": len(payload)}])
             report.outputs += 1
 
     logger.info("fetch: %d candidates -> %d payloads (%d failed)",
@@ -291,18 +309,21 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.inputs = len(rows)
     tracks_path = str(paths.tracks)
 
-    def parse_one(row: dict, tracks: BinaryIO) -> tuple[str | None, dict | None, ParseStats]:
+    def parse_one(row: dict, payloads: StoredFiles, tracks: BinaryIO
+                  ) -> tuple[str | None, dict | None, ParseStats]:
         """(exclusion reason, fields added to the row, what parsing dropped).
 
         An accepted track's arrays are appended to ``tracks``; the fields
         locate them there.
         """
         stats = ParseStats()
-        payload_path = Path(row.get("payload") or paths.raw_dir / f"{row['content_hash']}.gpx")
-        if not payload_path.exists():
-            raise PipelineError(f"stage parse: missing payload {payload_path}")
+        if "payload_file" not in row:
+            raise PipelineError(f"stage parse: {paths.fetched} does not locate the payload of "
+                                f"{row['url']} in a payloads file; run fetch again")
+        payload = payloads.read(row["payload_file"], row["payload_offset"],
+                                row["payload_length"], row["content_hash"])
         try:
-            doc = parse_gpx(payload_path.read_bytes(), row["url"], stats)
+            doc = parse_gpx(payload, row["url"], stats)
         except GpxParseError:
             return "parse-error", None, stats
         track = extract_single_track(doc)
@@ -325,11 +346,12 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     outcomes: dict[str, tuple] = {}
     # Each accepted track streams into the tracks file, and its row into
     # parsed.jsonl, as soon as it is parsed.
-    with atomic_files((paths.tracks, "wb"), (paths.parsed, "w")) as (tracks, parsed):
+    with (StoredFiles("parse", "payload", "fetch") as payloads,
+          atomic_files((paths.tracks, "wb"), (paths.parsed, "w")) as (tracks, parsed)):
         for row in rows:
             digest = row["content_hash"]
             if digest not in outcomes:
-                outcomes[digest] = parse_one(row, tracks)
+                outcomes[digest] = parse_one(row, payloads, tracks)
             reason, fields, stats = outcomes[digest]
             totals.points_dropped += stats.points_dropped
             totals.tracks_dropped += stats.tracks_dropped

@@ -22,7 +22,6 @@ def test_parse_minimal_document_preserves_desc():
     assert track.point_count() == 2
     first = track.segments[0]
     assert (first.lat[0], first.lon[0], first.ele[0]) == (51.0, -0.5, 12.0)
-    assert len(doc.content_hash) == 32
 
 
 def test_parse_rejects_html():
@@ -142,11 +141,6 @@ def test_segment_arrays_must_match():
         Segment(lat=[50.0, 50.1], lon=[6.0])
     with pytest.raises(ValueError):
         Segment(lat=[50.0], lon=[6.0], ele=[1.0, 2.0])
-
-def test_content_hash_is_payload_digest():
-    import hashlib
-    payload = gpx_xml([{"segments": [[(50.0, 6.0)]]}])
-    assert parse_gpx(payload, URL).content_hash == hashlib.sha256(payload).digest()
 
 
 # --- extract_single_track ------------------------------------------------------

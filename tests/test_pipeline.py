@@ -407,8 +407,18 @@ def test_cli_fetch_with_fixture_dir(crawl, tmp_path):
     assert main(["index", "--shards", str(crawl.shard), "--workdir", str(workdir)]) == 0
     assert main(["fetch", "--workdir", str(workdir),
                  "--fixture-dir", str(crawl.warc_dir)]) == 0
-    raw = list((workdir / "raw").glob("*.gpx"))
-    assert len(raw) == 6
+    rows = [json.loads(line) for line in (workdir / "fetched.jsonl").read_text("utf-8").splitlines()]
+    data = (workdir / "payloads.bin").read_bytes()
+    payloads = {data[row["payload_offset"]:row["payload_offset"] + row["payload_length"]]
+                for row in rows}
+    assert len(payloads) == 6
+    assert len(data) == sum(map(len, payloads))
+    assert not (workdir / "raw").exists()
+
+    # An --out ending in a slash is a directory that gets payloads.bin.
+    assert main(["fetch", "--workdir", str(workdir), "--fixture-dir", str(crawl.warc_dir),
+                 "--out", f"{tmp_path / 'raw'}/"]) == 0
+    assert (tmp_path / "raw" / "payloads.bin").read_bytes() == data
 
 
 def test_cli_fatal_error_exit_code(tmp_path):

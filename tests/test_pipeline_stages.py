@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,28 +13,39 @@ from gpx_harvest import judges
 from gpx_harvest import pipeline as pipeline_module
 from gpx_harvest.config import FilterConfig, PipelineConfig
 from gpx_harvest.pipeline import (PipelineError, PipelinePaths, StageReport, run_pipeline,
-                                  stage_enrich, stage_export, stage_fetch, stage_metrics,
-                                  stage_parse, write_jsonl)
+                                  stage_enrich, stage_export, stage_fetch, stage_index,
+                                  stage_metrics, stage_parse, write_jsonl)
 from gpx_harvest.synthetic import constant_tile, gpx_xml, line_points, warc_response_member
-from gpx_harvest.warc_fetch import FetchPolicy
+from gpx_harvest.warc_fetch import FetchPolicy, FixtureTransport
 
 GOOD_DESC = ("A long and rewarding walk through the valley and up to the old "
              "watchtower, with a steady climb and a fine descent through the woods.")
 
 
+def test_index_stage_stops_on_an_unreadable_shard(tmp_path):
+    shard = tmp_path / "cdx-00000.gz"
+    shard.write_bytes(b"\x1f\x8b not really gzip")
+    cfg = PipelineConfig(workdir=tmp_path, shards=str(tmp_path / "cdx-*.gz"))
+    paths = PipelinePaths(workdir=tmp_path)
+    with pytest.raises(PipelineError, match=re.escape(f"stage index: cannot read shard {shard}")):
+        stage_index(cfg, paths)
+    assert not paths.candidates.exists()
+
+
 def seed_fetched(paths, payloads):
-    """Write payload files plus the fetched.jsonl the parse stage reads."""
-    paths.raw_dir.mkdir(parents=True, exist_ok=True)
+    """Write the payloads file plus the fetched.jsonl the parse stage reads."""
     rows = []
+    offset = 0
     for i, payload in enumerate(payloads):
-        digest = hashlib.sha256(payload).hexdigest()
-        payload_path = paths.raw_dir / f"{digest}.gpx"
-        payload_path.write_bytes(payload)
         rows.append({"url": f"http://t.example/{i}.gpx", "mime_detected": "application/gpx+xml",
                      "warc_file": "crawl-data/CC-MAIN-2024-10/w.warc.gz",
                      "warc_offset": i * 1000, "warc_len": 999,
-                     "crawl_id": "CC-MAIN-2024-10", "content_hash": digest,
-                     "payload": str(payload_path)})
+                     "crawl_id": "CC-MAIN-2024-10",
+                     "content_hash": hashlib.sha256(payload).hexdigest(),
+                     "payload_file": str(paths.payloads), "payload_offset": offset,
+                     "payload_length": len(payload)})
+        offset += len(payload)
+    paths.payloads.write_bytes(b"".join(payloads))
     write_jsonl(paths.fetched, rows)
     return rows
 
@@ -61,6 +73,38 @@ def test_parse_stage_counts_parse_error_and_no_track(tmp_path):
     report = stage_parse(cfg, paths)
     assert report.excluded == {"parse-error": 1, "no-track": 1}
     assert report.outputs == 1
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "edited"])
+def test_parse_stage_needs_the_payload_file_unchanged(tmp_path, damage):
+    cfg = PipelineConfig(workdir=tmp_path)
+    paths = PipelinePaths(workdir=tmp_path)
+    rows = seed_fetched(paths, [good_track_payload(), good_track_payload(GOOD_DESC + " Twice.")])
+    payloads = Path(rows[0]["payload_file"])
+    assert payloads == paths.payloads
+    data = bytearray(payloads.read_bytes())
+    if damage == "missing":
+        payloads.unlink()
+    elif damage == "truncated":
+        payloads.write_bytes(data[:-1])
+    else:  # one byte inside the second payload, same size
+        data[rows[1]["payload_offset"] + rows[1]["payload_length"] // 2] ^= 0x01
+        payloads.write_bytes(bytes(data))
+    with pytest.raises(PipelineError, match=re.escape(str(payloads))):
+        stage_parse(cfg, paths)
+    assert not paths.manifest("parse").exists()
+    assert not paths.parsed.exists() and not paths.tracks.exists()
+
+
+def test_parse_stage_asks_for_fetch_again_on_rows_without_a_payload_file(tmp_path):
+    cfg = PipelineConfig(workdir=tmp_path)
+    paths = PipelinePaths(workdir=tmp_path)
+    [row] = seed_fetched(paths, [good_track_payload()])
+    del row["payload_file"], row["payload_offset"], row["payload_length"]
+    write_jsonl(paths.fetched, [{**row, "payload": str(tmp_path / "raw" / "old.gpx")}])
+    with pytest.raises(PipelineError, match="run fetch again"):
+        stage_parse(cfg, paths)
+    assert not paths.parsed.exists()
 
 
 def seed_parsed(paths, descs):
@@ -191,8 +235,7 @@ def test_metrics_stage_reads_the_tracks_file_without_the_raw_payloads(tmp_path):
     assert [row["segment_lengths"] for row in rows] == [[2, 3], [2]]
     assert rows[1]["track_offset"] == 3 * 5 * 8
     assert paths.tracks.stat().st_size == 3 * 7 * 8
-    for payload in paths.raw_dir.iterdir():
-        payload.unlink()
+    paths.payloads.unlink()
 
     report = stage_metrics(cfg, paths)
     assert report.outputs == 2
@@ -392,6 +435,39 @@ def test_fetch_stage_counts_corrupt_deflate_data_as_decode_error(tmp_path):
     assert report.outputs == 1
 
 
+def test_fetch_stage_closes_its_live_sessions_when_it_ends(tmp_path, monkeypatch):
+    import requests
+
+    paths = PipelinePaths(workdir=tmp_path)
+    cfg, _ = seed_candidates(tmp_path, paths, [
+        ("http://t.example/ok.gpx", "CC-MAIN-2024-10",
+         warc_response_member("http://t.example/ok.gpx", good_track_payload())),
+    ])
+    archive = FixtureTransport(cfg.fixture_dir)
+    cfg.fixture_dir = None  # fetch builds the live transport
+    sessions = []
+
+    class Session:
+        """Serves the ranges from the fixture directory, as the archive would."""
+
+        def __init__(self):
+            self.closed = False
+            sessions.append(self)
+
+        def get(self, url, headers, timeout):
+            first, last = map(int, headers["Range"].removeprefix("bytes=").split("-"))
+            status, content = archive.get_range(url, first, last - first + 1)
+            return SimpleNamespace(status_code=status, content=content)
+
+        def close(self):
+            self.closed = True
+
+    monkeypatch.setattr(requests, "Session", Session)
+    report = stage_fetch(cfg, paths)
+    assert report.outputs == 1
+    assert len(sessions) == 1 and sessions[0].closed
+
+
 def test_fetch_stage_excludes_an_oversized_record(tmp_path, monkeypatch):
     from gpx_harvest import warc_fetch
 
@@ -448,22 +524,25 @@ def test_stages_share_work_per_payload_and_description(tmp_path, monkeypatch):
         [(url, crawl, warc_response_member(url, payloads[name])) for url, crawl, name in captures])
     cfg.filters.rare_lang_cutoff = 0
 
-    writes = []
-    write_bytes = Path.write_bytes
-    monkeypatch.setattr(Path, "write_bytes",
-                        lambda path, data: writes.append(path.name) or write_bytes(path, data))
     report = stage_fetch(cfg, paths)
-    monkeypatch.undo()
     assert (report.inputs, report.outputs, report.excluded) == (8, 8, {})
-    assert sorted(writes) == sorted(f"{hashlib.sha256(p).hexdigest()}.gpx"
-                                    for p in payloads.values())
+    # Each distinct payload is stored once, in capture order, and every
+    # capture of it points at that one copy.
+    assert paths.payloads.read_bytes() == b"".join(payloads.values())
+    fetched = [json.loads(line) for line in paths.fetched.read_text("utf-8").splitlines()]
+    offsets = {}
+    for row, (_, _, name) in zip(fetched, captures):
+        assert row["content_hash"] == hashlib.sha256(payloads[name]).hexdigest()
+        assert row["payload_length"] == len(payloads[name])
+        assert offsets.setdefault(row["content_hash"], row["payload_offset"]) == row["payload_offset"]
+    assert len(offsets) == len(payloads)
 
     parsed = []
     parse_gpx = pipeline_module.parse_gpx
     monkeypatch.setattr(pipeline_module, "parse_gpx",
                         lambda payload, *args: parsed.append(payload) or parse_gpx(payload, *args))
     report = stage_parse(cfg, paths)
-    assert len(parsed) == len(set(parsed)) == 4
+    assert len(parsed) == len({bytes(payload) for payload in parsed}) == 4
     assert (report.inputs, report.outputs) == (8, 6)
     assert report.excluded == {"too-short": 2}
     assert report.info == {"points_dropped": 2, "tracks_dropped": 0}

@@ -101,21 +101,63 @@ def test_fixture_transport_reads_only_the_range(tmp_path):
                         transport)
 
 
-def test_http_range_transport_binds_requests_get_when_built(monkeypatch):
-    calls = []
+class RangeResponse:
+    status_code = 206
+    content = b"abcde"
 
-    class Response:
-        status_code = 206
-        content = b"abcde"
 
-    def fake_get(url, headers=None, timeout=None):
-        calls.append((url, headers, timeout))
-        return Response()
+class FakeSession:
+    """Stands in for ``requests.Session``: records each instance and GET."""
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    built = []
+
+    def __init__(self):
+        self.calls = []
+        self.closed = False
+        FakeSession.built.append(self)
+
+    def get(self, url, headers=None, timeout=None):
+        self.calls.append((url, headers, timeout))
+        return RangeResponse()
+
+    def close(self):
+        self.closed = True
+
+
+def test_http_range_transport_uses_a_requests_session_when_built(monkeypatch):
+    monkeypatch.setattr(FakeSession, "built", [])
+    monkeypatch.setattr(requests, "Session", FakeSession)
     transport = HttpRangeTransport(timeout_s=7.5)
     assert transport.get_range("https://data.example/x.warc.gz", 10, 5) == (206, b"abcde")
-    assert calls == [("https://data.example/x.warc.gz", {"Range": "bytes=10-14"}, 7.5)]
+    [session] = FakeSession.built
+    assert session.calls == [("https://data.example/x.warc.gz", {"Range": "bytes=10-14"}, 7.5)]
+
+
+def test_http_range_transport_keeps_one_session_per_thread(monkeypatch):
+    monkeypatch.setattr(FakeSession, "built", [])
+    monkeypatch.setattr(requests, "Session", FakeSession)
+    transport = HttpRangeTransport()
+    url = "https://data.example/x.warc.gz"
+    for offset in (0, 10, 20):
+        assert transport.get_range(url, offset, 5) == (206, b"abcde")
+    assert [len(s.calls) for s in FakeSession.built] == [3]
+
+    other = threading.Thread(target=transport.get_range, args=(url, 30, 5))
+    other.start()
+    other.join(timeout=10)
+    assert not other.is_alive()
+    transport.get_range(url, 40, 5)
+    assert [len(s.calls) for s in FakeSession.built] == [4, 1]
+
+    transport.close()
+    assert [s.closed for s in FakeSession.built] == [True, True]
+    transport.get_range(url, 50, 5)  # a range after close builds a fresh session
+    assert [len(s.calls) for s in FakeSession.built] == [4, 1, 1]
+
+    calls = []
+    injected = HttpRangeTransport(get=lambda *args, **kwargs: calls.append(args) or RangeResponse())
+    assert injected.get_range(url, 0, 5) == (206, b"abcde")
+    assert calls == [(url,)]
 
 
 def test_fetch_candidate_404_exhausts_retries():
