@@ -33,10 +33,10 @@ with tempfile.TemporaryDirectory() as tmp:
     print("range header:", build_range_header(offset, length))
 
     policy = FetchPolicy(rate_limit_per_s=100.0, base_url="https://data.example")
-    warc_slice = fetch_candidate(candidate, policy, FixtureTransport(tmp))
-    print(f"fetched {len(warc_slice.record_bytes)} record bytes")
+    record_bytes = fetch_candidate(candidate, policy, FixtureTransport(tmp))
+    print(f"fetched {len(record_bytes)} record bytes")
 
-    recovered = extract_payload(warc_slice)
+    recovered = extract_payload(record_bytes)
     assert recovered == payload
     print(f"unwrapped {len(recovered)} payload bytes:")
     print(recovered.decode()[:120] + "...")

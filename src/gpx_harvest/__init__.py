@@ -7,8 +7,8 @@ plus length/elevation metrics and a country.
 """
 
 from .config import FilterConfig, PipelineConfig, load_config
-from .descriptions import (CleanDescription, PiiFlags, clean_text, filter_rare_languages,
-                           mask_pii, passes_length_bounds)
+from .descriptions import (PiiFlags, clean_text, filter_rare_languages, mask_pii,
+                           passes_length_bounds)
 from .elevation import (DEM_SOURCE, GPS_SOURCE, ElevationUnavailableError, SrtmTile,
                         TileStore, backfill_elevation, read_hgt, sample_elevation,
                         tile_name_for, write_hgt)
@@ -25,18 +25,17 @@ from .judges import (ChatEndpointJudge, CommandTranslator, JudgeUnavailableError
                      judge_pii, judge_quality, parse_verdict, translate_to_english)
 from .language import detect_language, profile_languages
 from .pipeline import PipelineError, PipelinePaths, PipelineStats, run_pipeline
-from .records import (OutputRecord, RecordAssemblyError, assemble_record, dedup,
-                      export_records, passes_track_filters)
+from .records import RecordAssemblyError, dedup, export_records, passes_track_filters
 from .warc_fetch import (FetchFailedError, FetchPolicy, FixtureTransport,
                          HttpRangeTransport, PayloadDecodeError, RateLimiter,
-                         WarcRecordSkippedError, WarcSlice, build_range_header,
+                         WarcRecordSkippedError, build_range_header,
                          extract_payload, fetch_candidate, fetch_many)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FilterConfig", "PipelineConfig", "load_config",
-    "CleanDescription", "PiiFlags", "clean_text", "filter_rare_languages",
+    "PiiFlags", "clean_text", "filter_rare_languages",
     "mask_pii", "passes_length_bounds",
     "DEM_SOURCE", "GPS_SOURCE", "ElevationUnavailableError", "SrtmTile", "TileStore",
     "backfill_elevation", "read_hgt", "sample_elevation", "tile_name_for", "write_hgt",
@@ -52,10 +51,9 @@ __all__ = [
     "judge_quality", "parse_verdict", "translate_to_english",
     "detect_language", "profile_languages",
     "PipelineError", "PipelinePaths", "PipelineStats", "run_pipeline",
-    "OutputRecord", "RecordAssemblyError", "assemble_record", "dedup",
-    "export_records", "passes_track_filters",
+    "RecordAssemblyError", "dedup", "export_records", "passes_track_filters",
     "FetchFailedError", "FetchPolicy", "FixtureTransport", "HttpRangeTransport",
-    "PayloadDecodeError", "RateLimiter", "WarcRecordSkippedError", "WarcSlice",
+    "PayloadDecodeError", "RateLimiter", "WarcRecordSkippedError",
     "build_range_header", "extract_payload", "fetch_candidate", "fetch_many",
     "__version__",
 ]

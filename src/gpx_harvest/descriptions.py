@@ -166,16 +166,6 @@ def find_raw_pii(text: str) -> list[str]:
     return hits
 
 
-@dataclass
-class CleanDescription:
-    """A description that survived the text pipeline."""
-
-    text: str  # cleaned, masked, original language
-    lang: str  # lowercase ISO-639-1 code or "unknown"
-    text_en: str
-    pii: PiiFlags
-
-
 T = TypeVar("T")
 
 

@@ -213,7 +213,6 @@ _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # point, first character in the highest bits, missing characters zero.  Code
 # points are below 2**21, so a code never reaches the sign bit.
 _BITS = 21
-_CHAR_MASK = (1 << _BITS) - 1
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
@@ -262,17 +261,8 @@ def _ranked_codes(text: str) -> np.ndarray:
     return codes[np.argsort(-counts, kind="stable")[:_PROFILE_SIZE]]
 
 
-def _decode(code: int) -> str:
-    return "".join(chr(c) for c in ((code >> (2 * _BITS)) & _CHAR_MASK,
-                                    (code >> _BITS) & _CHAR_MASK, code & _CHAR_MASK) if c)
-
-
 _SEED_CODES = [_ranked_codes(seed) for seed in _SEEDS.values()]
 _LANGUAGES = list(_SEEDS)
-_PROFILES: dict[str, dict[str, int]] = {
-    lang: {_decode(code): rank for rank, code in enumerate(codes.tolist())}
-    for lang, codes in zip(_LANGUAGES, _SEED_CODES)
-}
 
 
 def _rank_matrix(seed_codes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +292,7 @@ def _columns(codes: np.ndarray) -> np.ndarray:
 
 def profile_languages() -> list[str]:
     """Language codes the detector can return (besides "unknown")."""
-    return sorted(_PROFILES)
+    return sorted(_LANGUAGES)
 
 
 def detect_language(text: str) -> str:

@@ -2,11 +2,13 @@
 
 Each stage reads its predecessor's files under the work directory, writes its
 own output plus a manifest, and reports a funnel line (inputs = outputs +
-exclusions).  The manifest records the size and sha256 of every output, and a
-re-run skips a stage only while each output still matches them.  Before a
-stage executes, the manifests of every later stage are deleted, so deleting,
-truncating or editing one stage's output recomputes that stage and those
-after it, and so does running one stage on its own before the next ``run``.
+exclusions).  The manifest records the config values the stage reads (its
+thresholds, sources and judges, not its retries or parallelism) and the size
+and sha256 of every output, and a re-run skips a stage only while the config
+still holds those values and each output still matches.  Before a stage
+executes, the manifests of every later stage are deleted, so changing one of
+a stage's settings, deleting, truncating or editing its output, or running it
+on its own before the next ``run`` recomputes that stage and those after it.
 
 Parse, enrich and metrics each do their work once per distinct input and
 repeat the outcome for every row carrying that input: parse and metrics per
@@ -35,9 +37,11 @@ Metrics writes each content hash's coordinates once, as the exact JSON text
 both exports embed, to one ``geometry.jsonl`` file (one text per line),
 written together with ``final.jsonl`` and listed in metrics' manifest.  Each
 ``final.jsonl`` row carries the scalar record plus that file's path, the
-text's byte offset, its length and its sha256, never the text.  Export
-dedups those thin rows and then reads each survivor's text by offset, one
-record at a time.
+text's byte offset, its length and its sha256, never the text.  The scalar
+record is the dict every export encodes: the 16 properties, keyed in
+``records.SCALAR_PROPERTIES`` order.  Export dedups those thin rows and then
+reads each survivor's text by offset, adding it to the record as
+``"geometry"``, one record at a time.
 
 Payloads, tracks and coordinates texts are all read back through
 ``StoredFiles``: a missing file, a short read or bytes that no longer match
@@ -64,8 +68,7 @@ import numpy as np
 
 from . import judges
 from .config import PipelineConfig
-from .descriptions import (CleanDescription, PiiFlags, clean_text, filter_rare_languages,
-                           length_exclusion, mask_pii)
+from .descriptions import clean_text, filter_rare_languages, length_exclusion, mask_pii
 from .elevation import ElevationUnavailableError, TileFileError, TileStore, backfill_elevation
 from .geo_metrics import (compute_track_metrics, first_point_countries, length_2d,
                           load_boundaries, pick_country)
@@ -73,7 +76,7 @@ from .gpx_model import (GpxParseError, ParseStats, Segment, Track, extract_singl
                         parse_gpx)
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .language import detect_language
-from .records import (OutputRecord, assemble_record, atomic_files, dedup, export_paths,
+from .records import (SCALAR_PROPERTIES, atomic_files, coordinates_text, dedup, export_paths,
                       export_records, passes_track_filters)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, PayloadTooLargeError, WarcRecordSkippedError,
@@ -177,7 +180,7 @@ def read_jsonl(path: Path, stage: str) -> list[dict]:
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def _finish_stage(paths: PipelinePaths, report: StageReport, outputs: list[Path]) -> StageReport:
+def _finish_stage(cfg: PipelineConfig, paths: PipelinePaths, report: StageReport) -> StageReport:
     # Index keeps its line buckets in ``info`` (stats.json publishes them
     # there), so its funnel is not checked here.
     excluded = sum(report.excluded.values())
@@ -187,10 +190,36 @@ def _finish_stage(paths: PipelinePaths, report: StageReport, outputs: list[Path]
                             f"+ {excluded} excluded")
     write_json_atomic(paths.manifest(report.stage), {
         "stage": report.stage,
-        "outputs": [_output_entry(p) for p in outputs],
+        "settings": _stage_settings(cfg, report.stage),
+        "outputs": [_output_entry(p) for p in _stage_outputs(cfg, paths, report.stage)],
         "report": report.to_dict(),
     })
     return report
+
+
+def _stage_settings(cfg: PipelineConfig, stage: str) -> dict:
+    """The config values ``stage`` reads, as its manifest records them.
+
+    Retries, back-off, parallelism and the judge's key variable are left
+    out: none of them is a rule that decides which rows a stage keeps.
+    """
+    filters = cfg.filters
+    settings = {
+        "index": {"shards": cfg.shards},
+        "fetch": {"fixture_dir": cfg.fixture_dir, "base_url": cfg.fetch.base_url},
+        "parse": {"min_length_m": filters.min_length_m, "max_length_m": filters.max_length_m,
+                  "min_points_per_100m": filters.min_points_per_100m},
+        "enrich": {"desc_min_chars": filters.desc_min_chars,
+                   "desc_max_chars_exclusive": filters.desc_max_chars_exclusive,
+                   "rare_lang_cutoff": filters.rare_lang_cutoff, "judge": cfg.judge,
+                   "judge_model": cfg.judge_model, "translator": cfg.translator},
+        "metrics": {"circular_radius_m": filters.circular_radius_m,
+                    "elev_deadband_m": filters.elev_deadband_m, "srtm_dir": cfg.srtm_dir,
+                    "boundaries": cfg.boundaries},
+        "export": {},
+    }[stage]
+    # Paths become strings, as they read back from the manifest.
+    return json.loads(json.dumps(settings, default=str))
 
 
 def _stage_outputs(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> list[Path]:
@@ -241,7 +270,7 @@ def stage_index(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                    "malformed": stats.malformed, "blank": stats.blank}
     logger.info("index: %d lines -> %d candidates (%d malformed)",
                 stats.lines, stats.candidates, stats.malformed)
-    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "index"))
+    return _finish_stage(cfg, paths, report)
 
 
 def _shard_lines(shard: str) -> Iterator[str]:
@@ -300,7 +329,7 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     logger.info("fetch: %d candidates -> %d payloads (%d failed)",
                 len(candidates), report.outputs, sum(report.excluded.values()))
-    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "fetch"))
+    return _finish_stage(cfg, paths, report)
 
 
 def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -364,7 +393,7 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.info = {"points_dropped": totals.points_dropped,
                    "tracks_dropped": totals.tracks_dropped}
     logger.info("parse: %d payloads -> %d single-track activities", len(rows), report.outputs)
-    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "parse"))
+    return _finish_stage(cfg, paths, report)
 
 
 class StoredFiles(ExitStack):
@@ -478,7 +507,7 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.outputs = len(survivors)
     report.info = {"languages": dict(sorted(Counter(r["desc_lang"] for r in survivors).items()))}
     logger.info("enrich: %d tracks -> %d with usable descriptions", len(rows), len(survivors))
-    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "enrich"))
+    return _finish_stage(cfg, paths, report)
 
 
 def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -518,13 +547,9 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         elif len(matches) > 1:
             counters.append("country_ambiguous")
 
-        candidate = CandidateRecord(url=row["url"], mime_detected=row.get("mime_detected", ""),
-                                    warc_file=row["warc_file"], warc_offset=row["warc_offset"],
-                                    warc_len=row["warc_len"], crawl_id=row.get("crawl_id", ""))
-        desc = CleanDescription(text=row["desc"], lang=row["desc_lang"],
-                                text_en=row["desc_en"], pii=PiiFlags(**row["pii_flags"]))
-        record = vars(assemble_record(candidate, track, metrics, desc, country, elev_source))
-        text = record.pop("geometry").encode("utf-8")
+        fields = {**row, **vars(metrics), "country": country, "elev_source": elev_source}
+        record = {name: fields[name] for name in SCALAR_PROPERTIES}
+        text = coordinates_text(track, row["url"]).encode("utf-8")
         offset = geometry.tell()
         geometry.write(text + b"\n")
         return None, record, {"geometry_file": geometry_path, "geometry_offset": offset,
@@ -555,7 +580,7 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     report.info = dict(sorted(info.items()))
     logger.info("metrics: %d tracks -> %d records", len(rows), report.outputs)
-    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "metrics"))
+    return _finish_stage(cfg, paths, report)
 
 
 def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
@@ -572,9 +597,9 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     out_dir = cfg.resolved_out_dir()
     with StoredFiles("export", "geometry", "metrics") as geometry:
         # Each survivor's coordinates are read only as export reaches it.
-        records = (OutputRecord(**row["record"], geometry=geometry.read(
+        records = ({**row["record"], "geometry": geometry.read(
             row["geometry_file"], row["geometry_offset"], row["geometry_length"],
-            row["geometry_sha256"]).decode("utf-8")) for row in survivors)
+            row["geometry_sha256"]).decode("utf-8")} for row in survivors)
         try:
             export_records(records, out_dir)
         except OSError as exc:
@@ -583,7 +608,7 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     write_json_atomic(out_dir / "stats.json", _collect_stats(paths, report).to_dict())
     logger.info("export: %d records -> %s", len(survivors), out_dir)
-    return _finish_stage(paths, report, _stage_outputs(cfg, paths, "export"))
+    return _finish_stage(cfg, paths, report)
 
 
 _STAGE_FUNCTIONS = {
@@ -650,9 +675,13 @@ def _stage_is_complete(cfg: PipelineConfig, paths: PipelinePaths, stage: str) ->
         return False
     try:
         raw = json.loads(manifest.read_text(encoding="utf-8"))
-        # A manifest without sizes and digests (a bare path list) is incomplete,
-        # and so is one listing other files than the stage writes now, such as
-        # one written before the stage gained an output.
+        # A manifest written under other settings, or without any (written
+        # before manifests recorded them), is incomplete.
+        if raw["settings"] != _stage_settings(cfg, stage):
+            return False
+        # So is one without sizes and digests (a bare path list), and one
+        # listing other files than the stage writes now, such as one written
+        # before the stage gained an output.
         recorded = [entry["path"] for entry in raw["outputs"]]
         if recorded != [str(path) for path in _stage_outputs(cfg, paths, stage)]:
             return False
@@ -665,8 +694,8 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
                  resume: bool = True, paths: PipelinePaths | None = None) -> PipelineStats:
     """Run the requested stages (all six by default) and gather the report.
 
-    With resume enabled, stages whose outputs still match their manifest
-    are skipped.  Before a stage executes, the manifests of every later stage
+    With resume enabled, stages whose settings and outputs still match their
+    manifest are skipped.  Before a stage executes, the manifests of every later stage
     are deleted, so every later stage runs too, in this run or the next.
     The returned stats carry the saved reports of skipped stages plus the
     list of stages actually executed this run.

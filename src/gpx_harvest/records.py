@@ -1,9 +1,10 @@
-"""Output records: track filters, deduplication, assembly, and export.
+"""Output records: track filters, deduplication, coordinates text, and export.
 
-Every exported record carries the same 17 properties; geometry is a
-MultiLineString whose vertices are [lon, lat, elevation] triples, one line
-string per original segment.  ``assemble_record`` encodes them to JSON text
-once; metrics stores that exact text and both exports splice it in.
+A record is a dict of the 16 scalar properties, keyed in
+``SCALAR_PROPERTIES`` order, plus ``"geometry"``: the JSON text of a
+MultiLineString's coordinates, whose vertices are [lon, lat, elevation]
+triples, one line string per original segment.  ``coordinates_text`` encodes
+them once; metrics stores that exact text and both exports splice it in.
 ``export_records`` writes all three files in one pass, building and encoding
 each record's properties once.  Files are written through ``atomic_files``,
 so a failed write never leaves a partial file behind.
@@ -15,17 +16,13 @@ import csv
 import json
 import os
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .config import FilterConfig
-from .descriptions import CleanDescription
-from .geo_metrics import TrackMetrics
 from .gpx_model import Track
-from .index_scan import CandidateRecord
 
 SCALAR_PROPERTIES = (
     "url", "warc_file", "warc_offset", "warc_len", "country",
@@ -40,28 +37,7 @@ _ROUNDED_PROPERTIES = ("elev_highest", "elev_lowest", "uphill", "downhill",
 
 
 class RecordAssemblyError(Exception):
-    """A pipeline stage handed assembly an incomplete component (a bug)."""
-
-
-@dataclass
-class OutputRecord:
-    url: str
-    warc_file: str
-    warc_offset: int
-    warc_len: int
-    country: str
-    desc: str
-    desc_lang: str
-    desc_en: str
-    elev_source: str
-    elev_highest: float
-    elev_lowest: float
-    uphill: float
-    downhill: float
-    length_2d: float
-    length_3d: float
-    is_circular: bool
-    geometry: str  # JSON text of the coordinates: segments -> [lon, lat, elevation]
+    """A pipeline stage handed on a track it should have completed (a bug)."""
 
 
 def passes_track_filters(track: Track, length_2d_m: float,
@@ -81,44 +57,18 @@ def passes_track_filters(track: Track, length_2d_m: float,
     return True, None
 
 
-def assemble_record(candidate: CandidateRecord, track: Track, metrics: TrackMetrics,
-                    desc: CleanDescription, country: str, elev_source: str) -> OutputRecord:
-    """Combine all stage outputs into one output record.
+def coordinates_text(track: Track, url: str) -> str:
+    """The JSON text of the track's MultiLineString coordinates, full precision.
 
-    A missing component means a stage was skipped; that is a programming
-    error, reported by field name.
+    Every point must carry an elevation by now; one without is a
+    RecordAssemblyError naming ``url``.
     """
-    for field_name, value in (("candidate", candidate), ("track", track),
-                              ("metrics", metrics), ("desc", desc),
-                              ("country", country), ("elev_source", elev_source)):
-        if not value:
-            raise RecordAssemblyError(f"missing component: {field_name}")
-
     geometry = []
     for segment in track.segments:
         if np.isnan(segment.ele).any():
-            raise RecordAssemblyError(f"point without elevation in {candidate.url}")
+            raise RecordAssemblyError(f"point without elevation in {url}")
         geometry.append(np.column_stack((segment.lon, segment.lat, segment.ele)).tolist())
-
-    return OutputRecord(
-        url=candidate.url,
-        warc_file=candidate.warc_file,
-        warc_offset=candidate.warc_offset,
-        warc_len=candidate.warc_len,
-        country=country,
-        desc=desc.text,
-        desc_lang=desc.lang,
-        desc_en=desc.text_en,
-        elev_source=elev_source,
-        elev_highest=metrics.elev_highest,
-        elev_lowest=metrics.elev_lowest,
-        uphill=metrics.uphill,
-        downhill=metrics.downhill,
-        length_2d=metrics.length_2d,
-        length_3d=metrics.length_3d,
-        is_circular=metrics.is_circular,
-        geometry=json.dumps(geometry),
-    )
+    return json.dumps(geometry)
 
 
 def dedup(rows: Iterable[dict], url_key: str = "url", crawl_key: str = "crawl_id",
@@ -153,7 +103,7 @@ def dedup(rows: Iterable[dict], url_key: str = "url", crawl_key: str = "crawl_id
     return deduped
 
 
-def record_properties(record: OutputRecord) -> dict:
+def record_properties(record: dict) -> dict:
     """The 16 scalar properties, with metric values rounded to 2 decimals.
 
     Centimeter precision already exceeds GPS accuracy, and fixed rounding
@@ -161,14 +111,14 @@ def record_properties(record: OutputRecord) -> dict:
     """
     properties = {}
     for name in SCALAR_PROPERTIES:
-        value = getattr(record, name)
+        value = record[name]
         if name in _ROUNDED_PROPERTIES:
             value = round(float(value), 2)
         properties[name] = value
     return properties
 
 
-def encode_record(record: OutputRecord) -> tuple[dict, str, str]:
+def encode_record(record: dict) -> tuple[dict, str, str]:
     """The record's scalar properties, its GeoJSON Feature and its ``tracks.jsonl`` line.
 
     Both texts are exactly what ``json.dumps(..., ensure_ascii=False)`` writes.
@@ -177,7 +127,7 @@ def encode_record(record: OutputRecord) -> tuple[dict, str, str]:
     """
     properties = record_properties(record)
     text = json.dumps(properties, ensure_ascii=False)
-    geometry = f'{{"type": "MultiLineString", "coordinates": {record.geometry}}}'
+    geometry = f'{{"type": "MultiLineString", "coordinates": {record["geometry"]}}}'
     return (properties,
             f'{{"type": "Feature", "properties": {text}, "geometry": {geometry}}}',
             f'{text[:-1]}, "geometry": {geometry}}}')
@@ -222,7 +172,7 @@ def export_paths(out_dir: str | Path) -> dict[str, Path]:
     }
 
 
-def export_records(records: Iterable[OutputRecord], out_dir: str | Path) -> dict[str, Path]:
+def export_records(records: Iterable[dict], out_dir: str | Path) -> dict[str, Path]:
     """Write the dataset as GeoJSON, line-delimited JSON, and scalar CSV.
 
     Output order follows the input (dedup survivor order); identical inputs

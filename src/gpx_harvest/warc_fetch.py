@@ -59,14 +59,6 @@ class FetchPolicy:
             self.base_url = default_base_url()
 
 
-@dataclass
-class WarcSlice:
-    """The raw bytes of one WARC record (one gzip member) plus its candidate."""
-
-    record_bytes: bytes
-    candidate: CandidateRecord
-
-
 class FetchFailedError(Exception):
     """Candidate could not be retrieved after all attempts."""
 
@@ -164,7 +156,9 @@ class FixtureTransport:
     """Serves ranges from WARC files in a local directory, for offline runs.
 
     The WARC path is taken from the request URL's path, so the same candidate
-    records work against either transport.
+    records work against either transport.  A path whose ``..`` parts lead
+    out of ``root`` is answered 404, as a missing file is; symlinks under
+    ``root`` are the operator's and are followed.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -174,9 +168,11 @@ class FixtureTransport:
         """Nothing to release: each range opens and closes its WARC file."""
 
     def get_range(self, url: str, offset: int, length: int) -> tuple[int, bytes]:
-        relative = urlsplit(url).path.lstrip("/")
+        # Normalized as text, not resolved on disk: resolving costs a system
+        # call per path component on every range.
+        relative = os.path.normpath(urlsplit(url).path.lstrip("/"))
         path = self.root / relative
-        if not path.exists():
+        if relative.split(os.sep)[0] == os.pardir or not path.exists():
             return 404, b""
         with open(path, "rb") as handle:
             handle.seek(offset)
@@ -185,8 +181,10 @@ class FixtureTransport:
 
 def fetch_candidate(candidate: CandidateRecord, policy: FetchPolicy, transport,
                     limiter: RateLimiter | None = None,
-                    sleep: Callable[[float], None] = time.sleep) -> WarcSlice:
+                    sleep: Callable[[float], None] = time.sleep) -> bytes:
     """Retrieve the candidate's exact byte range, retrying with backoff.
+
+    Returns the WARC record's bytes: one gzip member, for ``extract_payload``.
 
     Makes at most policy.max_retries attempts, doubling the backoff between
     them.  Accepts 206 (the range) or 200 (whole file, sliced locally); any
@@ -216,13 +214,13 @@ def fetch_candidate(candidate: CandidateRecord, policy: FetchPolicy, transport,
         if len(body) != length:
             last_problem = f"short read: {len(body)} of {length} bytes"
             continue
-        return WarcSlice(record_bytes=body, candidate=candidate)
+        return body
 
     raise FetchFailedError(f"{candidate.url}: {last_problem}")
 
 
 def fetch_many(candidates: Iterable[CandidateRecord], policy: FetchPolicy,
-               transport) -> Iterator[tuple[CandidateRecord, WarcSlice | FetchFailedError]]:
+               transport) -> Iterator[tuple[CandidateRecord, bytes | FetchFailedError]]:
     """Fetch candidates concurrently, yielding results in candidate order.
 
     Concurrency is capped at policy.max_parallel and all workers share one
@@ -234,7 +232,7 @@ def fetch_many(candidates: Iterable[CandidateRecord], policy: FetchPolicy,
     limiter = RateLimiter(policy.rate_limit_per_s)
     ahead = FETCHES_AHEAD_PER_WORKER * policy.max_parallel
 
-    def fetch_one(candidate: CandidateRecord) -> WarcSlice | FetchFailedError:
+    def fetch_one(candidate: CandidateRecord) -> bytes | FetchFailedError:
         try:
             return fetch_candidate(candidate, policy, transport, limiter=limiter)
         except FetchFailedError as exc:
@@ -325,7 +323,7 @@ def _content_length(headers: dict[str, str], layer: str) -> int:
     return declared
 
 
-def extract_payload(record: WarcSlice | bytes) -> bytes:
+def extract_payload(record: bytes) -> bytes:
     """Unwrap gzip member -> WARC record -> HTTP response -> body bytes.
 
     Only WARC "response" records carrying an HTTP 200 are accepted; anything
@@ -334,8 +332,7 @@ def extract_payload(record: WarcSlice | bytes) -> bytes:
     records raise PayloadDecodeError, and one decompressing to more than
     MAX_DECOMPRESSED_BYTES raises PayloadTooLargeError.
     """
-    member = record.record_bytes if isinstance(record, WarcSlice) else record
-    raw = _gunzip(member)
+    raw = _gunzip(record)
 
     warc_head, sep, warc_content = raw.partition(b"\r\n\r\n")
     if not sep:

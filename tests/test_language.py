@@ -84,6 +84,19 @@ def _reference_ranked(counts: Counter, size: int) -> list[str]:
     return [gram for gram, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:size]]
 
 
+def _decode(code: int) -> str:
+    """The gram a kernel code packs: up to three 21-bit code points, first highest."""
+    bits = language._BITS
+    mask = (1 << bits) - 1
+    return "".join(chr(c) for c in ((code >> (2 * bits)) & mask, (code >> bits) & mask,
+                                    code & mask) if c)
+
+
+# Each seed profile as {gram: rank}, decoded from the codes the kernel ranks.
+_PROFILES = {lang: {_decode(code): rank for rank, code in enumerate(codes.tolist())}
+             for lang, codes in zip(language._LANGUAGES, language._SEED_CODES)}
+
+
 def _reference_distance(text_grams: list[str], profile: dict[str, int]) -> float:
     out_of_place = 0
     for rank, gram in enumerate(text_grams):
@@ -103,7 +116,7 @@ def _reference_detect(text: str) -> str:
     if not text_grams:
         return "unknown"
     best_lang, best_distance = "unknown", float("inf")
-    for lang, profile in language._PROFILES.items():
+    for lang, profile in _PROFILES.items():
         distance = _reference_distance(text_grams, profile)
         if distance < best_distance:
             best_lang, best_distance = lang, distance
@@ -146,11 +159,11 @@ def test_detect_language_matches_the_reference_on_whole_seeds_and_splices():
 
 def _decoded_counts(text: str) -> dict[str, int]:
     codes, counts = language._gram_counts(text)
-    return {language._decode(code): count for code, count in zip(codes.tolist(), counts.tolist())}
+    return {_decode(code): count for code, count in zip(codes.tolist(), counts.tolist())}
 
 
 def _decoded_ranked(text: str) -> list[str]:
-    return [language._decode(code) for code in language._ranked_codes(text).tolist()]
+    return [_decode(code) for code in language._ranked_codes(text).tolist()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,7 +193,7 @@ def test_ranked_codes_decode_to_the_reference_ranking(text):
 def test_profiles_equal_the_per_occurrence_build():
     for lang, seed in language._SEEDS.items():
         ranked = _reference_ranked(_reference_ngram_counts(seed), language._PROFILE_SIZE)
-        assert language._PROFILES[lang] == {gram: rank for rank, gram in enumerate(ranked)}
+        assert _PROFILES[lang] == {gram: rank for rank, gram in enumerate(ranked)}
 
 
 def test_equal_profile_rows_resolve_to_the_earlier_seed_language(monkeypatch):

@@ -106,6 +106,22 @@ def test_golden_run_exports_match_pinned_digests(crawl, tmp_path):
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
 
+
+# sha256 of the demo crawl's final.jsonl ``record`` objects, one json.dumps
+# line each, so key order and unrounded metric values are pinned too.  The
+# whole file cannot be pinned: its geometry_file paths hold the work directory.
+FINAL_RECORDS_SHA256 = "2749c02c848e0a8d85dec3bc862318c2e3f15d001bd0e4a06dd4fe55385dd9df"
+
+
+def test_golden_run_final_records_match_pinned_digest(crawl, tmp_path):
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    lines = PipelinePaths(workdir=cfg.workdir).final.read_text("utf-8").splitlines()
+    text = "".join(json.dumps(json.loads(line)["record"], ensure_ascii=False) + "\n"
+                   for line in lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FINAL_RECORDS_SHA256
+
+
 def test_resume_skips_completed_stages(crawl, tmp_path):
     cfg = run_config(crawl, tmp_path, "w1")
     first = run_pipeline(cfg)
@@ -288,6 +304,67 @@ def test_a_stage_run_on_its_own_makes_the_next_run_recompute_later_stages(crawl,
     assert resumed.records() == 0
     assert json.loads((cfg.resolved_out_dir() / "tracks.geojson").read_text("utf-8"))[
         "features"] == []
+
+
+@pytest.mark.parametrize("section,name,value,first", [
+    ("filters", "min_length_m", 5000, "parse"),
+    ("filters", "desc_min_chars", 180, "enrich"),
+    ("filters", "circular_radius_m", 10.0, "metrics"),
+])
+def test_a_changed_setting_recomputes_from_the_stage_that_reads_it(crawl, tmp_path, section,
+                                                                   name, value, first):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    for changed in (fresh, cfg):
+        setattr(getattr(changed, section), name, value)
+    run_pipeline(fresh)
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == list(STAGES[STAGES.index(first):])
+    assert_same_exports(cfg, fresh)
+
+
+@pytest.mark.parametrize("section,name,value", [
+    ("fetch", "max_parallel", 1),
+    ("fetch", "max_retries", 1),
+    ("fetch", "backoff_base_s", 0.5),
+    (None, "judge_max_parallel", 1),
+    (None, "judge_api_key_env", "OTHER_KEY"),
+])
+def test_a_changed_retry_or_parallelism_setting_recomputes_nothing(crawl, tmp_path, section,
+                                                                   name, value):
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    setattr(getattr(cfg, section) if section else cfg, name, value)
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == []
+    assert resumed.records() == 2
+
+
+def test_a_manifest_without_settings_counts_as_incomplete(crawl, tmp_path):
+    # Manifests written before they recorded settings: the next run starts over.
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    paths = PipelinePaths(workdir=cfg.workdir)
+    for stage in STAGES:
+        manifest = json.loads(paths.manifest(stage).read_text("utf-8"))
+        del manifest["settings"]
+        write_json_atomic(paths.manifest(stage), manifest)
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == list(STAGES)
+    assert_same_exports(cfg, fresh)
+
+
+def test_every_public_name_resolves_under_a_star_import():
+    import gpx_harvest
+
+    namespace: dict = {}
+    exec("from gpx_harvest import *", namespace)
+    assert set(gpx_harvest.__all__) <= namespace.keys()
 
 
 _OFFLINE_RUN = """

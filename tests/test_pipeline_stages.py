@@ -15,6 +15,7 @@ from gpx_harvest.config import FilterConfig, PipelineConfig
 from gpx_harvest.pipeline import (PipelineError, PipelinePaths, StageReport, run_pipeline,
                                   stage_enrich, stage_export, stage_fetch, stage_index,
                                   stage_metrics, stage_parse, write_jsonl)
+from gpx_harvest.records import ALL_PROPERTIES, SCALAR_PROPERTIES
 from gpx_harvest.synthetic import constant_tile, gpx_xml, line_points, warc_response_member
 from gpx_harvest.warc_fetch import FetchPolicy, FixtureTransport
 
@@ -226,6 +227,28 @@ def test_metrics_stage_country_unknown_without_boundaries(tmp_path):
     assert record["elev_source"] == "GPS"
 
 
+def test_metrics_stage_records_carry_the_17_properties(tmp_path):
+    cfg = PipelineConfig(workdir=tmp_path, out_dir=tmp_path / "out")
+    paths = PipelinePaths(workdir=tmp_path)
+    segments = [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]],
+                [[50.02, 6.0, 120.0], [50.03, 6.0, 90.0]]]
+    (row,) = seed_enriched(paths, segments, desc_lang="de")
+    assert stage_metrics(cfg, paths).outputs == 1
+    record = json.loads(paths.final.read_text("utf-8"))["record"]
+    assert list(record) == list(SCALAR_PROPERTIES)
+    assert {name: record[name] for name in ("url", "warc_file", "warc_offset", "warc_len",
+                                            "desc", "desc_lang", "desc_en")} == {
+        "url": row["url"], "warc_file": row["warc_file"], "warc_offset": row["warc_offset"],
+        "warc_len": row["warc_len"], "desc": GOOD_DESC, "desc_lang": "de", "desc_en": GOOD_DESC}
+    assert (record["country"], record["elev_source"]) == ("Unknown", "GPS")
+
+    stage_export(cfg, paths)
+    line = json.loads((cfg.out_dir / "tracks.jsonl").read_text("utf-8"))
+    assert list(line) == list(ALL_PROPERTIES)
+    assert line["geometry"]["coordinates"] == [[[lon, lat, ele] for lat, lon, ele in segment]
+                                               for segment in segments]
+
+
 def test_metrics_stage_reads_the_tracks_file_without_the_raw_payloads(tmp_path):
     cfg = PipelineConfig(workdir=tmp_path)
     paths = PipelinePaths(workdir=tmp_path)
@@ -356,7 +379,7 @@ def test_finish_stage_rejects_unbalanced_funnel(tmp_path):
     paths = PipelinePaths(workdir=tmp_path)
     report = StageReport("parse", inputs=3, outputs=1, excluded={"too-short": 1})
     with pytest.raises(PipelineError, match="3 inputs != 1 outputs \\+ 1 excluded"):
-        pipeline_module._finish_stage(paths, report, [])
+        pipeline_module._finish_stage(PipelineConfig(workdir=tmp_path), paths, report)
     assert not paths.manifest("parse").exists()
 
 
@@ -418,6 +441,22 @@ def test_fetch_stage_counts_bad_warc_content_length_as_decode_error(tmp_path):
     assert report.outputs == 1
     failure = json.loads(paths.fetch_failures.read_text("utf-8"))
     assert failure == {"url": "http://t.example/bad.gpx", "reason": "bad WARC Content-Length"}
+
+
+def test_fetch_stage_fails_a_candidate_whose_warc_path_leaves_the_fixture_dir(tmp_path):
+    paths = PipelinePaths(workdir=tmp_path)
+    member = warc_response_member("http://t.example/ok.gpx", good_track_payload())
+    cfg, rows = seed_candidates(tmp_path, paths, [("http://t.example/ok.gpx", "CC-MAIN-2024-10",
+                                                   member)])
+    (cfg.fixture_dir.parent / "outside.bin").write_bytes(member)
+    write_jsonl(paths.candidates, rows + [{**rows[0], "url": "http://t.example/outside.gpx",
+                                           "warc_file": "../outside.bin"}])
+    report = stage_fetch(cfg, paths)
+    assert report.excluded == {"fetch-failed": 1}
+    assert report.outputs == 1
+    failure = json.loads(paths.fetch_failures.read_text("utf-8"))
+    assert failure == {"url": "http://t.example/outside.gpx",
+                       "reason": "http://t.example/outside.gpx: http status 404"}
 
 
 def test_fetch_stage_counts_corrupt_deflate_data_as_decode_error(tmp_path):

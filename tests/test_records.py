@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from gpx_harvest import records as records_module
 from gpx_harvest.config import FilterConfig
-from gpx_harvest.descriptions import CleanDescription, PiiFlags
-from gpx_harvest.geo_metrics import EARTH_RADIUS_M, TrackMetrics
+from gpx_harvest.geo_metrics import EARTH_RADIUS_M
 from gpx_harvest.gpx_model import Segment, Track
-from gpx_harvest.index_scan import CandidateRecord
-from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES,
-                                 RecordAssemblyError, assemble_record, dedup,
-                                 encode_record, export_records, passes_track_filters,
-                                 record_properties)
+from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES, RecordAssemblyError,
+                                 coordinates_text, dedup, encode_record, export_records,
+                                 passes_track_filters, record_properties)
 
 CONFIG = FilterConfig()
 
@@ -66,25 +63,21 @@ def test_realistic_track_against_filters():
     assert ok, why
 
 
-# --- assembly --------------------------------------------------------------------
+# --- records ---------------------------------------------------------------------
 
-def candidate():
-    return CandidateRecord(url="http://a.example/t.gpx", mime_detected="application/gpx+xml",
-                           warc_file="crawl-data/CC-MAIN-2024-10/w.warc.gz",
-                           warc_offset=3215, warc_len=1091, crawl_id="CC-MAIN-2024-10")
-
-
-def metrics(circular=False):
-    return TrackMetrics(length_2d=1234.5678, length_3d=1250.1234, elev_highest=200.0,
-                        elev_lowest=100.0, uphill=55.557, downhill=44.444,
-                        is_circular=circular)
-
-
-def description(lang="en", text=None):
+def record(track, url="http://a.example/t.gpx", warc_offset=3215, warc_len=1091,
+           country="United Kingdom", lang="en", text=None, elev_source="GPS", circular=False):
+    """An export record as metrics builds it: the scalars in order, plus the
+    track's coordinates text."""
     text = text or "A fine walk over the moor with wide views of the valley below."
-    return CleanDescription(text=text, lang=lang,
-                            text_en=text if lang == "en" else f"[{lang}->en] {text}",
-                            pii=PiiFlags())
+    return {"url": url, "warc_file": "crawl-data/CC-MAIN-2024-10/w.warc.gz",
+            "warc_offset": warc_offset, "warc_len": warc_len, "country": country,
+            "desc": text, "desc_lang": lang,
+            "desc_en": text if lang == "en" else f"[{lang}->en] {text}",
+            "elev_source": elev_source, "elev_highest": 200.0, "elev_lowest": 100.0,
+            "uphill": 55.557, "downhill": 44.444, "length_2d": 1234.5678,
+            "length_3d": 1250.1234, "is_circular": circular,
+            "geometry": coordinates_text(track, url)}
 
 
 def two_segment_track():
@@ -94,39 +87,28 @@ def two_segment_track():
     ])
 
 
-def test_assemble_record_has_all_17_properties():
-    record = assemble_record(candidate(), two_segment_track(), metrics(),
-                             description(), "United Kingdom", "GPS")
-    assert set(record.__dict__) == set(ALL_PROPERTIES)
-    assert record.url == "http://a.example/t.gpx"
-    assert record.country == "United Kingdom"
-    assert json.loads(record.geometry) == [[[-2.45, 53.8, 80.0], [-2.44, 53.8, 81.0]],
-                                           [[-2.44, 53.81, 82.0]]]
+def test_coordinates_text_lists_lon_lat_ele_per_segment():
+    assert json.loads(coordinates_text(two_segment_track(), "http://a.example/t.gpx")) == [
+        [[-2.45, 53.8, 80.0], [-2.44, 53.8, 81.0]], [[-2.44, 53.81, 82.0]]]
 
 
-def test_assemble_record_names_missing_component():
-    with pytest.raises(RecordAssemblyError, match="country"):
-        assemble_record(candidate(), two_segment_track(), metrics(), description(), "", "GPS")
-    with pytest.raises(RecordAssemblyError, match="desc"):
-        assemble_record(candidate(), two_segment_track(), metrics(), None, "UK", "GPS")
-
-
-def test_assemble_record_rejects_missing_elevation():
+def test_coordinates_text_rejects_missing_elevation():
     track = Track(segments=[Segment(lat=[53.8], lon=[-2.45])])
-    with pytest.raises(RecordAssemblyError, match="elevation"):
-        assemble_record(candidate(), track, metrics(), description(), "UK", "GPS")
+    with pytest.raises(RecordAssemblyError, match="elevation in http://a.example/t.gpx"):
+        coordinates_text(track, "http://a.example/t.gpx")
 
 
 def test_properties_rounded_to_two_decimals_geometry_full_precision():
     track = Track(segments=[Segment(lat=[53.812345678], lon=[-2.456789012], ele=[80.123456])])
-    record = assemble_record(candidate(), track, metrics(), description(), "UK", "GPS")
-    properties = record_properties(record)
+    full = record(track)
+    properties = record_properties(full)
+    assert list(properties) == list(SCALAR_PROPERTIES)
     assert properties["length_2d"] == 1234.57
     assert properties["length_3d"] == 1250.12
     assert properties["uphill"] == 55.56
     assert properties["downhill"] == 44.44
-    assert json.loads(record.geometry)[0][0] == [-2.456789012, 53.812345678, 80.123456]
-    feature = json.loads(encode_record(record)[1])
+    assert json.loads(full["geometry"])[0][0] == [-2.456789012, 53.812345678, 80.123456]
+    feature = json.loads(encode_record(full)[1])
     assert feature["geometry"]["coordinates"][0][0] == [-2.456789012, 53.812345678, 80.123456]
 
 
@@ -183,18 +165,12 @@ def test_dedup_reports_counts():
 # --- export ----------------------------------------------------------------------
 
 def sample_records():
-    first = assemble_record(candidate(), two_segment_track(), metrics(),
-                            description(), "United Kingdom", "GPS")
-    other_candidate = CandidateRecord(url="http://b.example/loop.gpx", mime_detected="",
-                                      warc_file="crawl-data/CC-MAIN-2024-10/w.warc.gz",
-                                      warc_offset=9000, warc_len=500, crawl_id="CC-MAIN-2024-10")
     loop = Track(segments=[Segment(lat=[49.3, 49.31, 49.3], lon=[6.8, 6.81, 6.8],
                                    ele=[250.0, 251.0, 250.0])])
-    second = assemble_record(other_candidate, loop, metrics(circular=True),
-                             description(lang="de", text="Eine schöne Runde am Fluss entlang, "
-                                                         "mit Blick über die alte Brücke."),
-                             "Germany", "DEM")
-    return [first, second]
+    second = record(loop, url="http://b.example/loop.gpx", warc_offset=9000, warc_len=500,
+                    country="Germany", lang="de", elev_source="DEM", circular=True,
+                    text="Eine schöne Runde am Fluss entlang, mit Blick über die alte Brücke.")
+    return [record(two_segment_track()), second]
 
 
 def test_export_writes_three_formats(tmp_path):
@@ -224,11 +200,11 @@ def test_export_keeps_previous_files_when_encoding_fails(tmp_path, monkeypatch):
 
     encoded = []
 
-    def fail_on_second_record(record):
+    def fail_on_second_record(one):
         if len(encoded) == 1:
             raise ValueError("encoding failed part-way through the re-export")
-        encoded.append(record)
-        return encode_record(record)
+        encoded.append(one)
+        return encode_record(one)
 
     # The first record is already in all three temp files by then.
     monkeypatch.setattr(records_module, "encode_record", fail_on_second_record)
@@ -244,10 +220,9 @@ def test_export_segment_count_maps_to_line_count(tmp_path):
         Segment(lat=[53.81, 53.82], lon=[-2.44, -2.44], ele=[82.0, 83.0]),
         Segment(lat=[53.83], lon=[-2.44], ele=[84.0]),
     ])
-    record = assemble_record(candidate(), three_segments, metrics(),
-                             description(), "United Kingdom", "GPS")
-    assert len(json.loads(record.geometry)) == 3
-    paths = export_records([record], tmp_path)
+    one = record(three_segments)
+    assert len(json.loads(one["geometry"])) == 3
+    paths = export_records([one], tmp_path)
     collection = json.loads(paths["geojson"].read_text(encoding="utf-8"))
     assert len(collection["features"][0]["geometry"]["coordinates"]) == 3
 
@@ -288,16 +263,16 @@ def test_exported_descriptions_keep_unicode(tmp_path):
 # The reference is the former encoder: whole dicts with the coordinates as nested
 # lists, each passed to one json.dumps.
 
-def reference_feature(record, coordinates):
+def reference_feature(one, coordinates):
     return {
         "type": "Feature",
-        "properties": record_properties(record),
+        "properties": record_properties(one),
         "geometry": {"type": "MultiLineString", "coordinates": coordinates},
     }
 
 
-def reference_json_obj(record, coordinates):
-    obj = record_properties(record)
+def reference_json_obj(one, coordinates):
+    obj = record_properties(one)
     obj["geometry"] = {"type": "MultiLineString", "coordinates": coordinates}
     return obj
 
@@ -311,20 +286,18 @@ _TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2
 
 @st.composite
 def _records(draw):
-    """An assembled record and its coordinates as the nested lists export used to take."""
+    """A record as metrics builds it and its coordinates as the nested lists
+    export used to take."""
     segments = draw(st.lists(st.lists(_POINTS, min_size=1, max_size=4), min_size=1, max_size=3))
     track = Track(segments=[Segment(lat=[p[1] for p in points], lon=[p[0] for p in points],
                                     ele=[p[2] for p in points]) for points in segments])
-    desc = CleanDescription(text=draw(_TEXT), lang=draw(st.sampled_from(["en", "de", "ja"])),
-                            text_en=draw(_TEXT), pii=PiiFlags())
-    values = [draw(_NUMBERS) for _ in range(6)]
-    track_metrics = TrackMetrics(length_2d=values[0], length_3d=values[1],
-                                 elev_highest=values[2], elev_lowest=values[3],
-                                 uphill=values[4], downhill=values[5],
-                                 is_circular=draw(st.booleans()))
-    record = assemble_record(candidate(), track, track_metrics, desc, draw(_TEXT),
-                             draw(st.sampled_from(["GPS", "DEM"])))
-    return record, [[list(point) for point in points] for points in segments]
+    drawn = record(track, country=draw(_TEXT), elev_source=draw(st.sampled_from(["GPS", "DEM"])),
+                   circular=draw(st.booleans()))
+    drawn.update(desc=draw(_TEXT), desc_lang=draw(st.sampled_from(["en", "de", "ja"])),
+                 desc_en=draw(_TEXT))
+    for name in ("length_2d", "length_3d", "elev_highest", "elev_lowest", "uphill", "downhill"):
+        drawn[name] = draw(_NUMBERS)
+    return drawn, [[list(point) for point in points] for points in segments]
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,7 +308,7 @@ def test_export_bytes_equal_the_dict_based_encoding(drawn):
     jsonl = "".join(json.dumps(reference_json_obj(r, coords), ensure_ascii=False) + "\n"
                     for r, coords in drawn)
     with tempfile.TemporaryDirectory() as out_dir:
-        paths = export_records([record for record, _ in drawn], out_dir)
+        paths = export_records([one for one, _ in drawn], out_dir)
         assert paths["geojson"].read_bytes() == json.dumps(
             collection, ensure_ascii=False).encode("utf-8")
         assert paths["jsonl"].read_bytes() == jsonl.encode("utf-8")

@@ -13,7 +13,7 @@ from gpx_harvest.index_scan import CandidateRecord
 from gpx_harvest.synthetic import warc_response_member, write_warc
 from gpx_harvest.warc_fetch import (FetchFailedError, FetchPolicy, FixtureTransport,
                                     HttpRangeTransport, PayloadDecodeError, PayloadTooLargeError, RateLimiter,
-                                    WarcRecordSkippedError, WarcSlice, build_range_header,
+                                    WarcRecordSkippedError, build_range_header,
                                     extract_payload, fetch_candidate, fetch_many)
 
 
@@ -81,7 +81,7 @@ def test_fetch_candidate_over_fixture_transport(tmp_path):
     cand = candidate(offset=offset, length=length)
 
     result = fetch_candidate(cand, policy(), FixtureTransport(tmp_path))
-    assert len(result.record_bytes) == length
+    assert len(result) == length
     assert extract_payload(result) == payload
 
 
@@ -96,9 +96,23 @@ def test_fixture_transport_reads_only_the_range(tmp_path):
     assert transport.get_range(url, 1000, 50) == (206, data[1000:])  # short at EOF
     assert transport.get_range(url, 5000, 10) == (206, b"")
     assert transport.get_range(url.replace("x.warc", "y.warc"), 0, 5) == (404, b"")
+    assert transport.get_range("https://data.example/crawl-data/CC-MAIN-2024-10/seg/warc/"
+                               "../../../../crawl-data/CC-MAIN-2024-10/seg/warc/x.warc.gz",
+                               300, 17) == (206, data[300:317])
     with pytest.raises(FetchFailedError, match="short read: 24 of 50 bytes"):
         fetch_candidate(candidate(offset=1000, length=50), policy(max_retries=1),
                         transport)
+
+
+@pytest.mark.parametrize("warc_file", ["../outside.bin", "crawl-data/../../outside.bin",
+                                       "crawl-data/seg/../../../outside.bin"])
+def test_fixture_transport_refuses_paths_outside_its_root(tmp_path, warc_file):
+    (tmp_path / "outside.bin").write_bytes(b"secret bytes")
+    root = tmp_path / "fixtures"
+    (root / "crawl-data").mkdir(parents=True)
+    escaping = candidate(offset=0, length=6, warc_file=warc_file)
+    with pytest.raises(FetchFailedError, match="http status 404"):
+        fetch_candidate(escaping, policy(max_retries=1), FixtureTransport(root))
 
 
 class RangeResponse:
@@ -171,7 +185,7 @@ def test_fetch_candidate_succeeds_on_third_attempt():
     transport = ScriptedTransport([OSError("boom"), (500, b""), (206, b"x")])
     result = fetch_candidate(candidate(length=1), policy(max_retries=3), transport,
                              sleep=lambda s: None)
-    assert result.record_bytes == b"x"
+    assert result == b"x"
     assert len(transport.calls) == 3
 
 
@@ -185,7 +199,7 @@ def test_fetch_candidate_slices_full_200_response():
     body = bytes(range(100))
     transport = ScriptedTransport([(200, body)])
     result = fetch_candidate(candidate(offset=10, length=4), policy(), transport)
-    assert result.record_bytes == body[10:14]
+    assert result == body[10:14]
 
 
 def test_fetch_candidate_backoff_doubles():
@@ -246,7 +260,7 @@ def test_fetch_many_preserves_candidate_order_and_reports_failures():
     results = list(fetch_many(candidates, policy(), FlakyTransport()))
     assert [c.warc_offset for c, _ in results] == [0, 1, 2, 3, 4]
     assert isinstance(results[2][1], FetchFailedError)
-    assert all(isinstance(r, WarcSlice) for _, r in results if not isinstance(r, FetchFailedError))
+    assert [r for c, r in results if c.warc_offset != 2] == [b"x"] * 4
 
 
 class BlockingTransport:
@@ -294,7 +308,7 @@ def test_fetch_many_keeps_a_bounded_number_of_fetches_ahead_of_its_consumer():
         consumer.join(10)
     assert stalled == ahead
     assert max(unconsumed) <= ahead
-    assert [(c.warc_offset, r.record_bytes) for c, r in received] == [
+    assert [(c.warc_offset, r) for c, r in received] == [
         (i, bytes([i])) for i in range(30)]
 
 
