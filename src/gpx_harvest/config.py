@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,10 @@ class FilterConfig:
     elev_deadband_m: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so it is caught here first.
+        for threshold in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, threshold.name)):
+                raise ValueError(f"{threshold.name} must be finite")
         if self.min_length_m <= 0 or self.max_length_m <= self.min_length_m:
             raise ValueError("need 0 < min_length_m < max_length_m")
         if self.min_points_per_100m <= 0:

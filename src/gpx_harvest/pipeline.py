@@ -1,14 +1,18 @@
 """Staged, resumable pipeline: index -> fetch -> parse -> enrich -> metrics -> export.
 
-Each stage reads its predecessor's files under the work directory, writes its
-own output plus a manifest, and reports a funnel line (inputs = outputs +
-exclusions).  The manifest records the config values the stage reads (its
-thresholds, sources and judges, not its retries or parallelism) and the size
-and sha256 of every output, and a re-run skips a stage only while the config
-still holds those values and each output still matches.  Before a stage
-executes, the manifests of every later stage are deleted, so changing one of
-a stage's settings, deleting, truncating or editing its output, or running it
-on its own before the next ``run`` recomputes that stage and those after it.
+Every stage file has a fixed name under the work directory (``PipelinePaths``);
+only the exports go to ``cfg.out_dir``.  Each stage reads its predecessor's
+files there, writes its own output plus a manifest, and reports a funnel line
+(inputs = outputs + exclusions).  The manifest records the config values the
+stage reads (its thresholds, sources and judges, not its retries or
+parallelism) and the name, size and sha256 of every output, and a re-run
+skips a stage only while the config still holds those values and each output
+still matches.  No row and no manifest holds a path, so a work directory
+resumes however it is spelled, from any directory, and after a move.  Before
+a stage executes, the manifests of every later stage are deleted, so changing
+one of a stage's settings, deleting, truncating or editing its output, or
+running it on its own before the next ``run`` recomputes that stage and those
+after it.
 
 Parse, enrich and metrics each do their work once per distinct input and
 repeat the outcome for every row carrying that input: parse and metrics per
@@ -18,27 +22,25 @@ metrics pass, however many captures carry it.  This is exact because each of
 those steps is a deterministic function of its key; exclusions and counters
 are still tallied once per row, so reports and exports do not change.
 
-Fetch appends each distinct payload once to one ``payloads.bin`` file,
-written together with ``fetched.jsonl``; each row carries the file's path,
-the payload's byte offset and its length, and its ``content_hash`` is the
-sha256 of those bytes.  Parse is the only stage that reads ``payloads.bin``,
-so it must survive only until parse completes, and fetch's manifest does not
-list it.
+Fetch appends each distinct payload once to ``payloads.bin``, written
+together with ``fetched.jsonl``; each row carries the payload's byte offset
+and its length there, and its ``content_hash`` is the sha256 of those bytes.
+Parse is the only stage that reads ``payloads.bin``, so it must survive only
+until parse completes, and fetch's manifest does not list it.
 
 Rows passed up to metrics carry ids, the description and scalars, never
-geometry.  Parse appends each accepted track's arrays to one ``tracks.f64``
-file of raw little-endian float64 values (lat block, lon block, ele block,
-each over all segments), written together with ``parsed.jsonl``; each row
-carries the file's path, the track's byte offset, its segment lengths and
-the sha256 of its bytes.  Metrics reads the arrays back from that file and
-never parses GPX.
+geometry.  Parse appends each accepted track's arrays to ``tracks.f64``, raw
+little-endian float64 values (lat block, lon block, ele block, each over all
+segments), written together with ``parsed.jsonl``; each row carries the
+track's byte offset there, its segment lengths and the sha256 of its bytes.
+Metrics reads the arrays back from that file and never parses GPX.
 
 Metrics writes each content hash's coordinates once, as the exact JSON text
-both exports embed, to one ``geometry.jsonl`` file (one text per line),
-written together with ``final.jsonl`` and listed in metrics' manifest.  Each
-``final.jsonl`` row carries the scalar record plus that file's path, the
-text's byte offset, its length and its sha256, never the text.  The scalar
-record is the dict every export encodes: the 16 properties, keyed in
+both exports embed, to ``geometry.jsonl`` (one text per line), written
+together with ``final.jsonl`` and listed in metrics' manifest.  Each
+``final.jsonl`` row carries the scalar record plus the text's byte offset in
+that file, its length and its sha256, never the text.  The scalar record is
+the dict every export encodes: the 16 properties, keyed in
 ``records.SCALAR_PROPERTIES`` order.  Export dedups those thin rows and then
 reads each survivor's text by offset, adding it to the record as
 ``"geometry"``, one record at a time.
@@ -123,37 +125,25 @@ class StageReport:
                    excluded=dict(raw.get("excluded", {})), info=dict(raw.get("info", {})))
 
 
-@dataclass
+def _stage_file(name: str) -> property:
+    return property(lambda self: self.workdir / name, doc=f"``<workdir>/{name}``")
+
+
+@dataclass(frozen=True)
 class PipelinePaths:
-    """Stage input/output locations; anything not set lands under workdir."""
+    """The stage files: one fixed name each under the work directory."""
 
     workdir: Path
-    candidates: Path | None = None
-    payloads: Path | None = None
-    fetched: Path | None = None
-    fetch_failures: Path | None = None
-    parsed: Path | None = None
-    tracks: Path | None = None
-    enriched: Path | None = None
-    final: Path | None = None
-    geometry: Path | None = None
 
-    def __post_init__(self) -> None:
-        self.workdir = Path(self.workdir)
-        defaults = {
-            "candidates": self.workdir / "candidates.jsonl",
-            "payloads": self.workdir / "payloads.bin",
-            "fetched": self.workdir / "fetched.jsonl",
-            "fetch_failures": self.workdir / "fetch_failures.jsonl",
-            "parsed": self.workdir / "parsed.jsonl",
-            "tracks": self.workdir / "tracks.f64",
-            "enriched": self.workdir / "enriched.jsonl",
-            "final": self.workdir / "final.jsonl",
-            "geometry": self.workdir / "geometry.jsonl",
-        }
-        for name, default in defaults.items():
-            if getattr(self, name) is None:
-                setattr(self, name, default)
+    candidates = _stage_file("candidates.jsonl")
+    payloads = _stage_file("payloads.bin")
+    fetched = _stage_file("fetched.jsonl")
+    fetch_failures = _stage_file("fetch_failures.jsonl")
+    parsed = _stage_file("parsed.jsonl")
+    tracks = _stage_file("tracks.f64")
+    enriched = _stage_file("enriched.jsonl")
+    final = _stage_file("final.jsonl")
+    geometry = _stage_file("geometry.jsonl")
 
     def manifest(self, stage: str) -> Path:
         return self.workdir / "manifests" / f"{stage}.json"
@@ -235,7 +225,7 @@ def _stage_outputs(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> lis
 
 
 def _output_entry(path: Path) -> dict:
-    """Path, size and sha256 of one stage output, as its manifest records it."""
+    """Name, size and sha256 of one stage output, as its manifest records it."""
     digest = hashlib.sha256()
     size = 0
     # Small blocks: export hashes its files while its input rows are still
@@ -244,7 +234,7 @@ def _output_entry(path: Path) -> dict:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
             size += len(block)
-    return {"path": str(path), "size": size, "sha256": digest.hexdigest()}
+    return {"name": path.name, "size": size, "sha256": digest.hexdigest()}
 
 
 # --- stages ---------------------------------------------------------------------
@@ -289,7 +279,6 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     report = StageReport("fetch")
     report.inputs = len(candidates)
-    payloads_path = str(paths.payloads)
 
     offsets: dict[str, int] = {}  # content hash -> where its bytes start in payloads.bin
     # Each result streams to fetched.jsonl or fetch_failures.jsonl as it
@@ -322,7 +311,6 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                 offsets[digest] = payloads.tell()
                 payloads.write(payload)
             _write_rows(fetched, [{**candidate.__dict__, "content_hash": digest,
-                                   "payload_file": payloads_path,
                                    "payload_offset": offsets[digest],
                                    "payload_length": len(payload)}])
             report.outputs += 1
@@ -336,7 +324,6 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     rows = read_jsonl(paths.fetched, "parse")
     report = StageReport("parse")
     report.inputs = len(rows)
-    tracks_path = str(paths.tracks)
 
     def parse_one(row: dict, payloads: StoredFiles, tracks: BinaryIO
                   ) -> tuple[str | None, dict | None, ParseStats]:
@@ -346,11 +333,11 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         locate them there.
         """
         stats = ParseStats()
-        if "payload_file" not in row:
+        if "payload_offset" not in row:
             raise PipelineError(f"stage parse: {paths.fetched} does not locate the payload of "
                                 f"{row['url']} in a payloads file; run fetch again")
-        payload = payloads.read(row["payload_file"], row["payload_offset"],
-                                row["payload_length"], row["content_hash"])
+        payload = payloads.read(row["payload_offset"], row["payload_length"],
+                                row["content_hash"])
         try:
             doc = parse_gpx(payload, row["url"], stats)
         except GpxParseError:
@@ -367,7 +354,7 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                                 + [s.ele for s in segments]).astype(TRACK_DTYPE, copy=False)
         offset = tracks.tell()
         tracks.write(values)
-        return None, {"desc": track.desc, "track_file": tracks_path, "track_offset": offset,
+        return None, {"desc": track.desc, "track_offset": offset,
                       "segment_lengths": [len(s) for s in segments],
                       "track_sha256": hashlib.sha256(values).hexdigest()}, stats
 
@@ -375,7 +362,7 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     outcomes: dict[str, tuple] = {}
     # Each accepted track streams into the tracks file, and its row into
     # parsed.jsonl, as soon as it is parsed.
-    with (StoredFiles("parse", "payload", "fetch") as payloads,
+    with (StoredFiles(paths.payloads, "parse", "payload", "fetch") as payloads,
           atomic_files((paths.tracks, "wb"), (paths.parsed, "w")) as (tracks, parsed)):
         for row in rows:
             digest = row["content_hash"]
@@ -397,34 +384,33 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
 
 class StoredFiles(ExitStack):
-    """Checked reads from the files an earlier stage wrote, each opened once.
+    """Checked reads from a file an earlier stage wrote, opened at the first read.
 
     ``read`` returns ``size`` bytes at ``offset`` and checks them against the
     sha256 the row recorded; a file that cannot be opened, a short read or a
     digest mismatch is a ``PipelineError`` naming the file.  Leaving the
-    ``with`` block closes the files.
+    ``with`` block closes the file.
     """
 
-    def __init__(self, stage: str, kind: str, writer: str) -> None:
+    def __init__(self, path: Path, stage: str, kind: str, writer: str) -> None:
         super().__init__()
-        self.stage, self.kind, self.writer = stage, kind, writer
-        self._handles: dict[str, BinaryIO] = {}
+        self.path, self.writer = path, writer
+        self.where = f"stage {stage}: {kind} file {path}"
+        self._handle: BinaryIO | None = None
 
-    def read(self, path: str, offset: int, size: int, sha256: str) -> bytearray:
-        where = f"stage {self.stage}: {self.kind} file {path}"
+    def read(self, offset: int, size: int, sha256: str) -> bytearray:
         data = bytearray(size)
         try:
-            if path not in self._handles:
-                self._handles[path] = self.enter_context(open(path, "rb"))
-            handle = self._handles[path]
-            handle.seek(offset)
-            got = handle.readinto(data)
+            if self._handle is None:
+                self._handle = self.enter_context(open(self.path, "rb"))
+            self._handle.seek(offset)
+            got = self._handle.readinto(data)
         except OSError as exc:
-            raise PipelineError(f"{where} cannot be read: {exc}") from exc
+            raise PipelineError(f"{self.where} cannot be read: {exc}") from exc
         if got != size:
-            raise PipelineError(f"{where} is truncated")
+            raise PipelineError(f"{self.where} is truncated")
         if hashlib.sha256(data).hexdigest() != sha256:
-            raise PipelineError(f"{where} changed after {self.writer}")
+            raise PipelineError(f"{self.where} changed after {self.writer}")
         return data
 
 
@@ -432,8 +418,8 @@ def _read_parsed_track(row: dict, tracks: StoredFiles) -> Track:
     """The track parse stored for ``row``, checked against its sha256."""
     lengths = row["segment_lengths"]
     points = sum(lengths)
-    data = tracks.read(row["track_file"], row["track_offset"],
-                       3 * points * TRACK_DTYPE.itemsize, row["track_sha256"])
+    data = tracks.read(row["track_offset"], 3 * points * TRACK_DTYPE.itemsize,
+                       row["track_sha256"])
     lat, lon, ele = np.frombuffer(data, dtype=TRACK_DTYPE).reshape(3, points)
     bounds = np.cumsum(lengths)[:-1]
     return Track(segments=[Segment(*arrays) for arrays in
@@ -517,7 +503,6 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     tiles = TileStore(cfg.srtm_dir) if cfg.srtm_dir else TileStore(Path(os.devnull))
     boundaries = load_boundaries(cfg.boundaries) if cfg.boundaries else []
-    geometry_path = str(paths.geometry)
 
     def metrics_one(row: dict, tracks: StoredFiles, geometry: BinaryIO
                     ) -> tuple[str | None, dict | None, dict | None, tuple[str, ...]]:
@@ -552,8 +537,7 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         text = coordinates_text(track, row["url"]).encode("utf-8")
         offset = geometry.tell()
         geometry.write(text + b"\n")
-        return None, record, {"geometry_file": geometry_path, "geometry_offset": offset,
-                              "geometry_length": len(text),
+        return None, record, {"geometry_offset": offset, "geometry_length": len(text),
                               "geometry_sha256": hashlib.sha256(text).hexdigest()}, tuple(counters)
 
     # Everything but the capture fields follows from the content hash, so the
@@ -561,7 +545,7 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     # its own url/warc_* copy.  Rows stream to final.jsonl as they go.
     outcomes: dict[str, tuple] = {}
     info = Counter()
-    with (StoredFiles("metrics", "tracks", "parse") as tracks,
+    with (StoredFiles(paths.tracks, "metrics", "tracks", "parse") as tracks,
           atomic_files((paths.geometry, "wb"), (paths.final, "w")) as (geometry, final)):
         for row in rows:
             digest = row["content_hash"]
@@ -595,10 +579,10 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             report.exclude(reason, count)
 
     out_dir = cfg.resolved_out_dir()
-    with StoredFiles("export", "geometry", "metrics") as geometry:
+    with StoredFiles(paths.geometry, "export", "geometry", "metrics") as geometry:
         # Each survivor's coordinates are read only as export reaches it.
         records = ({**row["record"], "geometry": geometry.read(
-            row["geometry_file"], row["geometry_offset"], row["geometry_length"],
+            row["geometry_offset"], row["geometry_length"],
             row["geometry_sha256"]).decode("utf-8")} for row in survivors)
         try:
             export_records(records, out_dir)
@@ -679,19 +663,20 @@ def _stage_is_complete(cfg: PipelineConfig, paths: PipelinePaths, stage: str) ->
         # before manifests recorded them), is incomplete.
         if raw["settings"] != _stage_settings(cfg, stage):
             return False
-        # So is one without sizes and digests (a bare path list), and one
-        # listing other files than the stage writes now, such as one written
-        # before the stage gained an output.
-        recorded = [entry["path"] for entry in raw["outputs"]]
-        if recorded != [str(path) for path in _stage_outputs(cfg, paths, stage)]:
-            return False
-        return all(_output_entry(Path(entry["path"])) == entry for entry in raw["outputs"])
+        # So is one without sizes and digests (a bare path list), one that
+        # lists its outputs by path, and one listing other files than the
+        # stage writes now, such as one written before the stage gained an
+        # output.  The files are hashed where they are now.
+        files = _stage_outputs(cfg, paths, stage)
+        return (len(raw["outputs"]) == len(files)
+                and all(_output_entry(path) == entry
+                        for path, entry in zip(files, raw["outputs"])))
     except (json.JSONDecodeError, KeyError, TypeError, OSError):
         return False
 
 
 def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
-                 resume: bool = True, paths: PipelinePaths | None = None) -> PipelineStats:
+                 resume: bool = True) -> PipelineStats:
     """Run the requested stages (all six by default) and gather the report.
 
     With resume enabled, stages whose settings and outputs still match their
@@ -705,8 +690,7 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
         if stage not in _STAGE_FUNCTIONS:
             raise PipelineError(f"unknown stage {stage!r}")
 
-    if paths is None:
-        paths = PipelinePaths(workdir=Path(cfg.workdir))
+    paths = PipelinePaths(workdir=Path(cfg.workdir))
     paths.workdir.mkdir(parents=True, exist_ok=True)
 
     executed = []

@@ -10,6 +10,7 @@ live fetch; offline runs over ``FixtureTransport`` never import it.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -53,8 +54,11 @@ class FetchPolicy:
     def __post_init__(self) -> None:
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
-        if self.rate_limit_per_s <= 0:
-            raise ValueError("rate_limit_per_s must be > 0")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not 0 < self.rate_limit_per_s < math.inf:
+            raise ValueError("rate_limit_per_s must be finite and > 0")
+        if not 0 <= self.backoff_base_s < math.inf:
+            raise ValueError("backoff_base_s must be finite and >= 0")
         if not self.base_url:
             self.base_url = default_base_url()
 
@@ -93,8 +97,8 @@ class RateLimiter:
 
     def __init__(self, per_second: float, clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> None:
-        if per_second <= 0:
-            raise ValueError("per_second must be > 0")
+        if not 0 < per_second < math.inf:
+            raise ValueError("per_second must be finite and > 0")
         self._interval = 1.0 / per_second
         self._lock = threading.Lock()
         self._next_slot = 0.0

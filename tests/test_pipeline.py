@@ -12,7 +12,7 @@ from gpx_harvest.config import FilterConfig, PipelineConfig, load_config
 from gpx_harvest.pipeline import (STAGES, PipelineError, PipelinePaths, run_pipeline,
                                   write_json_atomic)
 from gpx_harvest.synthetic import build_demo_crawl
-from gpx_harvest.warc_fetch import FetchPolicy
+from gpx_harvest.warc_fetch import FetchPolicy, RateLimiter
 
 
 @pytest.fixture()
@@ -108,8 +108,7 @@ def test_golden_run_exports_match_pinned_digests(crawl, tmp_path):
 
 
 # sha256 of the demo crawl's final.jsonl ``record`` objects, one json.dumps
-# line each, so key order and unrounded metric values are pinned too.  The
-# whole file cannot be pinned: its geometry_file paths hold the work directory.
+# line each, so key order and unrounded metric values are pinned too.
 FINAL_RECORDS_SHA256 = "2749c02c848e0a8d85dec3bc862318c2e3f15d001bd0e4a06dd4fe55385dd9df"
 
 
@@ -199,8 +198,8 @@ def test_manifest_without_output_digests_counts_as_incomplete(crawl, tmp_path):
     run_pipeline(cfg)
     paths = PipelinePaths(workdir=cfg.workdir)
     manifest = json.loads(paths.manifest("export").read_text("utf-8"))
-    assert {"path", "size", "sha256"} <= manifest["outputs"][0].keys()
-    manifest["outputs"] = [entry["path"] for entry in manifest["outputs"]]
+    assert {"name", "size", "sha256"} <= manifest["outputs"][0].keys()
+    manifest["outputs"] = [entry["name"] for entry in manifest["outputs"]]
     write_json_atomic(paths.manifest("export"), manifest)
 
     resumed = run_pipeline(cfg)
@@ -215,14 +214,14 @@ def test_work_directory_from_before_the_tracks_file_reruns_parse(crawl, tmp_path
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)
     paths = PipelinePaths(workdir=cfg.workdir)
-    track_fields = ("track_file", "track_offset", "segment_lengths", "track_sha256")
+    track_fields = ("track_offset", "segment_lengths", "track_sha256")
     for stage, path in (("parse", paths.parsed), ("enrich", paths.enriched)):
         rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
         path.write_text("".join(json.dumps({k: v for k, v in row.items() if k not in track_fields},
                                            ensure_ascii=False) + "\n" for row in rows), "utf-8")
         manifest = json.loads(paths.manifest(stage).read_text("utf-8"))
         data = path.read_bytes()
-        manifest["outputs"] = [{"path": str(path), "size": len(data),
+        manifest["outputs"] = [{"name": path.name, "size": len(data),
                                 "sha256": hashlib.sha256(data).hexdigest()}]
         write_json_atomic(paths.manifest(stage), manifest)
     paths.tracks.unlink()
@@ -260,7 +259,7 @@ def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_
     rows = []
     for line in paths.final.read_text("utf-8").splitlines():
         row = json.loads(line)
-        with open(row.pop("geometry_file"), "rb") as handle:
+        with open(paths.geometry, "rb") as handle:
             handle.seek(row.pop("geometry_offset"))
             text = handle.read(row.pop("geometry_length")).decode("utf-8")
         del row["geometry_sha256"]
@@ -269,7 +268,7 @@ def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_
                            "utf-8")
     manifest = json.loads(paths.manifest("metrics").read_text("utf-8"))
     data = paths.final.read_bytes()
-    manifest["outputs"] = [{"path": str(paths.final), "size": len(data),
+    manifest["outputs"] = [{"name": paths.final.name, "size": len(data),
                             "sha256": hashlib.sha256(data).hexdigest()}]
     write_json_atomic(paths.manifest("metrics"), manifest)
     paths.geometry.unlink()
@@ -277,6 +276,56 @@ def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_
     resumed = run_pipeline(cfg)
     assert resumed.executed == ["metrics", "export"]
     assert_same_exports(cfg, fresh)
+
+
+def test_two_work_directories_from_one_crawl_hold_identical_files(crawl, tmp_path):
+    first = run_config(crawl, tmp_path, "w1")
+    second = run_config(crawl, tmp_path, "w2")
+    run_pipeline(first)
+    run_pipeline(second)
+
+    def files(workdir):
+        return {path.relative_to(workdir).as_posix(): path
+                for path in workdir.rglob("*") if path.is_file()}
+
+    names = files(first.workdir)
+    assert {"manifests/metrics.json", "final.jsonl", "out/tracks.geojson"} <= names.keys()
+    assert names.keys() == files(second.workdir).keys()
+    for name, path in names.items():
+        assert path.read_bytes() == (second.workdir / name).read_bytes(), name
+
+
+def test_a_stage_command_reads_earlier_stages_from_another_directory(crawl, tmp_path,
+                                                                     monkeypatch):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    for stage in ("index", "fetch", "parse", "enrich"):
+        assert main([stage, "--config", str(crawl.config), "--workdir", "work"]) == 0
+    monkeypatch.chdir(tmp_path / "b")
+    for stage in ("metrics", "export"):
+        assert main([stage, "--config", str(crawl.config), "--workdir", "../a/work"]) == 0
+    assert_same_exports(run_config(crawl, tmp_path, "a/work"), fresh)
+
+
+@pytest.mark.parametrize("respelling", ["absolute", "moved"])
+def test_a_work_directory_resumes_however_it_is_spelled(crawl, tmp_path, monkeypatch,
+                                                        respelling):
+    monkeypatch.chdir(tmp_path)
+    cfg = run_config(crawl, tmp_path, "unused")
+    cfg.workdir = Path("work")
+    assert run_pipeline(cfg).executed == list(STAGES)
+    if respelling == "absolute":
+        cfg.workdir = tmp_path / "work"
+    else:
+        (tmp_path / "elsewhere").mkdir()
+        cfg.workdir = (tmp_path / "work").rename(tmp_path / "elsewhere" / "moved")
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == []
+    assert resumed.records() == 2
 
 
 def test_no_resume_runs_everything(crawl, tmp_path):
@@ -471,11 +520,10 @@ def test_cli_run_and_stage_commands(crawl, tmp_path, capsys):
 
 
 def test_cli_index_stage_with_flags(crawl, tmp_path):
-    out_file = tmp_path / "candidates.jsonl"
-    code = main(["index", "--shards", str(crawl.shard), "--out", str(out_file),
-                 "--workdir", str(tmp_path / "w")])
+    code = main(["index", "--shards", str(crawl.shard), "--workdir", str(tmp_path / "w")])
     assert code == 0
-    rows = [json.loads(line) for line in out_file.read_text("utf-8").splitlines()]
+    candidates = PipelinePaths(workdir=tmp_path / "w").candidates
+    rows = [json.loads(line) for line in candidates.read_text("utf-8").splitlines()]
     assert len(rows) == 6
 
 
@@ -492,10 +540,18 @@ def test_cli_fetch_with_fixture_dir(crawl, tmp_path):
     assert len(data) == sum(map(len, payloads))
     assert not (workdir / "raw").exists()
 
-    # An --out ending in a slash is a directory that gets payloads.bin.
-    assert main(["fetch", "--workdir", str(workdir), "--fixture-dir", str(crawl.warc_dir),
-                 "--out", f"{tmp_path / 'raw'}/"]) == 0
-    assert (tmp_path / "raw" / "payloads.bin").read_bytes() == data
+
+@pytest.mark.parametrize("argv", [["run", "--no-such-flag"], ["parse", "--out", "x"],
+                                  ["export", "--in", "x"], ["fetch", "--candidates", "x"]])
+def test_cli_usage_error_exit_code(argv, capsys):
+    # 2 is "completed with failures", so a usage error exits 1.
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    assert usage.value.code == 1
+    assert "error: unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as help_:
+        main([argv[0], "--help"])
+    assert help_.value.code == 0
 
 
 def test_cli_fatal_error_exit_code(tmp_path):
@@ -529,19 +585,6 @@ def test_cli_failure_exit_code(crawl, tmp_path):
     assert code == 2
 
 
-def test_cli_enrich_with_dir_style_paths(crawl, tmp_path):
-    workdir = tmp_path / "w"
-    for stage in ("index", "fetch", "parse"):
-        assert main([stage, "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
-    out_dir = tmp_path / "enriched-out"
-    out_dir.mkdir()
-    code = main(["enrich", "--config", str(crawl.config), "--workdir", str(workdir),
-                 "--in", str(workdir) + "/", "--out", str(out_dir) + "/",
-                 "--judge", "stub", "--translator", "stub"])
-    assert code == 0
-    assert (out_dir / "enriched.jsonl").exists()
-
-
 # --- config --------------------------------------------------------------------
 
 def test_load_config_merges_partial_sections(tmp_path):
@@ -563,13 +606,22 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
-def test_filter_config_validation():
+def test_filter_config_validation(tmp_path):
     with pytest.raises(ValueError):
         FilterConfig(min_length_m=0)
     with pytest.raises(ValueError):
         FilterConfig(min_length_m=500, max_length_m=400)
     with pytest.raises(ValueError):
         FilterConfig(desc_min_chars=100, desc_max_chars_exclusive=50)
+    for name in ("min_length_m", "max_length_m", "min_points_per_100m", "circular_radius_m",
+                 "elev_deadband_m"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                FilterConfig(**{name: value})
+    path = tmp_path / "config.json"
+    path.write_text('{"filters": {"max_length_m": NaN}}')
+    with pytest.raises(ValueError, match="max_length_m"):
+        load_config(path)
 
 
 def test_fetch_policy_validation_and_env_base_url(monkeypatch):
@@ -577,6 +629,15 @@ def test_fetch_policy_validation_and_env_base_url(monkeypatch):
         FetchPolicy(max_parallel=0)
     with pytest.raises(ValueError):
         FetchPolicy(rate_limit_per_s=0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rate_limit_per_s"):
+            FetchPolicy(rate_limit_per_s=value)
+        with pytest.raises(ValueError, match="per_second"):
+            RateLimiter(value)
+    for value in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="backoff_base_s"):
+            FetchPolicy(backoff_base_s=value)
+    assert FetchPolicy(backoff_base_s=0).backoff_base_s == 0
     monkeypatch.setenv("GPX_HARVEST_BASE_URL", "https://mirror.example")
     assert FetchPolicy().base_url == "https://mirror.example"
     assert FetchPolicy(base_url="https://explicit.example").base_url == "https://explicit.example"

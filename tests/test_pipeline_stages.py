@@ -43,7 +43,7 @@ def seed_fetched(paths, payloads):
                      "warc_offset": i * 1000, "warc_len": 999,
                      "crawl_id": "CC-MAIN-2024-10",
                      "content_hash": hashlib.sha256(payload).hexdigest(),
-                     "payload_file": str(paths.payloads), "payload_offset": offset,
+                     "payload_offset": offset,
                      "payload_length": len(payload)})
         offset += len(payload)
     paths.payloads.write_bytes(b"".join(payloads))
@@ -51,9 +51,9 @@ def seed_fetched(paths, payloads):
     return rows
 
 
-def stored_geometry(row):
+def stored_geometry(paths, row):
     """The coordinates text a final.jsonl row points at in the geometry file."""
-    with open(row["geometry_file"], "rb") as handle:
+    with open(paths.geometry, "rb") as handle:
         handle.seek(row["geometry_offset"])
         return handle.read(row["geometry_length"]).decode("utf-8")
 
@@ -81,8 +81,7 @@ def test_parse_stage_needs_the_payload_file_unchanged(tmp_path, damage):
     cfg = PipelineConfig(workdir=tmp_path)
     paths = PipelinePaths(workdir=tmp_path)
     rows = seed_fetched(paths, [good_track_payload(), good_track_payload(GOOD_DESC + " Twice.")])
-    payloads = Path(rows[0]["payload_file"])
-    assert payloads == paths.payloads
+    payloads = paths.payloads
     data = bytearray(payloads.read_bytes())
     if damage == "missing":
         payloads.unlink()
@@ -101,7 +100,7 @@ def test_parse_stage_asks_for_fetch_again_on_rows_without_a_payload_file(tmp_pat
     cfg = PipelineConfig(workdir=tmp_path)
     paths = PipelinePaths(workdir=tmp_path)
     [row] = seed_fetched(paths, [good_track_payload()])
-    del row["payload_file"], row["payload_offset"], row["payload_length"]
+    del row["payload_offset"], row["payload_length"]
     write_jsonl(paths.fetched, [{**row, "payload": str(tmp_path / "raw" / "old.gpx")}])
     with pytest.raises(PipelineError, match="run fetch again"):
         stage_parse(cfg, paths)
@@ -264,8 +263,8 @@ def test_metrics_stage_reads_the_tracks_file_without_the_raw_payloads(tmp_path):
     assert report.outputs == 2
     final = [json.loads(line) for line in paths.final.read_text("utf-8").splitlines()]
     assert "geometry" not in final[0]["record"]
-    assert json.loads(stored_geometry(final[0])) == [[[lon, lat, ele] for lat, lon, ele in segment]
-                                                     for segment in split]
+    assert json.loads(stored_geometry(paths, final[0])) == [
+        [[lon, lat, ele] for lat, lon, ele in segment] for segment in split]
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated", "edited"])
@@ -274,8 +273,7 @@ def test_metrics_stage_needs_the_tracks_file_unchanged(tmp_path, damage):
     paths = PipelinePaths(workdir=tmp_path)
     rows = seed_enriched(paths, [[[50.0, 6.0, 100.0], [50.01, 6.0, 110.0]]],
                          [[[51.0, 6.0, 100.0], [51.01, 6.0, 105.0]]])
-    tracks = Path(rows[0]["track_file"])
-    assert tracks == paths.tracks
+    tracks = paths.tracks
     data = bytearray(tracks.read_bytes())
     if damage == "missing":
         tracks.unlink()
@@ -298,8 +296,7 @@ def test_export_stage_needs_the_geometry_file_unchanged(tmp_path, damage):
                   [[[51.0, 6.0, 100.0], [51.01, 6.0, 105.0]]])
     assert stage_metrics(cfg, paths).outputs == 2
     rows = [json.loads(line) for line in paths.final.read_text("utf-8").splitlines()]
-    geometry = Path(rows[0]["geometry_file"])
-    assert geometry == paths.geometry
+    geometry = paths.geometry
     data = bytearray(geometry.read_bytes())
     if damage == "missing":
         geometry.unlink()
@@ -617,8 +614,8 @@ def test_stages_share_work_per_payload_and_description(tmp_path, monkeypatch):
     locations = [(row["geometry_offset"], row["geometry_length"]) for row in final]
     assert locations[0] == locations[1]
     assert len(set(locations)) == 2
-    assert paths.geometry.read_bytes() == "".join(
-        text + "\n" for text in dict.fromkeys(map(stored_geometry, final))).encode("utf-8")
+    texts = dict.fromkeys(stored_geometry(paths, row) for row in final)
+    assert paths.geometry.read_bytes() == "".join(text + "\n" for text in texts).encode("utf-8")
 
     report = stage_export(cfg, paths)
     assert report.excluded == {"duplicate-url": 1, "duplicate-content": 1}
