@@ -29,6 +29,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_COMMANDS = {
+    "index": "Scan index shards for GPX candidates (candidates.jsonl)",
+    "fetch": "Fetch candidate payloads by byte range (payloads.bin, fetched.jsonl)",
+    "parse": "Parse payloads, keep single-track activities in bounds (parsed.jsonl, tracks.f64)",
+    "enrich": "Clean descriptions, judge, detect language, translate (enriched.jsonl)",
+    "metrics": "Backfill elevation, compute metrics, assign country "
+               "(final.jsonl, geometry.jsonl)",
+    "export": "Deduplicate and write GeoJSON/JSONL/CSV to --out-dir",
+    "run": "Run all stages, resuming completed ones",
+}
+
+# Every flag that overrides a config value, declared once: the command that
+# takes it (None for every command; ``run`` takes them all), the flag, the
+# config field it sets, its type and its help text.
+_FLAGS = (
+    (None, "--workdir", "workdir", Path,
+     "Work directory holding every stage's files and manifests"),
+    ("index", "--shards", "shards", str, "Glob of CDX-J shard files (plain or .gz)"),
+    ("fetch", "--fixture-dir", "fixture_dir", Path, "Serve WARC ranges from this local directory"),
+    ("fetch", "--base-url", "fetch.base_url", str,
+     "Archive endpoint (or set GPX_HARVEST_BASE_URL)"),
+    ("enrich", "--judge", "judge", str, '"stub" or a chat-completions endpoint URL'),
+    ("enrich", "--translator", "translator", str, '"stub" or a translation command template'),
+    ("metrics", "--srtm-dir", "srtm_dir", Path, "Directory of <TILE>.hgt[.gz] files"),
+    ("metrics", "--boundaries", "boundaries", Path, "GeoJSON FeatureCollection of countries"),
+    ("export", "--out-dir", "out_dir", Path, "Export directory (default <workdir>/out)"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gpx-harvest",
@@ -36,70 +65,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", "-v", action="store_true", help="Debug logging")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_stage(name: str, help_text: str) -> argparse.ArgumentParser:
-        stage = sub.add_parser(name, help=help_text)
+    for command, help_text in _COMMANDS.items():
+        stage = sub.add_parser(command, help=help_text)
         stage.add_argument("--config", help="JSON config file")
-        stage.add_argument("--workdir",
-                           help="Work directory holding every stage's files and manifests")
-        return stage
-
-    index = add_stage("index", "Scan index shards for GPX candidates (candidates.jsonl)")
-    index.add_argument("--shards", help="Glob of CDX-J shard files (plain or .gz)")
-
-    fetch = add_stage("fetch", "Fetch candidate payloads by byte range "
-                               "(payloads.bin, fetched.jsonl)")
-    fetch.add_argument("--fixture-dir", help="Serve WARC ranges from this local directory")
-    fetch.add_argument("--base-url", help="Archive endpoint (or set GPX_HARVEST_BASE_URL)")
-
-    add_stage("parse", "Parse payloads, keep single-track activities in bounds "
-                       "(parsed.jsonl, tracks.f64)")
-
-    enrich = add_stage("enrich", "Clean descriptions, judge, detect language, translate "
-                                 "(enriched.jsonl)")
-    enrich.add_argument("--judge", help='"stub" or a chat-completions endpoint URL')
-    enrich.add_argument("--translator", help='"stub" or a translation command template')
-
-    metrics = add_stage("metrics", "Backfill elevation, compute metrics, assign country "
-                                   "(final.jsonl, geometry.jsonl)")
-    metrics.add_argument("--srtm-dir", help="Directory of <TILE>.hgt[.gz] files")
-    metrics.add_argument("--boundaries", help="GeoJSON FeatureCollection of countries")
-
-    export = add_stage("export", "Deduplicate and write GeoJSON/JSONL/CSV to --out-dir")
-    export.add_argument("--out-dir", help="Export directory (default <workdir>/out)")
-
-    run = add_stage("run", "Run all stages, resuming completed ones")
-    run.add_argument("--shards")
-    run.add_argument("--fixture-dir")
-    run.add_argument("--base-url")
-    run.add_argument("--judge")
-    run.add_argument("--translator")
-    run.add_argument("--srtm-dir")
-    run.add_argument("--boundaries")
-    run.add_argument("--out-dir", help="Export directory (default <workdir>/out)")
-    run.add_argument("--no-resume", action="store_true",
-                     help="Re-run every stage even when outputs look complete")
-
+        for taker, flag, _, kind, flag_help in _FLAGS:
+            if taker in (None, command) or command == "run":
+                stage.add_argument(flag, type=kind, help=flag_help)
+    sub.choices["run"].add_argument("--no-resume", action="store_true",
+                                    help="Re-run every stage even when outputs look complete")
     return parser
 
 
 def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    mapping = {
-        "workdir": ("workdir", Path),
-        "shards": ("shards", str),
-        "fixture_dir": ("fixture_dir", Path),
-        "srtm_dir": ("srtm_dir", Path),
-        "boundaries": ("boundaries", Path),
-        "judge": ("judge", str),
-        "translator": ("translator", str),
-        "out_dir": ("out_dir", Path),
-    }
-    for arg_name, (field_name, cast) in mapping.items():
-        value = getattr(args, arg_name, None)
+    for _, flag, field, _, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
-            setattr(cfg, field_name, cast(value))
-    if getattr(args, "base_url", None):
-        cfg.fetch.base_url = args.base_url
+            owner, _, name = field.rpartition(".")
+            setattr(getattr(cfg, owner) if owner else cfg, name, value)
     return cfg
 
 

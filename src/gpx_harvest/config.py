@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,20 +68,35 @@ class PipelineConfig:
         return self.out_dir if self.out_dir is not None else self.workdir / "out"
 
 
-def _build(cls, raw: dict):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+# The JSON types a value of each field type may take; a Path is a string.
+_JSON_TYPES = {float: (int, float), int: int, str: str, Path: str}
+
+
+def _build(cls, raw, where: str):
+    """``cls`` built from the JSON object ``raw``; ``where`` names it in errors."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(raw).__name__}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**raw)
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _value(hints[key], value, f"{where}.{key}") for key, value in raw.items()})
+
+
+def _value(hint, value, where: str):
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, where)
+    kinds = typing.get_args(hint) or (hint,)  # (T, NoneType) for ``T | None``
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    # bool is an int subclass, but true/false is no number.
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{where} must be a {kind.__name__}, not {json.dumps(value)}")
+    return Path(value) if kind is Path else value
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a JSON config file; missing keys keep their defaults."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    filters = _build(FilterConfig, raw.pop("filters", {}))
-    fetch = _build(FetchPolicy, raw.pop("fetch", {}))
-    for key in ("workdir", "out_dir", "fixture_dir", "srtm_dir", "boundaries"):
-        if raw.get(key) is not None:
-            raw[key] = Path(raw[key])
-    return _build(PipelineConfig, {"filters": filters, "fetch": fetch, **raw})
+    """Read a JSON config file; missing keys keep their defaults, and a wrong
+    type or key is a ValueError."""
+    return _build(PipelineConfig, json.loads(Path(path).read_text(encoding="utf-8")), "config")

@@ -8,11 +8,11 @@ stage reads (its thresholds, sources and judges, not its retries or
 parallelism) and the name, size and sha256 of every output, and a re-run
 skips a stage only while the config still holds those values and each output
 still matches.  No row and no manifest holds a path, so a work directory
-resumes however it is spelled, from any directory, and after a move.  Before
-a stage executes, the manifests of every later stage are deleted, so changing
-one of a stage's settings, deleting, truncating or editing its output, or
-running it on its own before the next ``run`` recomputes that stage and those
-after it.
+resumes however it is spelled, from any directory, and after a move.
+Each manifest also records the sha256 of the previous one (``after``), so
+the manifests form a hash chain: a stage whose settings or outputs changed
+re-executes, and the next one does too only if the new manifest differs
+(early cutoff).  A stage command writes no other stage's manifest.
 
 Parse, enrich and metrics each do their work once per distinct input and
 repeat the outcome for every row carrying that input: parse and metrics per
@@ -178,13 +178,20 @@ def _finish_stage(cfg: PipelineConfig, paths: PipelinePaths, report: StageReport
         raise PipelineError(f"stage {report.stage}: funnel does not balance: "
                             f"{report.inputs} inputs != {report.outputs} outputs "
                             f"+ {excluded} excluded")
-    write_json_atomic(paths.manifest(report.stage), {
-        "stage": report.stage,
-        "settings": _stage_settings(cfg, report.stage),
-        "outputs": [_output_entry(p) for p in _stage_outputs(cfg, paths, report.stage)],
-        "report": report.to_dict(),
-    })
+    write_json_atomic(paths.manifest(report.stage),
+                      {**_stage_state(cfg, paths, report.stage), "report": report.to_dict()})
     return report
+
+
+def _stage_state(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> dict:
+    """``stage``'s manifest, report aside, as it must read for the stage to be
+    up to date; ``after`` is the sha256 of the previous stage's manifest."""
+    position = STAGES.index(stage)
+    previous = paths.manifest(STAGES[position - 1]) if position else None
+    after = (hashlib.sha256(previous.read_bytes()).hexdigest()
+             if previous is not None and previous.exists() else None)
+    return {"stage": stage, "settings": _stage_settings(cfg, stage), "after": after,
+            "outputs": [_output_entry(p) for p in _stage_outputs(cfg, paths, stage)]}
 
 
 def _stage_settings(cfg: PipelineConfig, stage: str) -> dict:
@@ -654,24 +661,14 @@ def _collect_stats(paths: PipelinePaths, current: StageReport | None = None) -> 
 
 
 def _stage_is_complete(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> bool:
-    manifest = paths.manifest(stage)
-    if not manifest.exists():
-        return False
+    # A missing manifest or output, and a manifest that is not a JSON object,
+    # make the stage incomplete.
     try:
-        raw = json.loads(manifest.read_text(encoding="utf-8"))
-        # A manifest written under other settings, or without any (written
-        # before manifests recorded them), is incomplete.
-        if raw["settings"] != _stage_settings(cfg, stage):
-            return False
-        # So is one without sizes and digests (a bare path list), one that
-        # lists its outputs by path, and one listing other files than the
-        # stage writes now, such as one written before the stage gained an
-        # output.  The files are hashed where they are now.
-        files = _stage_outputs(cfg, paths, stage)
-        return (len(raw["outputs"]) == len(files)
-                and all(_output_entry(path) == entry
-                        for path, entry in zip(files, raw["outputs"])))
-    except (json.JSONDecodeError, KeyError, TypeError, OSError):
+        raw = json.loads(paths.manifest(stage).read_text(encoding="utf-8"))
+        if isinstance(raw, dict):
+            raw.pop("report", None)
+        return raw == _stage_state(cfg, paths, stage)
+    except (OSError, ValueError):
         return False
 
 
@@ -679,11 +676,10 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
                  resume: bool = True) -> PipelineStats:
     """Run the requested stages (all six by default) and gather the report.
 
-    With resume enabled, stages whose settings and outputs still match their
-    manifest are skipped.  Before a stage executes, the manifests of every later stage
-    are deleted, so every later stage runs too, in this run or the next.
-    The returned stats carry the saved reports of skipped stages plus the
-    list of stages actually executed this run.
+    With resume enabled, a stage is skipped while its manifest, report aside,
+    equals ``_stage_state``: its settings, its outputs and the previous
+    manifest's sha256.  The returned stats carry the saved reports of skipped
+    stages plus the list of stages actually executed this run.
     """
     selected = list(STAGES) if stages is None else list(stages)
     for stage in selected:
@@ -691,18 +687,16 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
             raise PipelineError(f"unknown stage {stage!r}")
 
     paths = PipelinePaths(workdir=Path(cfg.workdir))
-    paths.workdir.mkdir(parents=True, exist_ok=True)
+    try:
+        paths.workdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PipelineError(f"cannot create work directory {paths.workdir}: {exc}") from exc
 
     executed = []
     for stage in selected:
         if resume and _stage_is_complete(cfg, paths, stage):
             logger.info("%s: up to date, skipping", stage)
             continue
-        # A stage that re-runs may write other rows, and manifests do not
-        # record inputs, so no later stage's outputs can be trusted as up to
-        # date, in this run or the next.
-        for later in STAGES[STAGES.index(stage) + 1:]:
-            paths.manifest(later).unlink(missing_ok=True)
         _STAGE_FUNCTIONS[stage](cfg, paths)
         executed.append(stage)
 

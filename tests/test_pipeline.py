@@ -144,6 +144,14 @@ def assert_same_exports(cfg, reference):
                 == (reference.resolved_out_dir() / name).read_bytes()), name
 
 
+def drop_manifest_key(paths, key):
+    """Rewrite every stage's manifest without ``key``."""
+    for stage in STAGES:
+        manifest = json.loads(paths.manifest(stage).read_text("utf-8"))
+        del manifest[key]
+        write_json_atomic(paths.manifest(stage), manifest)
+
+
 @pytest.mark.parametrize("drop_exports", [False, True])
 def test_resume_recomputes_a_truncated_output(crawl, tmp_path, drop_exports):
     fresh = run_config(crawl, tmp_path, "fresh")
@@ -160,12 +168,16 @@ def test_resume_recomputes_a_truncated_output(crawl, tmp_path, drop_exports):
             (cfg.resolved_out_dir() / name).unlink()
 
     resumed = run_pipeline(cfg)
-    assert resumed.executed == ["metrics", "export"]
+    # Metrics rebuilds the same files, so export is up to date unless its own
+    # files are gone.
+    assert resumed.executed == (["metrics", "export"] if drop_exports else ["metrics"])
     assert resumed.records() == 2
     assert_same_exports(cfg, fresh)
 
 
 def test_resume_recomputes_an_output_edited_in_place(crawl, tmp_path):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)
     parsed = PipelinePaths(workdir=cfg.workdir).parsed
@@ -174,7 +186,9 @@ def test_resume_recomputes_an_output_edited_in_place(crawl, tmp_path):
     parsed.write_bytes(bytes(data))
 
     resumed = run_pipeline(cfg)
-    assert resumed.executed == ["parse", "enrich", "metrics", "export"]
+    assert resumed.executed == ["parse"]
+    assert parsed.read_bytes() == PipelinePaths(workdir=fresh.workdir).parsed.read_bytes()
+    assert_same_exports(cfg, fresh)
 
 
 def test_resume_recomputes_from_parse_when_the_tracks_file_is_edited(crawl, tmp_path):
@@ -188,7 +202,7 @@ def test_resume_recomputes_from_parse_when_the_tracks_file_is_edited(crawl, tmp_
     tracks.write_bytes(bytes(data))
 
     resumed = run_pipeline(cfg)
-    assert resumed.executed == ["parse", "enrich", "metrics", "export"]
+    assert resumed.executed == ["parse"]
     assert tracks.read_bytes() == PipelinePaths(workdir=fresh.workdir).tracks.read_bytes()
     assert_same_exports(cfg, fresh)
 
@@ -208,7 +222,7 @@ def test_manifest_without_output_digests_counts_as_incomplete(crawl, tmp_path):
 
 def test_work_directory_from_before_the_tracks_file_reruns_parse(crawl, tmp_path):
     # Parse used to write only parsed.jsonl, with no track location fields,
-    # and its manifest listed that one file.
+    # and its manifest listed that one file.  No manifest held ``after`` then.
     fresh = run_config(crawl, tmp_path, "fresh")
     run_pipeline(fresh)
     cfg = run_config(crawl, tmp_path, "w1")
@@ -226,9 +240,10 @@ def test_work_directory_from_before_the_tracks_file_reruns_parse(crawl, tmp_path
         write_json_atomic(paths.manifest(stage), manifest)
     paths.tracks.unlink()
     paths.final.unlink()
+    drop_manifest_key(paths, "after")
 
     resumed = run_pipeline(cfg)
-    assert resumed.executed == ["parse", "enrich", "metrics", "export"]
+    assert resumed.executed == list(STAGES)
     assert_same_exports(cfg, fresh)
 
 
@@ -243,14 +258,14 @@ def test_resume_recomputes_from_metrics_when_the_geometry_file_is_edited(crawl, 
     geometry.write_bytes(bytes(data))
 
     resumed = run_pipeline(cfg)
-    assert resumed.executed == ["metrics", "export"]
+    assert resumed.executed == ["metrics"]
     assert geometry.read_bytes() == PipelinePaths(workdir=fresh.workdir).geometry.read_bytes()
     assert_same_exports(cfg, fresh)
 
 
 def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_path):
     # Metrics used to write each row's coordinates text into final.jsonl, and
-    # its manifest listed that one file.
+    # its manifest listed that one file.  No manifest held ``after`` then.
     fresh = run_config(crawl, tmp_path, "fresh")
     run_pipeline(fresh)
     cfg = run_config(crawl, tmp_path, "w1")
@@ -272,9 +287,10 @@ def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_
                             "sha256": hashlib.sha256(data).hexdigest()}]
     write_json_atomic(paths.manifest("metrics"), manifest)
     paths.geometry.unlink()
+    drop_manifest_key(paths, "after")
 
     resumed = run_pipeline(cfg)
-    assert resumed.executed == ["metrics", "export"]
+    assert resumed.executed == list(STAGES)
     assert_same_exports(cfg, fresh)
 
 
@@ -345,7 +361,7 @@ def test_a_stage_run_on_its_own_makes_the_next_run_recompute_later_stages(crawl,
     assert alone.executed == ["parse"]
     assert alone.reports["parse"].outputs == 0
     paths = PipelinePaths(workdir=cfg.workdir)
-    assert not any(paths.manifest(stage).exists() for stage in ("enrich", "metrics", "export"))
+    assert all(paths.manifest(stage).exists() for stage in ("enrich", "metrics", "export"))
 
     resumed = run_pipeline(cfg)
     assert resumed.executed == ["enrich", "metrics", "export"]
@@ -353,6 +369,62 @@ def test_a_stage_run_on_its_own_makes_the_next_run_recompute_later_stages(crawl,
     assert resumed.records() == 0
     assert json.loads((cfg.resolved_out_dir() / "tracks.geojson").read_text("utf-8"))[
         "features"] == []
+
+
+def test_a_stage_that_rebuilds_the_same_files_leaves_later_stages_up_to_date(crawl,
+                                                                              tmp_path):
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    assert run_pipeline(cfg, stages=["parse"], resume=False).executed == ["parse"]
+
+    assert run_pipeline(cfg).executed == []
+
+
+def test_a_stage_run_on_its_own_under_other_settings_reruns_only_that_stage(crawl, tmp_path):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    cfg.filters.min_length_m = 5000
+    run_pipeline(cfg, stages=["parse"], resume=False)
+
+    cfg.filters.min_length_m = FilterConfig().min_length_m
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["parse"]
+    assert resumed.records() == 2
+    assert_same_exports(cfg, fresh)
+
+
+def test_manifests_without_a_link_to_the_previous_one_rerun_every_stage(crawl, tmp_path):
+    # Manifests written before each one recorded ``after``: the next run starts over.
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    drop_manifest_key(PipelinePaths(workdir=cfg.workdir), "after")
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == list(STAGES)
+    assert_same_exports(cfg, fresh)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: json.dumps([text]),
+    lambda text: json.dumps(text),
+    lambda text: text[:len(text) // 2],
+], ids=["array", "string", "truncated"])
+def test_a_damaged_manifest_reruns_its_stage(crawl, tmp_path, damage):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    manifest = PipelinePaths(workdir=cfg.workdir).manifest("metrics")
+    manifest.write_text(damage(manifest.read_text("utf-8")), "utf-8")
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["metrics"]
+    assert resumed.records() == 2
+    assert_same_exports(cfg, fresh)
 
 
 @pytest.mark.parametrize("section,name,value,first", [
@@ -397,11 +469,7 @@ def test_a_manifest_without_settings_counts_as_incomplete(crawl, tmp_path):
     run_pipeline(fresh)
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)
-    paths = PipelinePaths(workdir=cfg.workdir)
-    for stage in STAGES:
-        manifest = json.loads(paths.manifest(stage).read_text("utf-8"))
-        del manifest["settings"]
-        write_json_atomic(paths.manifest(stage), manifest)
+    drop_manifest_key(PipelinePaths(workdir=cfg.workdir), "settings")
 
     resumed = run_pipeline(cfg)
     assert resumed.executed == list(STAGES)
@@ -557,6 +625,42 @@ def test_cli_usage_error_exit_code(argv, capsys):
 def test_cli_fatal_error_exit_code(tmp_path):
     assert main(["index", "--shards", str(tmp_path / "nope-*"),
                  "--workdir", str(tmp_path / "w")]) == 1
+
+
+@pytest.mark.parametrize("config, workdir", [
+    ('{"filters": 5}', "w"),
+    ("[]", "w"),
+    ('{"filters": {"min_length_m": "500"}}', "w"),
+    ('{"fetch": {"max_parallel": "2"}}', "w"),
+    ('{"workdir": 5}', "w"),
+    ("{}", "afile/work"),
+], ids=["section-not-an-object", "document-not-an-object", "string-threshold",
+        "string-parallelism", "numeric-workdir", "workdir-under-a-file"])
+def test_cli_reports_a_fatal_setup_error_on_one_line(tmp_path, capsys, config, workdir):
+    (tmp_path / "c.json").write_text(config, "utf-8")
+    (tmp_path / "afile").write_text("", "utf-8")
+    code = main(["run", "--config", str(tmp_path / "c.json"), "--workdir",
+                 str(tmp_path / workdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_each_stage_flag_shows_its_help_in_its_stage_and_in_run(capsys):
+    from gpx_harvest.cli import _FLAGS
+
+    assert sorted(flag for _, flag, *_ in _FLAGS) == [
+        "--base-url", "--boundaries", "--fixture-dir", "--judge", "--out-dir", "--shards",
+        "--srtm-dir", "--translator", "--workdir"]
+    for taker, flag, _, _, flag_help in _FLAGS:
+        for command in (taker or "parse", "run"):
+            with pytest.raises(SystemExit) as help_:
+                main([command, "--help"])
+            assert help_.value.code == 0
+            # argparse wraps long help texts over several lines.
+            out = " ".join(capsys.readouterr().out.split())
+            assert f"{flag} " in out and flag_help in out, (command, flag)
 
 
 @pytest.mark.parametrize("tile_name, content", [
