@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gpx_harvest import (Segment, TileStore, Track, backfill_elevation, read_hgt,
-                         sample_elevation, tile_name_for, write_hgt)
+from gpx_harvest import (TileStore, Track, backfill_elevation, read_hgt, sample_elevation,
+                         tile_name_for, write_hgt)
 
 print("tile containing central London:", tile_name_for(51.5, -0.1))
 print("tile containing Cape Town:     ", tile_name_for(-33.9, 18.4))
@@ -30,12 +30,11 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"elevation at ({lat:5.2f}, 6.5) = {sample_elevation(tile, lat, 6.5):7.2f} m")
 
     store = TileStore(tmp)
-    # a track is stored as lat/lon/ele arrays per segment; no ele means NaN
-    bare = Track(segments=[Segment(lat=[49.2, 49.3, 49.4], lon=[6.5, 6.5, 6.5])])
+    # a track is stored as one lat/lon/ele array each; no ele means NaN
+    bare = Track(lat=[49.2, 49.3, 49.4], lon=[6.5, 6.5, 6.5])
     filled, source = backfill_elevation(bare, store)
-    print(f"\nbackfilled from {source}:",
-          [round(ele, 1) for ele in filled.segments[0].ele.tolist()])
+    print(f"\nbackfilled from {source}:", [round(ele, 1) for ele in filled.ele.tolist()])
 
-    device = Track(segments=[Segment(lat=[49.2, 49.3], lon=[6.5, 6.5], ele=[210.0, 230.0])])
+    device = Track(lat=[49.2, 49.3], lon=[6.5, 6.5], ele=[210.0, 230.0])
     _, source = backfill_elevation(device, store)
     print(f"device-recorded track keeps its data, source={source}")

@@ -5,8 +5,8 @@ and country assignment by point-in-polygon against named boundaries.
 import tempfile
 from pathlib import Path
 
-from gpx_harvest import (Segment, Track, assign_country, compute_track_metrics,
-                         haversine_m, load_boundaries)
+from gpx_harvest import (Track, assign_country, compute_track_metrics, haversine_m,
+                         load_boundaries)
 from gpx_harvest.synthetic import box_feature, loop_points, write_boundaries
 
 print("one degree along the equator:",
@@ -17,7 +17,7 @@ points = loop_points(49.35, 6.85, side_m=900.0, spacing_m=45.0)
 with_ele = [(lat, lon, 250.0 + 80.0 * min(i, len(points) - i) / len(points), None)
             for i, (lat, lon, _, _) in enumerate(points)]
 lat, lon, ele, _ = zip(*with_ele)
-track = Track(segments=[Segment(lat=lat, lon=lon, ele=ele)])
+track = Track(lat=lat, lon=lon, ele=ele)
 
 metrics = compute_track_metrics(track)
 print(f"length_2d    {metrics.length_2d:10.1f} m")

@@ -16,8 +16,7 @@ from .geo_metrics import (EARTH_RADIUS_M, CountryShape, TrackMetrics, assign_cou
                           compute_track_metrics, elevation_stats, find_countries,
                           haversine_m, is_circular, length_2d, length_3d,
                           load_boundaries, point_in_polygon)
-from .gpx_model import (GpxDocument, GpxParseError, Segment, Track,
-                        extract_single_track, parse_gpx)
+from .gpx_model import GpxDocument, GpxParseError, Track, extract_single_track, parse_gpx
 from .index_scan import (CandidateRecord, ScanStats, is_gpx_candidate, iter_shard_lines,
                          parse_index_line, scan_index)
 from .judges import (ChatEndpointJudge, CommandTranslator, JudgeUnavailableError,
@@ -42,7 +41,7 @@ __all__ = [
     "EARTH_RADIUS_M", "CountryShape", "TrackMetrics", "assign_country",
     "compute_track_metrics", "elevation_stats", "find_countries", "haversine_m",
     "is_circular", "length_2d", "length_3d", "load_boundaries", "point_in_polygon",
-    "GpxDocument", "GpxParseError", "Segment", "Track",
+    "GpxDocument", "GpxParseError", "Track",
     "extract_single_track", "parse_gpx",
     "CandidateRecord", "ScanStats", "is_gpx_candidate", "iter_shard_lines",
     "parse_index_line", "scan_index",

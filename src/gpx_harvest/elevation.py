@@ -21,12 +21,12 @@ import math
 import re
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .gpx_model import Segment, Track
+from .gpx_model import Track
 
 VOID_VALUE = -32768
 _GRID_SIZES = (1201, 3601)  # SRTM3 and SRTM1
@@ -284,14 +284,6 @@ def backfill_elevation(track: Track, tiles: TileStore) -> tuple[Track, str]:
     values ``sample_elevation`` gives.  A point over a missing tile or an
     all-void cell raises ElevationUnavailableError.
     """
-    segments = track.segments
-    if track.point_count() and not any(np.isnan(s.ele).any() for s in segments):
+    if track.point_count() and not np.isnan(track.ele).any():
         return track, GPS_SOURCE
-
-    lat = np.concatenate([np.empty(0)] + [s.lat for s in segments])
-    lon = np.concatenate([np.empty(0)] + [s.lon for s in segments])
-    elevations = _sample_points(lat, lon, tiles)
-    bounds = np.cumsum([len(s) for s in segments])[:-1]
-    return Track(name=track.name, desc=track.desc,
-                 segments=[Segment(s.lat, s.lon, ele)
-                           for s, ele in zip(segments, np.split(elevations, bounds))]), DEM_SOURCE
+    return replace(track, ele=_sample_points(track.lat, track.lon, tiles)), DEM_SOURCE

@@ -45,27 +45,34 @@ def leg_lengths(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def _running_sum(parts: list[np.ndarray]) -> float:
-    """Left-to-right float sum over the concatenated parts.
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum of ``values``.
 
     The order is that of a Python ``total += x`` loop, so sums are identical
     to it; ``np.sum`` adds pairwise and can differ in the last digits.
     """
-    values = np.concatenate([np.empty(0), *parts])
     return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
+def _within_segments(track: Track) -> np.ndarray:
+    """Which legs (consecutive point pairs) of the track lie within one segment.
+
+    A leg into a segment's first point would bridge a recording pause and
+    inflate the length, so every length and elevation sum leaves it out.
+    """
+    keep = np.ones(max(track.point_count() - 1, 0), dtype=bool)
+    keep[track.segment_starts() - 1] = False
+    return keep
+
+
 def _lengths(track: Track) -> tuple[float, float]:
-    """(length_2d, length_3d) from one haversine pass per segment."""
-    flat = []
-    sloped = []
-    for segment in track.segments:
-        legs = leg_lengths(segment.lat, segment.lon)
-        climb = np.diff(segment.ele)
-        flat.append(legs)
-        # A leg with an endpoint lacking elevation keeps its 2D distance.
-        sloped.append(np.where(np.isnan(climb), legs, np.hypot(legs, climb)))
-    return _running_sum(flat), _running_sum(sloped)
+    """(length_2d, length_3d) from one haversine pass."""
+    keep = _within_segments(track)
+    legs = leg_lengths(track.lat, track.lon)[keep]
+    climb = np.diff(track.ele)[keep]
+    # A leg with an endpoint lacking elevation keeps its 2D distance.
+    sloped = np.where(np.isnan(climb), legs, np.hypot(legs, climb))
+    return _running_sum(legs), _running_sum(sloped)
 
 
 def length_2d(track: Track) -> float:
@@ -74,7 +81,7 @@ def length_2d(track: Track) -> float:
     Pairs never span segment boundaries: segments represent recording pauses
     and bridging them would inflate the length.
     """
-    return _running_sum([leg_lengths(s.lat, s.lon) for s in track.segments])
+    return _running_sum(leg_lengths(track.lat, track.lon)[_within_segments(track)])
 
 
 def length_3d(track: Track) -> float:
@@ -103,7 +110,7 @@ def elevation_stats(track: Track, deadband_m: float = 0.0) -> ElevationStats:
     boundary.  Every point must carry an elevation (run the DEM backfill
     first).
     """
-    elevations = np.concatenate([np.empty(0)] + [s.ele for s in track.segments])
+    elevations = track.ele
     if not len(elevations):
         raise ValueError("track has no points")
     if np.isnan(elevations).any():
@@ -112,12 +119,9 @@ def elevation_stats(track: Track, deadband_m: float = 0.0) -> ElevationStats:
     if deadband_m > 0.0:
         uphill = 0.0
         downhill = 0.0
-        for segment in track.segments:
-            values = segment.ele.tolist()
-            if not values:
-                continue
-            anchor = values[0]
-            for value in values[1:]:
+        for segment in np.split(elevations, track.segment_starts()):
+            anchor, *values = segment.tolist()
+            for value in values:
                 delta = value - anchor
                 if abs(delta) > deadband_m:
                     if delta > 0:
@@ -127,30 +131,27 @@ def elevation_stats(track: Track, deadband_m: float = 0.0) -> ElevationStats:
                     anchor = value
     else:
         # Without a deadband the anchor is always the previous point.
-        deltas = [np.diff(s.ele) for s in track.segments]
-        uphill = _running_sum([d[d > 0] for d in deltas])
-        downhill = _running_sum([-d[d < 0] for d in deltas])
+        deltas = np.diff(elevations)[_within_segments(track)]
+        uphill = _running_sum(deltas[deltas > 0])
+        downhill = _running_sum(-deltas[deltas < 0])
 
     return ElevationStats(highest=float(elevations.max()), lowest=float(elevations.min()),
                           uphill=uphill, downhill=downhill)
 
 
 def _endpoints(track: Track) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(lat, lon) of the first point of the first non-empty segment and of the
-    last point of the last one."""
-    populated = [s for s in track.segments if len(s)]
-    if not populated:
+    """(lat, lon) of the track's first point and of its last point."""
+    if not track.point_count():
         raise ValueError("track has no points")
-    first, last = populated[0], populated[-1]
-    return ((float(first.lat[0]), float(first.lon[0])),
-            (float(last.lat[-1]), float(last.lon[-1])))
+    return ((float(track.lat[0]), float(track.lon[0])),
+            (float(track.lat[-1]), float(track.lon[-1])))
 
 
 def is_circular(track: Track, radius_m: float = 350.0) -> bool:
     """True when the first and last points lie within radius_m (inclusive).
 
-    The endpoints span segments: first point of the first non-empty segment,
-    last point of the last non-empty segment.
+    The endpoints span segments: the first point of the first segment and
+    the last point of the last one.
     """
     start, end = _endpoints(track)
     return haversine_m(*start, *end) <= radius_m

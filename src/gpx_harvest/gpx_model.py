@@ -1,14 +1,17 @@
-"""GPX document model: track / segment hierarchy parsed from raw XML bytes.
+"""GPX document model: tracks parsed from raw XML bytes.
 
-A segment holds its points as three parallel float64 arrays, ``lat``, ``lon``
-and ``ele``, with NaN meaning "no elevation"; no per-point object exists.
-Accepts GPX 1.0, GPX 1.1 and namespace-less documents.  Route files
-(<rte>/<rtept>) are folded into the same track model, one segment per route.
+A track holds its points as three parallel float64 arrays over all of its
+segments, ``lat``, ``lon`` and ``ele``, with NaN meaning "no elevation", plus
+the point count of each segment in order; no per-point or per-segment object
+exists.  The pipeline stores a track as just these: ``tracks.f64`` holds the
+track's own ``lat``, ``lon`` and ``ele`` arrays back to back.  Accepts GPX 1.0,
+GPX 1.1 and namespace-less documents.  Route files (<rte>/<rtept>) are folded
+into the same track model, one segment per route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from xml.etree import ElementTree
 
 import numpy as np
@@ -24,17 +27,21 @@ class GpxParseError(Exception):
 
 
 @dataclass(eq=False)
-class Segment:
-    """One uninterrupted recording: point i is ``(lat[i], lon[i], ele[i])``.
+class Track:
+    """Point i is ``(lat[i], lon[i], ele[i])``; the first ``segment_lengths[0]``
+    points are the first uninterrupted recording, the next ones the second.
 
     Any sequences are accepted and stored as float64 arrays; ``None`` or NaN
     in ``ele`` means that point has no elevation, and an omitted ``ele``
-    means none has.
+    means none has.  Every segment length is positive and they sum to the
+    point count; an omitted ``segment_lengths`` makes all points one segment.
     """
 
     lat: np.ndarray
     lon: np.ndarray
     ele: np.ndarray | None = None
+    segment_lengths: list[int] | None = None
+    desc: str | None = None
 
     def __post_init__(self) -> None:
         self.lat = np.asarray(self.lat, dtype=np.float64)
@@ -42,21 +49,24 @@ class Segment:
         self.ele = (np.full(self.lat.shape, np.nan) if self.ele is None
                     else np.asarray(self.ele, dtype=np.float64))
         if self.lat.ndim != 1 or not self.lat.shape == self.lon.shape == self.ele.shape:
-            raise ValueError(f"segment arrays must be 1-D and equally long, got "
+            raise ValueError(f"track arrays must be 1-D and equally long, got "
                              f"{self.lat.shape}, {self.lon.shape}, {self.ele.shape}")
-
-    def __len__(self) -> int:
-        return len(self.lat)
-
-
-@dataclass
-class Track:
-    name: str | None = None
-    desc: str | None = None
-    segments: list[Segment] = field(default_factory=list)
+        points = len(self.lat)
+        if self.segment_lengths is None:
+            self.segment_lengths = [points] if points else []
+        if any(length <= 0 for length in self.segment_lengths):
+            raise ValueError(f"segment lengths must be positive, got {self.segment_lengths}")
+        if sum(self.segment_lengths) != points:
+            raise ValueError(f"segment lengths {self.segment_lengths} do not sum to "
+                             f"the {points} points")
 
     def point_count(self) -> int:
-        return sum(len(segment) for segment in self.segments)
+        return len(self.lat)
+
+    def segment_starts(self) -> np.ndarray:
+        """The index of the first point of every segment but the first, as
+        ``np.split`` takes them."""
+        return np.cumsum(self.segment_lengths[:-1], dtype=np.intp)
 
 
 @dataclass
@@ -86,8 +96,9 @@ def _child_text(element: ElementTree.Element, name: str) -> str | None:
 
 
 def _read_points(parent: ElementTree.Element, point_tag: str,
-                 stats: ParseStats) -> tuple[Segment, int]:
-    """The parent's ``point_tag`` children as a segment, and how many were dropped.
+                 stats: ParseStats) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The parent's ``point_tag`` children as lat, lon and ele arrays, and how
+    many were dropped.
 
     A point is dropped when lat or lon is unparsable or out of range.  The
     elevation is the point's ``<ele>`` child in the point's own namespace; an
@@ -130,39 +141,25 @@ def _read_points(parent: ElementTree.Element, point_tag: str,
     valid = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
     dropped = unparsable + len(valid) - int(np.count_nonzero(valid))
     stats.points_dropped += dropped
-    return Segment(lat[valid], lon[valid], ele[valid]), dropped
+    return lat[valid], lon[valid], ele[valid], dropped
 
 
-def _read_track(element: ElementTree.Element, stats: ParseStats) -> Track | None:
-    segments: list[Segment] = []
-    kept = 0
-    dropped = 0
-    for child in element:
-        if _local(child.tag) != "trkseg":
-            continue
-        segment, seg_dropped = _read_points(child, "trkpt", stats)
-        kept += len(segment)
-        dropped += seg_dropped
-        if len(segment):
-            segments.append(segment)
-
-    if dropped and dropped / (dropped + kept) > MAX_INVALID_POINT_RATIO:
+def _track(element: ElementTree.Element, stats: ParseStats) -> Track | None:
+    """The <trk> (one segment per non-empty <trkseg>) or <rte> (one segment)
+    as a track; None when it lost too many points to validation."""
+    if _local(element.tag) == "rte":
+        parts = [_read_points(element, "rtept", stats)]
+    else:
+        parts = [_read_points(child, "trkpt", stats)
+                 for child in element if _local(child.tag) == "trkseg"]
+    lengths = [len(lat) for lat, _, _, _ in parts if len(lat)]
+    dropped = sum(part[3] for part in parts)
+    if dropped and dropped / (dropped + sum(lengths)) > MAX_INVALID_POINT_RATIO:
         stats.tracks_dropped += 1
         return None
-    return Track(name=_strip_or_none(_child_text(element, "name")),
-                 desc=_child_text(element, "desc"),
-                 segments=segments)
-
-
-def _read_route(element: ElementTree.Element, stats: ParseStats) -> Track | None:
-    segment, dropped = _read_points(element, "rtept", stats)
-    if dropped and dropped / (dropped + len(segment)) > MAX_INVALID_POINT_RATIO:
-        stats.tracks_dropped += 1
-        return None
-    segments = [segment] if len(segment) else []
-    return Track(name=_strip_or_none(_child_text(element, "name")),
-                 desc=_child_text(element, "desc"),
-                 segments=segments)
+    lat, lon, ele = (np.concatenate([np.empty(0)] + [part[axis] for part in parts])
+                     for axis in range(3))
+    return Track(lat, lon, ele, segment_lengths=lengths, desc=_child_text(element, "desc"))
 
 
 def _strip_or_none(text: str | None) -> str | None:
@@ -173,17 +170,19 @@ def _strip_or_none(text: str | None) -> str | None:
 
 
 def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxDocument:
-    """Parse raw GPX bytes into the track hierarchy.
+    """Parse raw GPX bytes into tracks.
 
-    Reads trk/trkseg/trkpt plus trk-level name and desc into per-segment
-    lat/lon/ele arrays; the ele child is optional per point, and a missing,
-    unparsable or non-finite one (``nan``, ``inf``, ``1e400``) is NaN, i.e.
-    no elevation.  Unknown elements (extensions, waypoints, point timestamps)
-    are ignored.  Points with unparsable or out-of-range lat/lon are dropped
-    and counted in ``stats``; a track losing more than 1% of its points that
-    way is dropped entirely.  Routes become single-segment tracks.  Descriptions
-    fall back to the document-level <desc> (GPX 1.0) or <metadata><desc>
-    (GPX 1.1) when the track carries none.
+    Reads trk/trkseg/trkpt plus the trk-level desc; each track's points, over
+    all of its trksegs, become one lat, one lon and one ele array, and each
+    non-empty trkseg one entry of its ``segment_lengths``.  The ele child is
+    optional per point, and a missing, unparsable or non-finite one (``nan``,
+    ``inf``, ``1e400``) is NaN, i.e. no elevation.  Unknown elements
+    (extensions, waypoints, point timestamps) are ignored.  Points with
+    unparsable or out-of-range lat/lon are dropped and counted in ``stats``;
+    a track losing more than 1% of its points that way is dropped entirely.
+    Routes become single-segment tracks.  Descriptions fall back to the
+    document-level <desc> (GPX 1.0) or <metadata><desc> (GPX 1.1) when the
+    track carries none.
 
     Raises GpxParseError for non-XML payloads, an XML declaration naming an
     encoding expat cannot read, or a non-<gpx> root.
@@ -207,12 +206,8 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
             doc_desc = doc_desc or _strip_or_none(_child_text(child, "desc"))
         elif tag == "desc":
             doc_desc = doc_desc or _strip_or_none(child.text)
-        elif tag == "trk":
-            track = _read_track(child, stats)
-            if track is not None:
-                tracks.append(track)
-        elif tag == "rte":
-            track = _read_route(child, stats)
+        elif tag in ("trk", "rte"):
+            track = _track(child, stats)
             if track is not None:
                 tracks.append(track)
 
@@ -229,12 +224,7 @@ def extract_single_track(doc: GpxDocument) -> Track | None:
 
     Empty tracks do not count toward the total.  Documents with zero or two
     or more populated tracks yield None (multi-track recordings are out of
-    scope).  The returned track has empty segments removed.
+    scope).
     """
     populated = [track for track in doc.tracks if track.point_count() > 0]
-    if len(populated) != 1:
-        return None
-    track = populated[0]
-    return Track(name=track.name, desc=track.desc,
-                 segments=[s for s in track.segments if len(s)])
-
+    return populated[0] if len(populated) == 1 else None

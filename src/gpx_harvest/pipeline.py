@@ -29,11 +29,11 @@ Parse is the only stage that reads ``payloads.bin``, so it must survive only
 until parse completes, and fetch's manifest does not list it.
 
 Rows passed up to metrics carry ids, the description and scalars, never
-geometry.  Parse appends each accepted track's arrays to ``tracks.f64``, raw
-little-endian float64 values (lat block, lon block, ele block, each over all
-segments), written together with ``parsed.jsonl``; each row carries the
-track's byte offset there, its segment lengths and the sha256 of its bytes.
-Metrics reads the arrays back from that file and never parses GPX.
+geometry.  Parse appends each accepted track's own ``lat``, ``lon`` and
+``ele`` arrays back to back to ``tracks.f64``, as raw little-endian float64
+values, written together with ``parsed.jsonl``; each row carries the track's
+byte offset there, its segment lengths and the sha256 of its bytes.  Metrics
+reads the arrays back from that file and never parses GPX.
 
 Metrics writes each content hash's coordinates once, as the exact JSON text
 both exports embed, to ``geometry.jsonl`` (one text per line), written
@@ -74,8 +74,7 @@ from .descriptions import clean_text, filter_rare_languages, length_exclusion, m
 from .elevation import ElevationUnavailableError, TileFileError, TileStore, backfill_elevation
 from .geo_metrics import (compute_track_metrics, first_point_countries, length_2d,
                           load_boundaries, pick_country)
-from .gpx_model import (GpxParseError, ParseStats, Segment, Track, extract_single_track,
-                        parse_gpx)
+from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, parse_gpx
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .language import detect_language
 from .records import (SCALAR_PROPERTIES, atomic_files, coordinates_text, dedup, export_paths,
@@ -121,8 +120,13 @@ class StageReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StageReport":
-        return cls(stage=raw["stage"], inputs=raw["inputs"], outputs=raw["outputs"],
-                   excluded=dict(raw.get("excluded", {})), info=dict(raw.get("info", {})))
+        """The report ``to_dict`` wrote; ValueError when a count is no integer."""
+        report = cls(stage=raw["stage"], inputs=raw["inputs"], outputs=raw["outputs"],
+                     excluded=dict(raw.get("excluded", {})), info=dict(raw.get("info", {})))
+        if not all(type(count) is int
+                   for count in (report.inputs, report.outputs, *report.excluded.values())):
+            raise ValueError(f"stage {report.stage}: a report count is not an integer")
+        return report
 
 
 def _stage_file(name: str) -> property:
@@ -356,13 +360,11 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         _, reason = passes_track_filters(track, length_2d(track), cfg.filters)
         if reason is not None:
             return reason, None, stats
-        segments = track.segments
-        values = np.concatenate([s.lat for s in segments] + [s.lon for s in segments]
-                                + [s.ele for s in segments]).astype(TRACK_DTYPE, copy=False)
+        values = np.concatenate((track.lat, track.lon, track.ele)).astype(TRACK_DTYPE, copy=False)
         offset = tracks.tell()
         tracks.write(values)
         return None, {"desc": track.desc, "track_offset": offset,
-                      "segment_lengths": [len(s) for s in segments],
+                      "segment_lengths": track.segment_lengths,
                       "track_sha256": hashlib.sha256(values).hexdigest()}, stats
 
     totals = ParseStats()
@@ -428,9 +430,7 @@ def _read_parsed_track(row: dict, tracks: StoredFiles) -> Track:
     data = tracks.read(row["track_offset"], 3 * points * TRACK_DTYPE.itemsize,
                        row["track_sha256"])
     lat, lon, ele = np.frombuffer(data, dtype=TRACK_DTYPE).reshape(3, points)
-    bounds = np.cumsum(lengths)[:-1]
-    return Track(segments=[Segment(*arrays) for arrays in
-                           zip(np.split(lat, bounds), np.split(lon, bounds), np.split(ele, bounds))])
+    return Track(lat, lon, ele, segment_lengths=lengths)
 
 
 def _build_judge(cfg: PipelineConfig):
@@ -647,28 +647,37 @@ class PipelineStats:
         return "\n".join(lines)
 
 
+def _read_manifest(paths: PipelinePaths, stage: str) -> tuple[dict, StageReport] | None:
+    """``stage``'s manifest without its report, and the report; None when the
+    manifest is missing or unreadable, is not a JSON object or holds no usable
+    report."""
+    try:
+        raw = json.loads(paths.manifest(stage).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    if not (isinstance(raw, dict) and isinstance(raw.get("report"), dict)):
+        return None
+    try:
+        return raw, StageReport.from_dict(raw.pop("report"))
+    except (KeyError, TypeError, ValueError):  # a report field is missing or malformed
+        return None
+
+
 def _collect_stats(paths: PipelinePaths, current: StageReport | None = None) -> PipelineStats:
     reports = {}
     for stage in STAGES:
         if current is not None and stage == current.stage:
             reports[stage] = current
-            continue
-        manifest = paths.manifest(stage)
-        if manifest.exists():
-            raw = json.loads(manifest.read_text(encoding="utf-8"))
-            reports[stage] = StageReport.from_dict(raw["report"])
+        elif (manifest := _read_manifest(paths, stage)) is not None:
+            reports[stage] = manifest[1]
     return PipelineStats(reports=reports, executed=[])
 
 
 def _stage_is_complete(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> bool:
-    # A missing manifest or output, and a manifest that is not a JSON object,
-    # make the stage incomplete.
+    manifest = _read_manifest(paths, stage)
     try:
-        raw = json.loads(paths.manifest(stage).read_text(encoding="utf-8"))
-        if isinstance(raw, dict):
-            raw.pop("report", None)
-        return raw == _stage_state(cfg, paths, stage)
-    except (OSError, ValueError):
+        return manifest is not None and manifest[0] == _stage_state(cfg, paths, stage)
+    except OSError:  # an output is missing
         return False
 
 

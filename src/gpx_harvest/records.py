@@ -63,12 +63,11 @@ def coordinates_text(track: Track, url: str) -> str:
     Every point must carry an elevation by now; one without is a
     RecordAssemblyError naming ``url``.
     """
-    geometry = []
-    for segment in track.segments:
-        if np.isnan(segment.ele).any():
-            raise RecordAssemblyError(f"point without elevation in {url}")
-        geometry.append(np.column_stack((segment.lon, segment.lat, segment.ele)).tolist())
-    return json.dumps(geometry)
+    if np.isnan(track.ele).any():
+        raise RecordAssemblyError(f"point without elevation in {url}")
+    points = np.column_stack((track.lon, track.lat, track.ele))
+    return json.dumps([line.tolist() for line in np.split(points, track.segment_starts())]
+                      if track.segment_lengths else [])
 
 
 def dedup(rows: Iterable[dict], url_key: str = "url", crawl_key: str = "crawl_id",

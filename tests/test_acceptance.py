@@ -16,7 +16,7 @@ from gpx_harvest.elevation import (VOID_VALUE, SrtmTile, read_hgt, sample_elevat
                                    write_hgt)
 from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, haversine_m, is_circular,
                                      point_in_polygon)
-from gpx_harvest.gpx_model import Segment, Track
+from gpx_harvest.gpx_model import Track
 from gpx_harvest.judges import (PII_PROMPT_TEMPLATE, QUALITY_PROMPT_TEMPLATE,
                                 judge_pii, judge_quality, parse_verdict)
 from gpx_harvest.pipeline import run_pipeline
@@ -29,7 +29,7 @@ CONFIG = FilterConfig()
 
 def equator_track(*meter_marks, ele=None):
     lon = [math.degrees(m / EARTH_RADIUS_M) for m in meter_marks]
-    return Track(segments=[Segment(lat=[0.0] * len(lon), lon=lon, ele=[ele] * len(lon))])
+    return Track(lat=[0.0] * len(lon), lon=lon, ele=[ele] * len(lon))
 
 
 def test_c01_end_to_end_golden_run(tmp_path):
@@ -94,7 +94,7 @@ def test_c04_geodesic_accuracy_and_metric_properties():
 def test_c05_three_four_five():
     from gpx_harvest.geo_metrics import length_3d
     delta = math.degrees(300.0 / EARTH_RADIUS_M)
-    track = Track(segments=[Segment(lat=[0.0, 0.0], lon=[0.0, delta], ele=[0.0, 400.0])])
+    track = Track(lat=[0.0, 0.0], lon=[0.0, delta], ele=[0.0, 400.0])
     assert length_3d(track) == pytest.approx(500.0, rel=1e-6)
 
 
@@ -125,14 +125,14 @@ def test_c06_srtm_sampling_and_round_trip(tmp_path):
 
 
 def test_c07_filter_thresholds_at_boundaries():
-    dense = Track(segments=[Segment(lat=[0.0] * 2000, lon=[0.0] * 2000)])
+    dense = Track(lat=[0.0] * 2000, lon=[0.0] * 2000)
     assert passes_track_filters(dense, 500.0, CONFIG)[0]
     assert passes_track_filters(dense, 100_000.0, CONFIG)[0]
     assert passes_track_filters(dense, 499.0, CONFIG) == (False, "too-short")
     assert passes_track_filters(dense, 100_001.0, CONFIG) == (False, "too-long")
 
-    ten = Track(segments=[Segment(lat=[0.0] * 10, lon=[0.0] * 10)])
-    nine = Track(segments=[Segment(lat=[0.0] * 9, lon=[0.0] * 9)])
+    ten = Track(lat=[0.0] * 10, lon=[0.0] * 10)
+    nine = Track(lat=[0.0] * 9, lon=[0.0] * 9)
     assert passes_track_filters(ten, 1000.0, CONFIG) == (True, None)
     assert passes_track_filters(nine, 1000.0, CONFIG) == (False, "low-density")
 
@@ -146,7 +146,7 @@ def test_c07_filter_thresholds_at_boundaries():
     for meters, expected in ((349.0, True), (351.0, False)):
         end = math.degrees(meters / EARTH_RADIUS_M)
         assert haversine_m(0.0, 0.0, 0.0, end) == pytest.approx(meters, abs=1e-6)
-        track = Track(segments=[Segment(lat=[0.0, 0.0], lon=[0.0, end])])
+        track = Track(lat=[0.0, 0.0], lon=[0.0, end])
         assert is_circular(track, radius_m=CONFIG.circular_radius_m) is expected
 
 

@@ -10,7 +10,7 @@ from gpx_harvest.elevation import (DEM_SOURCE, GPS_SOURCE, VOID_VALUE,
                                    ElevationUnavailableError, SrtmTile, TileFileError, TileStore,
                                    _sample_points, backfill_elevation, parse_tile_name, read_hgt,
                                    sample_elevation, sample_tile, tile_name_for, write_hgt)
-from gpx_harvest.gpx_model import Segment, Track
+from gpx_harvest.gpx_model import Track
 
 N = 1201
 STEP = 1.0 / (N - 1)
@@ -174,7 +174,7 @@ def test_tile_store_caches_loads(tmp_path):
 
 def track_with_points(points):
     lat, lon, ele = zip(*points)
-    return Track(name="t", desc="d", segments=[Segment(lat=lat, lon=lon, ele=ele)])
+    return Track(lat=lat, lon=lon, ele=ele, desc="d")
 
 
 def test_backfill_keeps_device_elevation(tmp_path):
@@ -191,9 +191,9 @@ def test_backfill_resamples_from_dem(tmp_path):
     track = track_with_points([(49.2, 6.5, None), (49.3, 6.6, None)])
     result, source = backfill_elevation(track, store)
     assert source == DEM_SOURCE
-    segment, = result.segments
-    assert segment.ele.tolist() == [250.0, 250.0]
-    assert list(zip(segment.lat.tolist(), segment.lon.tolist())) == [(49.2, 6.5), (49.3, 6.6)]
+    assert result.segment_lengths == [2]
+    assert result.ele.tolist() == [250.0, 250.0]
+    assert list(zip(result.lat.tolist(), result.lon.tolist())) == [(49.2, 6.5), (49.3, 6.6)]
 
 
 def test_backfill_mixed_elevation_resamples_everything(tmp_path):
@@ -203,7 +203,7 @@ def test_backfill_mixed_elevation_resamples_everything(tmp_path):
     result, source = backfill_elevation(track, store)
     assert source == DEM_SOURCE
     # one provenance per track: the device value is replaced, not mixed
-    assert result.segments[0].ele.tolist() == [250.0, 250.0]
+    assert result.ele.tolist() == [250.0, 250.0]
 
 
 def test_backfill_missing_tile_excludes_track(tmp_path):
@@ -225,12 +225,11 @@ def test_backfill_void_cell_excludes_track(tmp_path):
 def test_backfill_preserves_structure(tmp_path):
     write_hgt(tmp_path / "N49E006.hgt", np.full((N, N), 9, dtype=np.int16))
     store = TileStore(tmp_path)
-    track = Track(segments=[
-        Segment(lat=[49.1, 49.2], lon=[6.1, 6.2]),
-        Segment(lat=[49.3], lon=[6.3]),
-    ])
+    track = Track(lat=[49.1, 49.2, 49.3], lon=[6.1, 6.2, 6.3], segment_lengths=[2, 1], desc="d")
     result, _ = backfill_elevation(track, store)
-    assert [len(s) for s in result.segments] == [2, 1]
+    assert result.segment_lengths == [2, 1]
+    assert result.desc == "d"
+    assert result.lat.tolist() == [49.1, 49.2, 49.3] and result.lon.tolist() == [6.1, 6.2, 6.3]
 
 
 # --- batched sampling against the scalar oracle --------------------------------
@@ -290,10 +289,10 @@ def test_backfill_segment_across_two_tiles_matches_scalar(tmp_path):
     store = TileStore(tmp_path)
     lon = [6.9, 6.95, 6.999999, 7.0, 7.05, 6.97, 7.1]
     lat = [49.5 + 0.01 * i for i in range(len(lon))]
-    track = Track(segments=[Segment(lat=lat, lon=lon)])
+    track = Track(lat=lat, lon=lon)
     result, source = backfill_elevation(track, store)
     assert source == DEM_SOURCE
-    assert result.segments[0].ele.tolist() == [
+    assert result.ele.tolist() == [
         sample_elevation(store.get(a, b), a, b) for a, b in zip(lat, lon)]
     assert store.loads == 2
 
@@ -302,7 +301,7 @@ def test_backfill_missing_tile_mid_segment_excludes_track(tmp_path):
     write_hgt(tmp_path / "N49E006.hgt", np.full((N, N), 250, dtype=np.int16))
     write_hgt(tmp_path / "N49E008.hgt", np.full((N, N), 250, dtype=np.int16))
     store = TileStore(tmp_path)
-    track = Track(segments=[Segment(lat=[49.5, 49.5, 49.5], lon=[6.5, 7.5, 8.5])])
+    track = Track(lat=[49.5, 49.5, 49.5], lon=[6.5, 7.5, 8.5])
     with pytest.raises(ElevationUnavailableError, match="N49E007"):
         backfill_elevation(track, store)
 
@@ -412,12 +411,12 @@ def test_backfill_reads_only_the_rows_a_track_spans(tmp_path, monkeypatch):
     fromfile = np.fromfile
     monkeypatch.setattr(np, "fromfile",
                         lambda *args, **kw: reads.append(kw["count"]) or fromfile(*args, **kw))
-    track = Track(segments=[Segment(lat=[49.5, 49.51, 49.505], lon=[6.2, 6.3, 6.4])])
+    track = Track(lat=[49.5, 49.51, 49.505], lon=[6.2, 6.3, 6.4])
     result, source = backfill_elevation(track, store)
     assert source == DEM_SOURCE
     rows = round(0.01 * (N - 1)) + 2
     assert reads == [rows * N]  # one read of the rows between the points
-    assert result.segments[0].ele.tolist() == [
+    assert result.ele.tolist() == [
         sample_elevation(noisy_tile(13), a, b) for a, b in [(49.5, 6.2), (49.51, 6.3),
                                                             (49.505, 6.4)]]
 

@@ -12,13 +12,16 @@ from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, BoundaryFileError, assign_c
                                      first_point_countries, haversine_m, is_circular,
                                      leg_lengths, length_2d, length_3d, load_boundaries,
                                      pick_country, point_in_polygon)
-from gpx_harvest.gpx_model import Segment, Track
+from gpx_harvest.gpx_model import Track
+from gpx_harvest.records import coordinates_text
 
 
 def track_from(*segments):
-    return Track(segments=[Segment(lat=[p[0] for p in seg], lon=[p[1] for p in seg],
-                                   ele=[p[2] if len(p) > 2 else None for p in seg])
-                           for seg in segments])
+    """A track of the given segments' points, empty segments left out as parse does."""
+    points = [p for seg in segments for p in seg]
+    return Track(lat=[p[0] for p in points], lon=[p[1] for p in points],
+                 ele=[p[2] if len(p) > 2 else None for p in points],
+                 segment_lengths=[len(seg) for seg in segments if seg])
 
 
 def equator_offset_deg(meters):
@@ -83,6 +86,56 @@ def test_leg_kernel_matches_summed_scalar_haversine(segments):
         assert len(legs) == len(points) - 1
         assert legs.tolist() == pytest.approx(
             [haversine_m(*a, *b) for a, b in zip(points, points[1:])], rel=1e-12, abs=1e-9)
+
+
+@st.composite
+def _split_points(draw):
+    """``_segment_points`` with an elevation each, and positive segment lengths
+    that add up to the point count."""
+    points = draw(_segment_points())
+    ele = draw(st.lists(st.floats(-500.0, 9000.0), min_size=len(points), max_size=len(points)))
+    lengths = []
+    while sum(lengths) < len(points):
+        lengths.append(draw(st.integers(1, len(points) - sum(lengths))))
+    return points, ele, lengths
+
+
+def _left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_points())
+def test_segment_starts_drop_exactly_the_legs_between_segments(drawn):
+    points, ele, lengths = drawn
+    lat, lon = (np.array(axis) for axis in zip(*points))
+    track = Track(lat=lat, lon=lon, ele=ele, segment_lengths=lengths)
+
+    flat, sloped, up, down, lines = [], [], [], [], []
+    start = 0
+    for length in lengths:
+        part = slice(start, start + length)
+        start += length
+        seg_lat, seg_lon, seg_ele = lat[part], lon[part], np.array(ele[part])
+        legs = leg_lengths(seg_lat, seg_lon)
+        climb = np.diff(seg_ele)
+        flat += legs.tolist()
+        sloped += np.where(np.isnan(climb), legs, np.hypot(legs, climb)).tolist()
+        up += climb[climb > 0].tolist()
+        down += (-climb[climb < 0]).tolist()
+        lines.append(np.column_stack((seg_lon, seg_lat, seg_ele)).tolist())
+
+    metrics = compute_track_metrics(track)
+    assert length_2d(track) == _left_to_right(flat)
+    assert metrics.length_2d == _left_to_right(flat)
+    assert metrics.length_3d == _left_to_right(sloped)
+    assert metrics.uphill == _left_to_right(up)
+    assert metrics.downhill == _left_to_right(down)
+    assert coordinates_text(track, "http://a.example/t.gpx") == json.dumps(lines)
+
 
 # --- lengths ---------------------------------------------------------------------
 
@@ -209,12 +262,12 @@ def test_elevation_stats_requires_elevations():
     with pytest.raises(ValueError):
         elevation_stats(track_from([(50.0, 6.0, 100.0), (50.1, 6.0)]))
     with pytest.raises(ValueError):
-        elevation_stats(Track(segments=[]))
+        elevation_stats(Track(lat=[], lon=[]))
 
 
 def reverse_track(track):
-    segments = [Segment(s.lat[::-1], s.lon[::-1], s.ele[::-1]) for s in reversed(track.segments)]
-    return Track(segments=segments)
+    return Track(lat=track.lat[::-1], lon=track.lon[::-1], ele=track.ele[::-1],
+                 segment_lengths=track.segment_lengths[::-1])
 
 
 def test_reversal_swaps_uphill_downhill_keeps_lengths():

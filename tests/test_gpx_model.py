@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpx_harvest.gpx_model import (GpxParseError, ParseStats, Segment, extract_single_track,
+from gpx_harvest.gpx_model import (GpxParseError, ParseStats, Track, extract_single_track,
                                    parse_gpx)
 from gpx_harvest.synthetic import gpx_xml
 
@@ -17,11 +17,10 @@ def test_parse_minimal_document_preserves_desc():
     doc = parse_gpx(payload, URL)
     assert len(doc.tracks) == 1
     track = doc.tracks[0]
-    assert track.name == "Morning run"
     assert track.desc == "Two laps\naround the park"  # verbatim, cleaning happens later
     assert track.point_count() == 2
-    first = track.segments[0]
-    assert (first.lat[0], first.lon[0], first.ele[0]) == (51.0, -0.5, 12.0)
+    assert track.segment_lengths == [2]
+    assert (track.lat[0], track.lon[0], track.ele[0]) == (51.0, -0.5, 12.0)
 
 
 def test_parse_rejects_html():
@@ -99,8 +98,8 @@ def test_parse_route_becomes_single_segment_track():
     doc = parse_gpx(payload, URL)
     assert len(doc.tracks) == 1
     track = doc.tracks[0]
-    assert track.name == "Planned ride"
-    assert len(track.segments) == 1
+    assert track.desc == "Signed route"
+    assert track.segment_lengths == [2]
     assert track.point_count() == 2
 
 
@@ -120,27 +119,44 @@ def test_parse_tolerates_bad_ele_and_time():
     payload = (b'<?xml version="1.0"?><gpx version="1.1"><trk><trkseg>'
                b'<trkpt lat="50.0" lon="6.0"><ele>n/a</ele><time>yesterday</time></trkpt>'
                b'</trkseg></trk></gpx>')
-    segment = parse_gpx(payload, URL).tracks[0].segments[0]
-    assert math.isnan(segment.ele[0])
+    track = parse_gpx(payload, URL).tracks[0]
+    assert math.isnan(track.ele[0])
 
 
 @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400"])
 def test_parse_treats_non_finite_ele_as_missing(text):
     payload = gpx_xml([{"segments": [[(50.0, 6.0, text), (50.001, 6.0, 120.5)]]}])
-    segment = parse_gpx(payload, URL).tracks[0].segments[0]
-    assert len(segment) == 2
-    assert math.isnan(segment.ele[0])  # no elevation: the track goes to the DEM
-    assert segment.ele[1] == 120.5
+    track = parse_gpx(payload, URL).tracks[0]
+    assert track.point_count() == 2
+    assert math.isnan(track.ele[0])  # no elevation: the track goes to the DEM
+    assert track.ele[1] == 120.5
 
 
-def test_segment_arrays_must_match():
-    segment = Segment(lat=[50.0, 50.1], lon=[6.0, 6.1])
-    assert segment.lat.dtype == segment.ele.dtype == np.float64
-    assert np.isnan(segment.ele).all() and len(segment) == 2
+def test_track_arrays_must_match():
+    track = Track(lat=[50.0, 50.1], lon=[6.0, 6.1])
+    assert track.lat.dtype == track.ele.dtype == np.float64
+    assert np.isnan(track.ele).all() and track.point_count() == 2
     with pytest.raises(ValueError):
-        Segment(lat=[50.0, 50.1], lon=[6.0])
+        Track(lat=[50.0, 50.1], lon=[6.0])
     with pytest.raises(ValueError):
-        Segment(lat=[50.0], lon=[6.0], ele=[1.0, 2.0])
+        Track(lat=[50.0], lon=[6.0], ele=[1.0, 2.0])
+    with pytest.raises(ValueError):
+        Track(lat=[[50.0], [50.1]], lon=[[6.0], [6.1]], ele=[[1.0], [2.0]])
+    with pytest.raises(ValueError):
+        Track(lat=50.0, lon=6.0, ele=1.0)
+
+
+@pytest.mark.parametrize("lengths", [[3, 0], [4, -1], [0, 3], [2], [2, 2], []])
+def test_track_segment_lengths_must_be_positive_and_sum_to_the_points(lengths):
+    with pytest.raises(ValueError):
+        Track(lat=[50.0, 50.1, 50.2], lon=[6.0, 6.1, 6.2], segment_lengths=lengths)
+
+
+def test_an_omitted_segment_lengths_makes_one_segment():
+    assert Track(lat=[50.0, 50.1, 50.2], lon=[6.0, 6.1, 6.2]).segment_lengths == [3]
+    assert Track(lat=[], lon=[]).segment_lengths == []
+    assert Track(lat=[50.0, 50.1, 50.2], lon=[6.0, 6.1, 6.2],
+                 segment_lengths=[1, 2]).segment_lengths == [1, 2]
 
 
 # --- extract_single_track ------------------------------------------------------
@@ -159,10 +175,10 @@ def test_extract_single_track_rejects_multi_track():
 
 
 def test_extract_single_track_ignores_empty_second_track():
-    doc = parse_gpx(gpx_xml([{"name": "real", "segments": [[(50.0, 6.0)]]},
-                             {"name": "empty", "segments": [[]]}]), URL)
+    doc = parse_gpx(gpx_xml([{"desc": "real", "segments": [[(50.0, 6.0)]]},
+                             {"desc": "empty", "segments": [[]]}]), URL)
     track = extract_single_track(doc)
-    assert track is not None and track.name == "real"
+    assert track is not None and track.desc == "real"
 
 
 def test_extract_single_track_rejects_zero_tracks():
@@ -173,16 +189,18 @@ def test_extract_single_track_rejects_zero_tracks():
 def test_extract_single_track_drops_empty_segments():
     doc = parse_gpx(gpx_xml([{"segments": [[], [(50.0, 6.0), (50.1, 6.0)], []]}]), URL)
     track = extract_single_track(doc)
-    assert len(track.segments) == 1
+    assert track.segment_lengths == [2]
 
 
 # --- geometry round-trip -----------------------------------------------------------
 
-def points_of(segment):
-    """(lat, lon, ele) tuples of a segment, None where there is no elevation."""
-    return [(lat, lon, None if math.isnan(ele) else ele)
-            for lat, lon, ele in zip(segment.lat.tolist(), segment.lon.tolist(),
-                                     segment.ele.tolist())]
+def segment_points(track):
+    """Per segment, its (lat, lon, ele) tuples, None where there is no elevation."""
+    points = [(lat, lon, None if math.isnan(ele) else ele)
+              for lat, lon, ele in zip(track.lat.tolist(), track.lon.tolist(),
+                                       track.ele.tolist())]
+    ends = np.cumsum(track.segment_lengths).tolist()
+    return [points[end - length:end] for end, length in zip(ends, track.segment_lengths)]
 
 
 def test_parse_serialize_roundtrip_is_lossless():
@@ -191,10 +209,9 @@ def test_parse_serialize_roundtrip_is_lossless():
     doc = parse_gpx(gpx_xml([{"name": "rt", "segments": segments}]), URL)
     track = doc.tracks[0]
 
-    reserialized = gpx_xml([{"name": track.name,
-                             "segments": [points_of(s) for s in track.segments]}])
+    reserialized = gpx_xml([{"desc": track.desc, "segments": segment_points(track)}])
     reparsed = parse_gpx(reserialized, URL).tracks[0]
-    assert [points_of(s) for s in reparsed.segments] == segments
+    assert segment_points(reparsed) == segments
 
 
 def test_parse_honors_declared_encoding():
@@ -202,5 +219,4 @@ def test_parse_honors_declared_encoding():
            '<gpx version="1.1"><trk><name>H\xfctte</name><desc>Sch\xf6ne Tour</desc>'
            '<trkseg><trkpt lat="47.0" lon="11.0"></trkpt></trkseg></trk></gpx>')
     doc = parse_gpx(xml.encode("iso-8859-1"), URL)
-    assert doc.tracks[0].name == "Hütte"
     assert doc.tracks[0].desc == "Schöne Tour"

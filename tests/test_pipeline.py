@@ -427,6 +427,34 @@ def test_a_damaged_manifest_reruns_its_stage(crawl, tmp_path, damage):
     assert_same_exports(cfg, fresh)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda text: json.dumps([text]),
+    lambda text: json.dumps(text),
+    lambda text: text[:len(text) // 2],
+    lambda text: json.dumps({**json.loads(text), "report": {"stage": "metrics"}}),
+    lambda text: json.dumps({**json.loads(text), "report": {
+        "stage": "metrics", "inputs": 2, "outputs": 1, "excluded": {"pii": "1"}}}),
+], ids=["array", "string", "truncated", "report-without-counts", "report-with-a-text-count"])
+def test_stage_commands_treat_another_stages_damaged_manifest_as_missing(crawl, tmp_path,
+                                                                         damage):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    manifest = PipelinePaths(workdir=cfg.workdir).manifest("metrics")
+    manifest.write_text(damage(manifest.read_text("utf-8")), "utf-8")
+
+    for stage in ("parse", "export"):
+        assert main([stage, "--config", str(crawl.config), "--workdir", str(cfg.workdir)]) == 0
+    stats = json.loads((cfg.resolved_out_dir() / "stats.json").read_text("utf-8"))
+    assert "metrics" not in stats["stages"]
+
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["metrics", "export"]
+    assert resumed.records() == 2
+    assert_same_exports(cfg, fresh)
+
+
 @pytest.mark.parametrize("section,name,value,first", [
     ("filters", "min_length_m", 5000, "parse"),
     ("filters", "desc_min_chars", 180, "enrich"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gpx_harvest import records as records_module
 from gpx_harvest.config import FilterConfig
 from gpx_harvest.geo_metrics import EARTH_RADIUS_M
-from gpx_harvest.gpx_model import Segment, Track
+from gpx_harvest.gpx_model import Track
 from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES, RecordAssemblyError,
                                  coordinates_text, dedup, encode_record, export_records,
                                  passes_track_filters, record_properties)
@@ -21,9 +21,8 @@ CONFIG = FilterConfig()
 
 def make_track(point_count=10, spacing_m=100.0):
     step = math.degrees(spacing_m / EARTH_RADIUS_M)
-    segment = Segment(lat=[0.0] * point_count, lon=[i * step for i in range(point_count)],
-                      ele=[100.0 + i for i in range(point_count)])
-    return Track(name="t", desc="d", segments=[segment])
+    return Track(lat=[0.0] * point_count, lon=[i * step for i in range(point_count)],
+                 ele=[100.0 + i for i in range(point_count)], desc="d")
 
 
 # --- track filters -------------------------------------------------------------
@@ -81,10 +80,8 @@ def record(track, url="http://a.example/t.gpx", warc_offset=3215, warc_len=1091,
 
 
 def two_segment_track():
-    return Track(name="t", desc="d", segments=[
-        Segment(lat=[53.8, 53.8], lon=[-2.45, -2.44], ele=[80.0, 81.0]),
-        Segment(lat=[53.81], lon=[-2.44], ele=[82.0]),
-    ])
+    return Track(lat=[53.8, 53.8, 53.81], lon=[-2.45, -2.44, -2.44], ele=[80.0, 81.0, 82.0],
+                 segment_lengths=[2, 1], desc="d")
 
 
 def test_coordinates_text_lists_lon_lat_ele_per_segment():
@@ -93,13 +90,13 @@ def test_coordinates_text_lists_lon_lat_ele_per_segment():
 
 
 def test_coordinates_text_rejects_missing_elevation():
-    track = Track(segments=[Segment(lat=[53.8], lon=[-2.45])])
+    track = Track(lat=[53.8], lon=[-2.45])
     with pytest.raises(RecordAssemblyError, match="elevation in http://a.example/t.gpx"):
         coordinates_text(track, "http://a.example/t.gpx")
 
 
 def test_properties_rounded_to_two_decimals_geometry_full_precision():
-    track = Track(segments=[Segment(lat=[53.812345678], lon=[-2.456789012], ele=[80.123456])])
+    track = Track(lat=[53.812345678], lon=[-2.456789012], ele=[80.123456])
     full = record(track)
     properties = record_properties(full)
     assert list(properties) == list(SCALAR_PROPERTIES)
@@ -165,8 +162,7 @@ def test_dedup_reports_counts():
 # --- export ----------------------------------------------------------------------
 
 def sample_records():
-    loop = Track(segments=[Segment(lat=[49.3, 49.31, 49.3], lon=[6.8, 6.81, 6.8],
-                                   ele=[250.0, 251.0, 250.0])])
+    loop = Track(lat=[49.3, 49.31, 49.3], lon=[6.8, 6.81, 6.8], ele=[250.0, 251.0, 250.0])
     second = record(loop, url="http://b.example/loop.gpx", warc_offset=9000, warc_len=500,
                     country="Germany", lang="de", elev_source="DEM", circular=True,
                     text="Eine schöne Runde am Fluss entlang, mit Blick über die alte Brücke.")
@@ -215,11 +211,9 @@ def test_export_keeps_previous_files_when_encoding_fails(tmp_path, monkeypatch):
         "tracks.csv", "tracks.geojson", "tracks.jsonl"]
 
 def test_export_segment_count_maps_to_line_count(tmp_path):
-    three_segments = Track(segments=[
-        Segment(lat=[53.8, 53.8], lon=[-2.45, -2.44], ele=[80.0, 81.0]),
-        Segment(lat=[53.81, 53.82], lon=[-2.44, -2.44], ele=[82.0, 83.0]),
-        Segment(lat=[53.83], lon=[-2.44], ele=[84.0]),
-    ])
+    three_segments = Track(lat=[53.8, 53.8, 53.81, 53.82, 53.83],
+                           lon=[-2.45, -2.44, -2.44, -2.44, -2.44],
+                           ele=[80.0, 81.0, 82.0, 83.0, 84.0], segment_lengths=[2, 2, 1])
     one = record(three_segments)
     assert len(json.loads(one["geometry"])) == 3
     paths = export_records([one], tmp_path)
@@ -289,8 +283,9 @@ def _records(draw):
     """A record as metrics builds it and its coordinates as the nested lists
     export used to take."""
     segments = draw(st.lists(st.lists(_POINTS, min_size=1, max_size=4), min_size=1, max_size=3))
-    track = Track(segments=[Segment(lat=[p[1] for p in points], lon=[p[0] for p in points],
-                                    ele=[p[2] for p in points]) for points in segments])
+    flat = [point for line in segments for point in line]
+    track = Track(lat=[p[1] for p in flat], lon=[p[0] for p in flat],
+                  ele=[p[2] for p in flat], segment_lengths=[len(line) for line in segments])
     drawn = record(track, country=draw(_TEXT), elev_source=draw(st.sampled_from(["GPS", "DEM"])),
                    circular=draw(st.booleans()))
     drawn.update(desc=draw(_TEXT), desc_lang=draw(st.sampled_from(["en", "de", "ja"])),
