@@ -177,6 +177,10 @@ def filter_rare_languages(items: Iterable[T], get_lang: Callable[[T], str],
     whole collection.  Applied once, after all per-item processing.
     """
     items = list(items)
-    counts = Counter(get_lang(item) for item in items)
-    return [item for item in items
-            if get_lang(item) != "unknown" and counts[get_lang(item)] > cutoff]
+    kept = common_languages(Counter(get_lang(item) for item in items), cutoff)
+    return [item for item in items if get_lang(item) in kept]
+
+
+def common_languages(counts: dict[str, int], cutoff: int = 5) -> set[str]:
+    """The languages ``filter_rare_languages`` keeps, from each one's item count."""
+    return {lang for lang, count in counts.items() if lang != "unknown" and count > cutoff}

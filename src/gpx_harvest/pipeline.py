@@ -19,14 +19,14 @@ repeat the outcome for every row carrying that input: parse and metrics per
 content hash, enrich per raw description text.  A recrawled or mirrored file
 therefore costs one parse, one set of judge and translator calls and one
 metrics pass, however many captures carry it.  This is exact because each of
-those steps is a deterministic function of its key; exclusions and counters
-are still tallied once per row, so reports and exports do not change.
+those steps is a deterministic function of its key; ``_kept_rows`` still
+tallies exclusions and counters once per row, so reports and exports do not change.
 
 Fetch appends each distinct payload once to ``payloads.bin``, written
 together with ``fetched.jsonl``; each row carries the payload's byte offset
 and its length there, and its ``content_hash`` is the sha256 of those bytes.
-Parse is the only stage that reads ``payloads.bin``, so it must survive only
-until parse completes, and fetch's manifest does not list it.
+Fetch's manifest lists ``payloads.bin`` by size only, as parse checks each
+payload's sha256: a deleted or truncated file makes the next run fetch again.
 
 Rows passed up to metrics carry ids, the description and scalars, never
 geometry.  Parse appends each accepted track's own ``lat``, ``lon`` and
@@ -48,7 +48,7 @@ reads each survivor's text by offset, adding it to the record as
 Payloads, tracks and coordinates texts are all read back through
 ``StoredFiles``: a missing file, a short read or bytes that no longer match
 the row's sha256 stop the reading stage with an error naming the file.
-Index, fetch, parse and metrics stream their rows to disk as they go; DEM
+Every stage but export streams its rows (enrich reads its input twice); DEM
 tiles are read by row window (see ``elevation``).
 """
 
@@ -63,14 +63,15 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from . import judges
 from .config import PipelineConfig
-from .descriptions import clean_text, filter_rare_languages, length_exclusion, mask_pii
+from .descriptions import clean_text, common_languages, length_exclusion, mask_pii
 from .elevation import ElevationUnavailableError, TileFileError, TileStore, backfill_elevation
 from .geo_metrics import (compute_track_metrics, first_point_countries, length_2d,
                           load_boundaries, pick_country)
@@ -162,16 +163,26 @@ def _write_rows(handle: TextIO, rows) -> None:
     handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
-def write_jsonl(path: Path, rows) -> None:
-    with atomic_files((path, "w")) as (handle,):
-        _write_rows(handle, rows)
-
-
-def read_jsonl(path: Path, stage: str) -> list[dict]:
+def read_jsonl(path: Path, stage: str) -> Iterator[dict]:
+    """``path``'s rows, read as iterated; a line that is no JSON object is a PipelineError."""
     if not path.exists():
         raise PipelineError(f"stage {stage}: missing input {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+
+    def rows() -> Iterator[dict]:
+        # Decoded line by line, so that a line that is not UTF-8 is one more bad line.
+        with open(path, "rb") as handle:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line.decode("utf-8"))
+                except ValueError:
+                    row = None
+                if not isinstance(row, dict):
+                    raise PipelineError(f"stage {stage}: {path} line {number} is not a JSON "
+                                        f"object; run {STAGES[STAGES.index(stage) - 1]} again")
+                yield row
+    return rows()
 
 
 def _finish_stage(cfg: PipelineConfig, paths: PipelinePaths, report: StageReport) -> StageReport:
@@ -182,6 +193,8 @@ def _finish_stage(cfg: PipelineConfig, paths: PipelinePaths, report: StageReport
         raise PipelineError(f"stage {report.stage}: funnel does not balance: "
                             f"{report.inputs} inputs != {report.outputs} outputs "
                             f"+ {excluded} excluded")
+    logger.info("%s: %d in -> %d out, excluded %s", report.stage, report.inputs,
+                report.outputs, dict(sorted(report.excluded.items())))
     write_json_atomic(paths.manifest(report.stage),
                       {**_stage_state(cfg, paths, report.stage), "report": report.to_dict()})
     return report
@@ -195,7 +208,8 @@ def _stage_state(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> dict:
     after = (hashlib.sha256(previous.read_bytes()).hexdigest()
              if previous is not None and previous.exists() else None)
     return {"stage": stage, "settings": _stage_settings(cfg, stage), "after": after,
-            "outputs": [_output_entry(p) for p in _stage_outputs(cfg, paths, stage)]}
+            "outputs": [_output_entry(p, hashed=p != paths.payloads)
+                        for p in _stage_outputs(cfg, paths, stage)]}
 
 
 def _stage_settings(cfg: PipelineConfig, stage: str) -> dict:
@@ -229,14 +243,17 @@ def _stage_outputs(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> lis
         out_dir = cfg.resolved_out_dir()
         return [*export_paths(out_dir).values(), out_dir / "stats.json"]
     return {"index": [paths.candidates],
-            "fetch": [paths.fetched, paths.fetch_failures],
+            "fetch": [paths.payloads, paths.fetched, paths.fetch_failures],
             "parse": [paths.parsed, paths.tracks],
             "enrich": [paths.enriched],
             "metrics": [paths.final, paths.geometry]}[stage]
 
 
-def _output_entry(path: Path) -> dict:
-    """Name, size and sha256 of one stage output, as its manifest records it."""
+def _output_entry(path: Path, hashed: bool = True) -> dict:
+    """Name, size and sha256 (if ``hashed``) of one stage output, as its
+    manifest records it."""
+    if not hashed:  # payloads.bin: parse checks each payload's sha256
+        return {"name": path.name, "size": path.stat().st_size}
     digest = hashlib.sha256()
     size = 0
     # Small blocks: export hashes its files while its input rows are still
@@ -257,21 +274,16 @@ def stage_index(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     if not shard_paths:
         raise PipelineError(f"stage index: no shards match {cfg.shards!r}")
 
-    report = StageReport("index")
     stats = ScanStats()
     # Each candidate streams to candidates.jsonl as the scan yields it.
     with atomic_files((paths.candidates, "w")) as (candidates,):
         for shard in shard_paths:
             _write_rows(candidates, (record.__dict__
                                      for record in scan_index(_shard_lines(shard), stats)))
-    report.inputs = stats.lines
-    report.outputs = stats.candidates
-    report.excluded = {}
-    report.info = {"shards": len(shard_paths), "not_candidate": stats.not_candidate,
-                   "malformed": stats.malformed, "blank": stats.blank}
-    logger.info("index: %d lines -> %d candidates (%d malformed)",
-                stats.lines, stats.candidates, stats.malformed)
-    return _finish_stage(cfg, paths, report)
+    return _finish_stage(cfg, paths, StageReport(
+        "index", inputs=stats.lines, outputs=stats.candidates,
+        info={"shards": len(shard_paths), "not_candidate": stats.not_candidate,
+              "malformed": stats.malformed, "blank": stats.blank}))
 
 
 def _shard_lines(shard: str) -> Iterator[str]:
@@ -283,14 +295,11 @@ def _shard_lines(shard: str) -> Iterator[str]:
 
 
 def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = read_jsonl(paths.candidates, "fetch")
-    candidates = [CandidateRecord(**row) for row in rows]
+    candidates = (CandidateRecord(**row) for row in read_jsonl(paths.candidates, "fetch"))
     transport = (FixtureTransport(cfg.fixture_dir) if cfg.fixture_dir
                  else HttpRangeTransport())
 
     report = StageReport("fetch")
-    report.inputs = len(candidates)
-
     offsets: dict[str, int] = {}  # content hash -> where its bytes start in payloads.bin
     # Each result streams to fetched.jsonl or fetch_failures.jsonl as it
     # arrives, and each distinct payload to payloads.bin; the three files are
@@ -300,6 +309,7 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
           atomic_files((paths.payloads, "wb"), (paths.fetched, "w"),
                        (paths.fetch_failures, "w")) as (payloads, fetched, failures)):
         for candidate, result in fetch_many(candidates, cfg.fetch, transport):
+            report.inputs += 1
             if isinstance(result, FetchFailedError):
                 reason, problem = "fetch-failed", result
             else:
@@ -326,22 +336,39 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                                    "payload_length": len(payload)}])
             report.outputs += 1
 
-    logger.info("fetch: %d candidates -> %d payloads (%d failed)",
-                len(candidates), report.outputs, sum(report.excluded.values()))
     return _finish_stage(cfg, paths, report)
+
+
+def _kept_rows(report: StageReport, rows: Iterable[dict], key: Callable[[dict], str],
+               work: Callable[[dict], tuple]) -> Iterator[tuple[dict, Any]]:
+    """Each row ``work`` keeps, with its fields: ``work(row)`` returns (exclusion
+    reason or None, fields, info counts) and runs once per distinct ``key(row)``.
+    Every row counts as an input of ``report``, adds the info counts, and is
+    excluded or kept."""
+    outcomes: dict[str, tuple] = {}
+    for row in rows:
+        report.inputs += 1
+        if (name := key(row)) not in outcomes:
+            outcomes[name] = work(row)
+        reason, fields, info = outcomes[name]
+        for counter, count in info.items():
+            report.info[counter] = report.info.get(counter, 0) + count
+        if reason is not None:
+            report.exclude(reason)
+        else:
+            report.outputs += 1
+            yield row, fields
 
 
 def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     rows = read_jsonl(paths.fetched, "parse")
-    report = StageReport("parse")
-    report.inputs = len(rows)
+    report = StageReport("parse", info=vars(ParseStats()))
 
-    def parse_one(row: dict, payloads: StoredFiles, tracks: BinaryIO
-                  ) -> tuple[str | None, dict | None, ParseStats]:
+    def parse_one(row: dict) -> tuple[str | None, dict | None, dict]:
         """(exclusion reason, fields added to the row, what parsing dropped).
 
-        An accepted track's arrays are appended to ``tracks``; the fields
-        locate them there.
+        An accepted track's arrays are appended to ``tracks``, opened below;
+        the fields locate them there.
         """
         stats = ParseStats()
         if "payload_offset" not in row:
@@ -352,43 +379,27 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         try:
             doc = parse_gpx(payload, row["url"], stats)
         except GpxParseError:
-            return "parse-error", None, stats
+            return "parse-error", None, vars(stats)
         track = extract_single_track(doc)
         if track is None:
             populated = sum(1 for t in doc.tracks if t.point_count() > 0)
-            return ("multi-track" if populated > 1 else "no-track"), None, stats
+            return ("multi-track" if populated > 1 else "no-track"), None, vars(stats)
         _, reason = passes_track_filters(track, length_2d(track), cfg.filters)
         if reason is not None:
-            return reason, None, stats
+            return reason, None, vars(stats)
         values = np.concatenate((track.lat, track.lon, track.ele)).astype(TRACK_DTYPE, copy=False)
         offset = tracks.tell()
         tracks.write(values)
         return None, {"desc": track.desc, "track_offset": offset,
                       "segment_lengths": track.segment_lengths,
-                      "track_sha256": hashlib.sha256(values).hexdigest()}, stats
+                      "track_sha256": hashlib.sha256(values).hexdigest()}, vars(stats)
 
-    totals = ParseStats()
-    outcomes: dict[str, tuple] = {}
-    # Each accepted track streams into the tracks file, and its row into
-    # parsed.jsonl, as soon as it is parsed.
+    # Each accepted track and its row stream to their files as soon as it is parsed.
     with (StoredFiles(paths.payloads, "parse", "payload", "fetch") as payloads,
           atomic_files((paths.tracks, "wb"), (paths.parsed, "w")) as (tracks, parsed)):
-        for row in rows:
-            digest = row["content_hash"]
-            if digest not in outcomes:
-                outcomes[digest] = parse_one(row, payloads, tracks)
-            reason, fields, stats = outcomes[digest]
-            totals.points_dropped += stats.points_dropped
-            totals.tracks_dropped += stats.tracks_dropped
-            if reason is not None:
-                report.exclude(reason)
-            else:
-                _write_rows(parsed, [{**row, **fields}])
-                report.outputs += 1
+        _write_rows(parsed, ({**row, **fields} for row, fields in _kept_rows(
+            report, rows, itemgetter("content_hash"), parse_one)))
 
-    report.info = {"points_dropped": totals.points_dropped,
-                   "tracks_dropped": totals.tracks_dropped}
-    logger.info("parse: %d payloads -> %d single-track activities", len(rows), report.outputs)
     return _finish_stage(cfg, paths, report)
 
 
@@ -447,9 +458,12 @@ def _build_translator(cfg: PipelineConfig):
 
 
 def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = read_jsonl(paths.parsed, "enrich")
+    def desc_text(row: dict) -> str:
+        return row.get("desc") or ""
+
+    # A first pass counts the rows of each text; the second writes the kept rows.
+    rows_per_text = Counter(map(desc_text, read_jsonl(paths.parsed, "enrich")))
     report = StageReport("enrich")
-    report.inputs = len(rows)
 
     judge = _build_judge(cfg)
     translator = _build_translator(cfg)
@@ -478,55 +492,51 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         return None, {"desc": text, "desc_lang": lang, "desc_en": text_en,
                       "pii_flags": pii_flags.__dict__}
 
-    texts = list(dict.fromkeys(row.get("desc") or "" for row in rows))
     with ThreadPoolExecutor(max_workers=max(1, cfg.judge_max_parallel)) as pool:
-        outcomes = dict(zip(texts, pool.map(enrich_text, texts)))
+        outcomes = dict(zip(rows_per_text, pool.map(enrich_text, rows_per_text)))
 
-    kept = []
-    for row in rows:
-        reason, fields = outcomes[row.get("desc") or ""]
-        if reason is not None:
-            report.exclude(reason)
-        else:
-            kept.append({**row, **fields})
+    # The rare-language cut, decided from every row the judges kept.
+    languages = Counter()
+    for text, (reason, fields) in outcomes.items():
+        if reason is None:
+            languages[fields["desc_lang"]] += rows_per_text[text]
+    common = common_languages(languages, cfg.filters.rare_lang_cutoff)
 
-    survivors = filter_rare_languages(kept, get_lang=lambda r: r["desc_lang"],
-                                      cutoff=cfg.filters.rare_lang_cutoff)
-    rare = len(kept) - len(survivors)
-    if rare:
-        report.exclude("rare-lang", rare)
+    def enrich_one(row: dict) -> tuple[str | None, dict | None, dict]:
+        reason, fields = outcomes[desc_text(row)]
+        rare = reason is None and fields["desc_lang"] not in common
+        return ("rare-lang" if rare else reason), fields, {}
 
-    write_jsonl(paths.enriched, survivors)
-    report.outputs = len(survivors)
-    report.info = {"languages": dict(sorted(Counter(r["desc_lang"] for r in survivors).items()))}
-    logger.info("enrich: %d tracks -> %d with usable descriptions", len(rows), len(survivors))
+    with atomic_files((paths.enriched, "w")) as (enriched,):
+        _write_rows(enriched, ({**row, **fields} for row, fields in _kept_rows(
+            report, read_jsonl(paths.parsed, "enrich"), desc_text, enrich_one)))
+
+    report.info = {"languages": {lang: languages[lang] for lang in sorted(common)}}
     return _finish_stage(cfg, paths, report)
 
 
 def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     rows = read_jsonl(paths.enriched, "metrics")
     report = StageReport("metrics")
-    report.inputs = len(rows)
 
     tiles = TileStore(cfg.srtm_dir) if cfg.srtm_dir else TileStore(Path(os.devnull))
     boundaries = load_boundaries(cfg.boundaries) if cfg.boundaries else []
 
-    def metrics_one(row: dict, tracks: StoredFiles, geometry: BinaryIO
-                    ) -> tuple[str | None, dict | None, dict | None, tuple[str, ...]]:
-        """(exclusion reason, record without geometry, where its geometry is,
+    def metrics_one(row: dict) -> tuple[str | None, tuple[dict, dict] | None, dict]:
+        """(exclusion reason, (record without geometry, where its geometry is),
         info counters to bump).
 
-        The record's coordinates text is appended to ``geometry``; the
-        ``geometry_*`` fields of the location point at it there.
+        The record's coordinates text is appended to ``geometry``, opened
+        below; the ``geometry_*`` fields of the location point at it there.
         """
         track = _read_parsed_track(row, tracks)
         try:
             track, elev_source = backfill_elevation(track, tiles)
         except ElevationUnavailableError:
-            return "elevation-unavailable", None, None, ()
+            return "elevation-unavailable", None, {}
         except TileFileError as exc:
             raise PipelineError(f"stage metrics: {exc}") from exc
-        counters = ["elev_gps" if elev_source == "GPS" else "elev_dem"]
+        counters = {"elev_gps" if elev_source == "GPS" else "elev_dem": 1}
 
         metrics = compute_track_metrics(track,
                                         circular_radius_m=cfg.filters.circular_radius_m,
@@ -535,47 +545,33 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         matches = first_point_countries(track, boundaries)
         country = pick_country(matches)
         if not matches:
-            counters.append("country_unknown")
+            counters["country_unknown"] = 1
         elif len(matches) > 1:
-            counters.append("country_ambiguous")
+            counters["country_ambiguous"] = 1
 
         fields = {**row, **vars(metrics), "country": country, "elev_source": elev_source}
         record = {name: fields[name] for name in SCALAR_PROPERTIES}
         text = coordinates_text(track, row["url"]).encode("utf-8")
         offset = geometry.tell()
         geometry.write(text + b"\n")
-        return None, record, {"geometry_offset": offset, "geometry_length": len(text),
-                              "geometry_sha256": hashlib.sha256(text).hexdigest()}, tuple(counters)
+        return None, (record, {"geometry_offset": offset, "geometry_length": len(text),
+                               "geometry_sha256": hashlib.sha256(text).hexdigest()}), counters
 
-    # Everything but the capture fields follows from the content hash, so the
-    # record is built, and its geometry written, once per hash; each row gets
-    # its own url/warc_* copy.  Rows stream to final.jsonl as they go.
-    outcomes: dict[str, tuple] = {}
-    info = Counter()
+    # Each row gets its own url/warc_* copy of its content hash's record.
     with (StoredFiles(paths.tracks, "metrics", "tracks", "parse") as tracks,
           atomic_files((paths.geometry, "wb"), (paths.final, "w")) as (geometry, final)):
-        for row in rows:
-            digest = row["content_hash"]
-            if digest not in outcomes:
-                outcomes[digest] = metrics_one(row, tracks, geometry)
-            reason, record, location, counters = outcomes[digest]
-            info.update(counters)
-            if reason is not None:
-                report.exclude(reason)
-                continue
+        for row, (record, location) in _kept_rows(report, rows, itemgetter("content_hash"),
+                                                  metrics_one):
             capture = {name: row[name] for name in ("url", "warc_file", "warc_offset", "warc_len")}
             _write_rows(final, [{"url": row["url"], "crawl_id": row.get("crawl_id", ""),
-                                 "content_hash": digest, "record": {**record, **capture},
-                                 **location}])
-            report.outputs += 1
+                                 "content_hash": row["content_hash"],
+                                 "record": {**record, **capture}, **location}])
 
-    report.info = dict(sorted(info.items()))
-    logger.info("metrics: %d tracks -> %d records", len(rows), report.outputs)
     return _finish_stage(cfg, paths, report)
 
 
 def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = read_jsonl(paths.final, "export")
+    rows = list(read_jsonl(paths.final, "export"))
     report = StageReport("export")
     report.inputs = len(rows)
 
@@ -598,7 +594,6 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     report.outputs = len(survivors)
 
     write_json_atomic(out_dir / "stats.json", _collect_stats(paths, report).to_dict())
-    logger.info("export: %d records -> %s", len(survivors), out_dir)
     return _finish_stage(cfg, paths, report)
 
 

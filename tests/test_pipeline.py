@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from gpx_harvest import pipeline as pipeline_module
 from gpx_harvest.cli import main
 from gpx_harvest.config import FilterConfig, PipelineConfig, load_config
 from gpx_harvest.pipeline import (STAGES, PipelineError, PipelinePaths, run_pipeline,
@@ -294,21 +296,109 @@ def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_
     assert_same_exports(cfg, fresh)
 
 
+def work_files(workdir):
+    """Every file under ``workdir``, by its relative name, with its bytes."""
+    return {path.relative_to(workdir).as_posix(): path.read_bytes()
+            for path in workdir.rglob("*") if path.is_file()}
+
+
+def assert_same_work_files(cfg, reference):
+    files = work_files(cfg.workdir)
+    assert {"manifests/metrics.json", "final.jsonl", "out/tracks.geojson"} <= files.keys()
+    assert files.keys() == work_files(reference.workdir).keys()
+    for name, data in files.items():
+        assert data == (reference.workdir / name).read_bytes(), name
+
+
 def test_two_work_directories_from_one_crawl_hold_identical_files(crawl, tmp_path):
     first = run_config(crawl, tmp_path, "w1")
     second = run_config(crawl, tmp_path, "w2")
     run_pipeline(first)
     run_pipeline(second)
+    assert_same_work_files(second, first)
 
-    def files(workdir):
-        return {path.relative_to(workdir).as_posix(): path
-                for path in workdir.rglob("*") if path.is_file()}
 
-    names = files(first.workdir)
-    assert {"manifests/metrics.json", "final.jsonl", "out/tracks.geojson"} <= names.keys()
-    assert names.keys() == files(second.workdir).keys()
-    for name, path in names.items():
-        assert path.read_bytes() == (second.workdir / name).read_bytes(), name
+@pytest.mark.parametrize("damage", ["deleted", "truncated"])
+def test_a_payload_file_lost_after_parse_makes_the_next_run_fetch_again(crawl, tmp_path,
+                                                                       damage):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    paths = PipelinePaths(workdir=cfg.workdir)
+    if damage == "deleted":
+        paths.payloads.unlink()
+    else:
+        paths.payloads.write_bytes(paths.payloads.read_bytes()[:-1])
+    paths.parsed.unlink()
+
+    resumed = run_pipeline(cfg)
+    # Fetch and parse rebuild the same files, so later stages stay up to date.
+    assert resumed.executed == ["fetch", "parse"]
+    assert_same_work_files(cfg, fresh)
+
+
+class InjectedFault(Exception):
+    """Raised by a patched layer at the call a test chose."""
+
+
+def inject_fault(monkeypatch, stage, k):
+    """Make the layer ``stage``'s work calls raise InjectedFault at its k-th
+    call (never when k is 0); returns a function giving the calls so far."""
+    calls = [0]
+    lock = threading.Lock()  # the judge is called from the pool's threads
+
+    def failing(function):
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[0] += 1
+                call = calls[0]
+            if call == k:
+                raise InjectedFault(f"{stage}: call {k}")
+            return function(*args, **kwargs)
+        return wrapper
+
+    if stage == "enrich":
+        build_judge = pipeline_module._build_judge
+        monkeypatch.setattr(pipeline_module, "_build_judge",
+                            lambda cfg: failing(build_judge(cfg)))
+    else:
+        name = {"parse": "parse_gpx", "metrics": "backfill_elevation"}[stage]
+        monkeypatch.setattr(pipeline_module, name, failing(getattr(pipeline_module, name)))
+    return lambda: calls[0]
+
+
+@pytest.mark.parametrize("stage", ["parse", "enrich", "metrics"])
+@pytest.mark.parametrize("which", ["first", "second", "last"])
+def test_a_fault_part_way_through_a_stage_leaves_its_files_and_resumes_to_a_fresh_run(
+        crawl, tmp_path, monkeypatch, stage, which):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    with monkeypatch.context() as patch:
+        calls = inject_fault(patch, stage, 0)
+        run_pipeline(fresh)
+    k = {"first": 1, "second": 2, "last": calls()}[which]
+    assert calls() >= k
+
+    # A run stopped in the stage leaves neither its outputs nor its manifest.
+    cfg = run_config(crawl, tmp_path, "w1")
+    paths = PipelinePaths(workdir=cfg.workdir)
+    with monkeypatch.context() as patch, pytest.raises(InjectedFault):
+        inject_fault(patch, stage, k)
+        run_pipeline(cfg)
+    names = set(work_files(cfg.workdir))
+    outputs = {path.name for path in pipeline_module._stage_outputs(cfg, paths, stage)}
+    assert not names & {f"manifests/{stage}.json", *outputs}
+    assert not [name for name in names if name.endswith(".tmp")]
+    run_pipeline(cfg)
+    assert_same_work_files(cfg, fresh)
+
+    # A stage command stopped part-way over complete files changes none of them.
+    before = work_files(cfg.workdir)
+    with monkeypatch.context() as patch, pytest.raises(InjectedFault):
+        inject_fault(patch, stage, k)
+        run_pipeline(cfg, stages=[stage], resume=False)
+    assert work_files(cfg.workdir) == before
+    assert run_pipeline(cfg).executed == []
 
 
 def test_a_stage_command_reads_earlier_stages_from_another_directory(crawl, tmp_path,
@@ -702,6 +792,29 @@ def test_cli_reports_corrupt_dem_tile(crawl, tmp_path, capsys, tile_name, conten
     code = main(["run", "--config", str(crawl.config), "--workdir", str(tmp_path / "w")])
     assert code == 1
     assert f"error: stage metrics: {crawl.srtm_dir / tile_name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("fetch", "candidates.jsonl"), ("parse", "fetched.jsonl"), ("enrich", "parsed.jsonl"),
+    ("metrics", "enriched.jsonl"), ("export", "final.jsonl")])
+@pytest.mark.parametrize("damage", [b'{"url": "x", broken', b'["url", "x"]', b'{"url": "\xff"}'],
+                         ids=["not-json", "not-an-object", "not-utf-8"])
+def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, stage, name,
+                                                     damage):
+    workdir = tmp_path / "w"
+    assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    with open(workdir / name, "ab") as handle:
+        handle.write(damage + b"\n")
+    line = len((workdir / name).read_bytes().splitlines())
+    capsys.readouterr()
+
+    code = main([stage, "--config", str(crawl.config), "--workdir", str(workdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    writer = STAGES[STAGES.index(stage) - 1]
+    assert f"{workdir / name} line {line} is not a JSON object; run {writer} again" in err
 
 
 def test_cli_failure_exit_code(crawl, tmp_path):

@@ -14,8 +14,8 @@ from gpx_harvest import pipeline as pipeline_module
 from gpx_harvest.config import FilterConfig, PipelineConfig
 from gpx_harvest.pipeline import (PipelineError, PipelinePaths, StageReport, run_pipeline,
                                   stage_enrich, stage_export, stage_fetch, stage_index,
-                                  stage_metrics, stage_parse, write_jsonl)
-from gpx_harvest.records import ALL_PROPERTIES, SCALAR_PROPERTIES
+                                  stage_metrics, stage_parse)
+from gpx_harvest.records import ALL_PROPERTIES, SCALAR_PROPERTIES, atomic_files
 from gpx_harvest.synthetic import constant_tile, gpx_xml, line_points, warc_response_member
 from gpx_harvest.warc_fetch import FetchPolicy, FixtureTransport
 
@@ -33,6 +33,11 @@ def test_index_stage_stops_on_an_unreadable_shard(tmp_path):
     assert not paths.candidates.exists()
 
 
+def write_rows(path, rows):
+    """Write a stage input file: one JSON object per line."""
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), "utf-8")
+
+
 def seed_fetched(paths, payloads):
     """Write the payloads file plus the fetched.jsonl the parse stage reads."""
     rows = []
@@ -47,7 +52,7 @@ def seed_fetched(paths, payloads):
                      "payload_length": len(payload)})
         offset += len(payload)
     paths.payloads.write_bytes(b"".join(payloads))
-    write_jsonl(paths.fetched, rows)
+    write_rows(paths.fetched, rows)
     return rows
 
 
@@ -101,7 +106,7 @@ def test_parse_stage_asks_for_fetch_again_on_rows_without_a_payload_file(tmp_pat
     paths = PipelinePaths(workdir=tmp_path)
     [row] = seed_fetched(paths, [good_track_payload()])
     del row["payload_offset"], row["payload_length"]
-    write_jsonl(paths.fetched, [{**row, "payload": str(tmp_path / "raw" / "old.gpx")}])
+    write_rows(paths.fetched, [{**row, "payload": str(tmp_path / "raw" / "old.gpx")}])
     with pytest.raises(PipelineError, match="run fetch again"):
         stage_parse(cfg, paths)
     assert not paths.parsed.exists()
@@ -113,7 +118,7 @@ def seed_parsed(paths, descs):
         rows.append({"url": f"http://t.example/{i}.gpx", "mime_detected": "",
                      "warc_file": "w.warc.gz", "warc_offset": 0, "warc_len": 9,
                      "crawl_id": "c", "content_hash": f"h{i}", "desc": desc})
-    write_jsonl(paths.parsed, rows)
+    write_rows(paths.parsed, rows)
     return rows
 
 
@@ -201,7 +206,7 @@ def seed_enriched(paths, *tracks, desc_lang="en"):
     rows = [{**json.loads(line), "desc_lang": desc_lang, "desc_en": GOOD_DESC,
              "pii_flags": {"email": False, "url": False, "phone": False}}
             for line in paths.parsed.read_text("utf-8").splitlines()]
-    write_jsonl(paths.enriched, rows)
+    write_rows(paths.enriched, rows)
     return rows
 
 
@@ -357,17 +362,17 @@ def test_non_finite_ele_is_backfilled_and_exports_valid_json(tmp_path):
     assert {position[2] for line in record["geometry"]["coordinates"]
             for position in line} == {321.0}
 
-def test_write_jsonl_keeps_previous_file_when_rows_fail(tmp_path):
+def test_atomic_files_keep_previous_file_when_rows_fail(tmp_path):
     path = tmp_path / "parsed.jsonl"
-    write_jsonl(path, [{"url": "http://t.example/0.gpx"}])
+    write_rows(path, [{"url": "http://t.example/0.gpx"}])
     before = path.read_bytes()
 
     def rows():
         yield {"url": "http://t.example/1.gpx"}
         raise RuntimeError("crash part-way through a re-run")
 
-    with pytest.raises(RuntimeError):
-        write_jsonl(path, rows())
+    with pytest.raises(RuntimeError), atomic_files((path, "w")) as (handle,):
+        pipeline_module._write_rows(handle, rows())
     assert path.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
 
@@ -419,7 +424,7 @@ def seed_candidates(tmp_path, paths, captures):
                          "warc_file": WARC_FILE, "warc_offset": offset,
                          "warc_len": len(member), "crawl_id": crawl_id})
             offset += len(member)
-    write_jsonl(paths.candidates, rows)
+    write_rows(paths.candidates, rows)
     return cfg, rows
 
 
@@ -446,7 +451,7 @@ def test_fetch_stage_fails_a_candidate_whose_warc_path_leaves_the_fixture_dir(tm
     cfg, rows = seed_candidates(tmp_path, paths, [("http://t.example/ok.gpx", "CC-MAIN-2024-10",
                                                    member)])
     (cfg.fixture_dir.parent / "outside.bin").write_bytes(member)
-    write_jsonl(paths.candidates, rows + [{**rows[0], "url": "http://t.example/outside.gpx",
+    write_rows(paths.candidates, rows + [{**rows[0], "url": "http://t.example/outside.gpx",
                                            "warc_file": "../outside.bin"}])
     report = stage_fetch(cfg, paths)
     assert report.excluded == {"fetch-failed": 1}
