@@ -21,6 +21,16 @@ therefore costs one parse, one set of judge and translator calls and one
 metrics pass, however many captures carry it.  This is exact because each of
 those steps is a deterministic function of its key; ``_kept_rows`` still
 tallies exclusions and counters once per row, so reports and exports do not change.
+``_kept_rows`` runs each key's work with the cyclic garbage collector paused
+and restores it to its state on entry afterwards.  The work builds one
+ElementTree per payload and one coordinate list per point, which would
+otherwise trigger collections that walk them over and over; none of those
+objects forms a reference cycle, so reference counting frees them all when
+the work returns, and a cycle made inside the work waits one key at most.
+
+Every stage names the row fields it reads, and ``read_jsonl`` stops it at
+the first row that lacks one, with an error naming the file, the line, the
+field and the stage to run again.
 
 Fetch appends each distinct payload once to ``payloads.bin``, written
 together with ``fetched.jsonl``; each row carries the payload's byte offset
@@ -54,6 +64,8 @@ tiles are read by row window (see ``elevation``).
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import glob
 import hashlib
 import json
@@ -163,10 +175,12 @@ def _write_rows(handle: TextIO, rows) -> None:
     handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
-def read_jsonl(path: Path, stage: str) -> Iterator[dict]:
-    """``path``'s rows, read as iterated; a line that is no JSON object is a PipelineError."""
+def read_jsonl(path: Path, stage: str, fields: tuple[str, ...]) -> Iterator[dict]:
+    """``path``'s rows, read as iterated; a line that is no JSON object, or
+    one that lacks one of ``fields``, is a PipelineError."""
     if not path.exists():
         raise PipelineError(f"stage {stage}: missing input {path}")
+    writer = STAGES[STAGES.index(stage) - 1]
 
     def rows() -> Iterator[dict]:
         # Decoded line by line, so that a line that is not UTF-8 is one more bad line.
@@ -180,7 +194,11 @@ def read_jsonl(path: Path, stage: str) -> Iterator[dict]:
                     row = None
                 if not isinstance(row, dict):
                     raise PipelineError(f"stage {stage}: {path} line {number} is not a JSON "
-                                        f"object; run {STAGES[STAGES.index(stage) - 1]} again")
+                                        f"object; run {writer} again")
+                for name in fields:
+                    if name not in row:
+                        raise PipelineError(f"stage {stage}: {path} line {number} has no "
+                                            f"field {name!r}; run {writer} again")
                 yield row
     return rows()
 
@@ -295,7 +313,8 @@ def _shard_lines(shard: str) -> Iterator[str]:
 
 
 def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    candidates = (CandidateRecord(**row) for row in read_jsonl(paths.candidates, "fetch"))
+    candidates = (CandidateRecord(**row) for row in read_jsonl(
+        paths.candidates, "fetch", tuple(f.name for f in dataclasses.fields(CandidateRecord))))
     transport = (FixtureTransport(cfg.fixture_dir) if cfg.fixture_dir
                  else HttpRangeTransport())
 
@@ -342,14 +361,21 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 def _kept_rows(report: StageReport, rows: Iterable[dict], key: Callable[[dict], str],
                work: Callable[[dict], tuple]) -> Iterator[tuple[dict, Any]]:
     """Each row ``work`` keeps, with its fields: ``work(row)`` returns (exclusion
-    reason or None, fields, info counts) and runs once per distinct ``key(row)``.
+    reason or None, fields, info counts) and runs once per distinct ``key(row)``,
+    with the cyclic garbage collector paused (see the module docstring).
     Every row counts as an input of ``report``, adds the info counts, and is
     excluded or kept."""
     outcomes: dict[str, tuple] = {}
     for row in rows:
         report.inputs += 1
         if (name := key(row)) not in outcomes:
-            outcomes[name] = work(row)
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                outcomes[name] = work(row)
+            finally:
+                if enabled:
+                    gc.enable()
         reason, fields, info = outcomes[name]
         for counter, count in info.items():
             report.info[counter] = report.info.get(counter, 0) + count
@@ -361,7 +387,8 @@ def _kept_rows(report: StageReport, rows: Iterable[dict], key: Callable[[dict], 
 
 
 def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = read_jsonl(paths.fetched, "parse")
+    rows = read_jsonl(paths.fetched, "parse",
+                      ("url", "content_hash", "payload_offset", "payload_length"))
     report = StageReport("parse", info=vars(ParseStats()))
 
     def parse_one(row: dict) -> tuple[str | None, dict | None, dict]:
@@ -371,9 +398,6 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         the fields locate them there.
         """
         stats = ParseStats()
-        if "payload_offset" not in row:
-            raise PipelineError(f"stage parse: {paths.fetched} does not locate the payload of "
-                                f"{row['url']} in a payloads file; run fetch again")
         payload = payloads.read(row["payload_offset"], row["payload_length"],
                                 row["content_hash"])
         try:
@@ -459,10 +483,10 @@ def _build_translator(cfg: PipelineConfig):
 
 def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     def desc_text(row: dict) -> str:
-        return row.get("desc") or ""
+        return row["desc"] or ""
 
     # A first pass counts the rows of each text; the second writes the kept rows.
-    rows_per_text = Counter(map(desc_text, read_jsonl(paths.parsed, "enrich")))
+    rows_per_text = Counter(map(desc_text, read_jsonl(paths.parsed, "enrich", ("desc",))))
     report = StageReport("enrich")
 
     judge = _build_judge(cfg)
@@ -509,14 +533,16 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     with atomic_files((paths.enriched, "w")) as (enriched,):
         _write_rows(enriched, ({**row, **fields} for row, fields in _kept_rows(
-            report, read_jsonl(paths.parsed, "enrich"), desc_text, enrich_one)))
+            report, read_jsonl(paths.parsed, "enrich", ("desc",)), desc_text, enrich_one)))
 
     report.info = {"languages": {lang: languages[lang] for lang in sorted(common)}}
     return _finish_stage(cfg, paths, report)
 
 
 def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = read_jsonl(paths.enriched, "metrics")
+    rows = read_jsonl(paths.enriched, "metrics",
+                      ("url", "content_hash", "warc_file", "warc_offset", "warc_len", "desc",
+                       "desc_lang", "desc_en", "track_offset", "segment_lengths", "track_sha256"))
     report = StageReport("metrics")
 
     tiles = TileStore(cfg.srtm_dir) if cfg.srtm_dir else TileStore(Path(os.devnull))
@@ -571,7 +597,9 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
 
 def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = list(read_jsonl(paths.final, "export"))
+    rows = list(read_jsonl(paths.final, "export",
+                           ("url", "content_hash", "record", "geometry_offset",
+                            "geometry_length", "geometry_sha256")))
     report = StageReport("export")
     report.inputs = len(rows)
 

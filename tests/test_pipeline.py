@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -385,6 +386,7 @@ def test_a_fault_part_way_through_a_stage_leaves_its_files_and_resumes_to_a_fres
     with monkeypatch.context() as patch, pytest.raises(InjectedFault):
         inject_fault(patch, stage, k)
         run_pipeline(cfg)
+    assert gc.isenabled()
     names = set(work_files(cfg.workdir))
     outputs = {path.name for path in pipeline_module._stage_outputs(cfg, paths, stage)}
     assert not names & {f"manifests/{stage}.json", *outputs}
@@ -397,8 +399,49 @@ def test_a_fault_part_way_through_a_stage_leaves_its_files_and_resumes_to_a_fres
     with monkeypatch.context() as patch, pytest.raises(InjectedFault):
         inject_fault(patch, stage, k)
         run_pipeline(cfg, stages=[stage], resume=False)
+    assert gc.isenabled()
     assert work_files(cfg.workdir) == before
     assert run_pipeline(cfg).executed == []
+
+
+def record_collector_state(monkeypatch):
+    """Make parse's and metrics' per-key layers record whether the cyclic
+    garbage collector is enabled at each call; returns the (name, enabled) list."""
+    calls = []
+
+    def recording(function):
+        def wrapper(*args, **kwargs):
+            calls.append((function.__name__, gc.isenabled()))
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("parse_gpx", "coordinates_text"):
+        monkeypatch.setattr(pipeline_module, name, recording(getattr(pipeline_module, name)))
+    return calls
+
+
+def test_per_key_work_runs_with_the_collector_paused(crawl, tmp_path, monkeypatch):
+    calls = record_collector_state(monkeypatch)
+    assert gc.isenabled()
+    run_pipeline(run_config(crawl, tmp_path, "w1"))
+    assert {name for name, _ in calls} == {"parse_gpx", "coordinates_text"}
+    assert not [name for name, enabled in calls if enabled]
+    assert gc.isenabled()
+
+
+@pytest.fixture()
+def collector_disabled():
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_per_key_work_leaves_a_collector_its_caller_disabled_off(crawl, tmp_path, monkeypatch,
+                                                                collector_disabled):
+    calls = record_collector_state(monkeypatch)
+    run_pipeline(run_config(crawl, tmp_path, "w1"))
+    assert calls and not [name for name, enabled in calls if enabled]
+    assert not gc.isenabled()
 
 
 def test_a_stage_command_reads_earlier_stages_from_another_directory(crawl, tmp_path,
@@ -797,8 +840,9 @@ def test_cli_reports_corrupt_dem_tile(crawl, tmp_path, capsys, tile_name, conten
 @pytest.mark.parametrize("stage, name", [
     ("fetch", "candidates.jsonl"), ("parse", "fetched.jsonl"), ("enrich", "parsed.jsonl"),
     ("metrics", "enriched.jsonl"), ("export", "final.jsonl")])
-@pytest.mark.parametrize("damage", [b'{"url": "x", broken', b'["url", "x"]', b'{"url": "\xff"}'],
-                         ids=["not-json", "not-an-object", "not-utf-8"])
+@pytest.mark.parametrize("damage", [b'{"url": "x", broken', b'["url", "x"]', b'{"url": "\xff"}',
+                                    b'{"url": "x"}'],
+                         ids=["not-json", "not-an-object", "not-utf-8", "missing-field"])
 def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, stage, name,
                                                      damage):
     workdir = tmp_path / "w"
@@ -814,7 +858,14 @@ def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, st
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     writer = STAGES[STAGES.index(stage) - 1]
-    assert f"{workdir / name} line {line} is not a JSON object; run {writer} again" in err
+    if damage == b'{"url": "x"}':
+        # The first field, in the order the stage names them, that the row lacks.
+        missing = {"fetch": "mime_detected", "parse": "content_hash", "enrich": "desc",
+                   "metrics": "content_hash", "export": "content_hash"}[stage]
+        problem = f"has no field {missing!r}"
+    else:
+        problem = "is not a JSON object"
+    assert f"{workdir / name} line {line} {problem}; run {writer} again" in err
 
 
 def test_cli_failure_exit_code(crawl, tmp_path):
