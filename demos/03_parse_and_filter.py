@@ -6,7 +6,7 @@ least one point per 100 m on average.
 """
 
 from gpx_harvest import (FilterConfig, extract_single_track, length_2d, parse_gpx,
-                         passes_track_filters)
+                         track_exclusion)
 from gpx_harvest.synthetic import gpx_xml, line_points, loop_points
 
 config = FilterConfig()
@@ -22,12 +22,11 @@ documents = {
 
 for label, payload in documents.items():
     doc = parse_gpx(payload, f"https://walks.example/{label.replace(' ', '-')}.gpx")
-    track = extract_single_track(doc)
+    track, reason = extract_single_track(doc)
     if track is None:
-        print(f"{label:14s} -> rejected: not a single-track document "
-              f"({len(doc.tracks)} tracks)")
+        print(f"{label:14s} -> rejected: {reason} ({len(doc.tracks)} tracks)")
         continue
     flat = length_2d(track)
-    ok, reason = passes_track_filters(track, flat, config)
-    verdict = "kept" if ok else f"rejected: {reason}"
+    reason = track_exclusion(track, flat, config)
+    verdict = "kept" if reason is None else f"rejected: {reason}"
     print(f"{label:14s} -> {verdict}  ({flat:7.0f} m, {track.point_count()} points)")

@@ -8,7 +8,7 @@ language, and a pluggable backend translates non-English text.
 """
 
 from gpx_harvest import (FilterConfig, StubJudge, clean_text, detect_language,
-                         judge_pii, judge_quality, mask_pii, passes_length_bounds,
+                         judge_pii, judge_quality, length_exclusion, mask_pii,
                          translate_to_english)
 
 config = FilterConfig()
@@ -25,7 +25,7 @@ text, flags = mask_pii(text)
 print("masked: ", text)
 print("fired:  ", flags)
 
-print("length ok:", passes_length_bounds(text, config))
+print("length:  ", length_exclusion(text, config) or "within bounds")
 print("quality:", judge_quality(text, judge))
 print("pii:    ", judge_pii(text, judge))
 

@@ -5,8 +5,8 @@ and country assignment by point-in-polygon against named boundaries.
 import tempfile
 from pathlib import Path
 
-from gpx_harvest import (Track, assign_country, compute_track_metrics, haversine_m,
-                         load_boundaries)
+from gpx_harvest import (FilterConfig, Track, compute_track_metrics, first_point_countries,
+                         haversine_m, load_boundaries, pick_country)
 from gpx_harvest.synthetic import box_feature, loop_points, write_boundaries
 
 print("one degree along the equator:",
@@ -19,7 +19,9 @@ with_ele = [(lat, lon, 250.0 + 80.0 * min(i, len(points) - i) / len(points), Non
 lat, lon, ele, _ = zip(*with_ele)
 track = Track(lat=lat, lon=lon, ele=ele)
 
-metrics = compute_track_metrics(track)
+config = FilterConfig()
+metrics = compute_track_metrics(track, circular_radius_m=config.circular_radius_m,
+                                deadband_m=config.elev_deadband_m)
 print(f"length_2d    {metrics.length_2d:10.1f} m")
 print(f"length_3d    {metrics.length_3d:10.1f} m")
 print(f"elev range   {metrics.elev_lowest:.1f} .. {metrics.elev_highest:.1f} m")
@@ -34,5 +36,5 @@ with tempfile.TemporaryDirectory() as tmp:
         box_feature("Germany", 5.8, 47.2, 15.0, 55.0),
     ])
     boundaries = load_boundaries(boundaries_path)
-    print("country:", assign_country(track, boundaries))
+    print("country:", pick_country(first_point_countries(track, boundaries)))
     print("(first point wins; file order breaks border ties)")

@@ -1,4 +1,5 @@
-"""Description cleanup, length bounds, PII masking, and the rare-language cut.
+"""Description cleanup, PII masking, and two filter rules: the length bounds
+(``length_exclusion``) and the rare-language cut (``common_languages``).
 
 The cleaning and masking steps are deterministic text transforms; the
 judge-based quality and PII checks live in judges.py.
@@ -7,10 +8,8 @@ judge-based quality and PII checks live in judges.py.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from html.parser import HTMLParser
-from typing import Callable, Iterable, TypeVar
 
 from .config import FilterConfig
 
@@ -84,12 +83,6 @@ def length_exclusion(text: str, config: FilterConfig) -> str | None:
     if len(text) >= config.desc_max_chars_exclusive:
         return "desc-too-long"
     return None
-
-
-def passes_length_bounds(text: str, config: FilterConfig) -> bool:
-    """True when the cleaned, masked text length is inside the configured
-    bounds (see length_exclusion)."""
-    return length_exclusion(text, config) is None
 
 
 @dataclass
@@ -166,21 +159,8 @@ def find_raw_pii(text: str) -> list[str]:
     return hits
 
 
-T = TypeVar("T")
-
-
-def filter_rare_languages(items: Iterable[T], get_lang: Callable[[T], str],
-                          cutoff: int = 5) -> list[T]:
-    """Corpus-level pass dropping "unknown" and thinly represented languages.
-
-    A language survives only when it occurs more than ``cutoff`` times in the
-    whole collection.  Applied once, after all per-item processing.
-    """
-    items = list(items)
-    kept = common_languages(Counter(get_lang(item) for item in items), cutoff)
-    return [item for item in items if get_lang(item) in kept]
-
-
-def common_languages(counts: dict[str, int], cutoff: int = 5) -> set[str]:
-    """The languages ``filter_rare_languages`` keeps, from each one's item count."""
+def common_languages(counts: dict[str, int], cutoff: int) -> set[str]:
+    """The languages that survive the corpus-level rare-language cut, from each
+    one's item count over the whole collection: every language but "unknown"
+    that occurs more than ``cutoff`` times."""
     return {lang for lang, count in counts.items() if lang != "unknown" and count > cutoff}

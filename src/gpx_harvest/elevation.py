@@ -7,11 +7,11 @@ Tiles are the standard HGT layout: one file per 1x1 degree cell named after
 its south-west corner, a square grid of big-endian 16-bit signed meters with
 row 0 along the northern edge and -32768 marking voids.
 
-A tile is either held in memory or, for an uncompressed ``.hgt`` opened by
-``TileStore``, kept as a header whose rows are read from the file on demand:
-each batch reads only the rows its points fall between, with one read, so a
-stage's memory does not grow with the tiles it touches.  A ``.hgt.gz`` tile
-cannot be read by row window; it is decompressed and held whole.
+``read_hgt`` keeps an uncompressed ``.hgt`` tile as a header whose rows are
+read from the file on demand: each batch reads only the rows its points fall
+between, with one read, so a stage's memory does not grow with the tiles it
+touches.  A ``.hgt.gz`` tile cannot be read by row window; it is decompressed
+and held in memory whole.
 """
 
 from __future__ import annotations
@@ -84,20 +84,17 @@ def parse_tile_name(name: str) -> tuple[int, int]:
     return lat, lon
 
 
-def read_hgt(path: str | Path, windowed: bool = False) -> SrtmTile:
-    """Load a .hgt or .hgt.gz tile; the grid size is derived from file size.
+def read_hgt(path: str | Path) -> SrtmTile:
+    """Open a .hgt or .hgt.gz tile; the grid size is derived from file size.
 
-    With ``windowed``, an uncompressed .hgt is only checked for its size and
-    the tile keeps ``path`` instead of the samples (see ``SrtmTile.rows``); a
-    .hgt.gz is loaded whole either way.
+    An uncompressed .hgt is only checked for its size, and the tile keeps
+    ``path`` instead of the samples: read them with ``SrtmTile.rows``.  A
+    .hgt.gz is decompressed and its samples held whole.
     """
     path = Path(path)
     compressed = path.name.endswith(".gz")
     try:
-        if compressed:
-            data = gzip.decompress(path.read_bytes())
-        else:
-            data = None if windowed else path.read_bytes()
+        data = gzip.decompress(path.read_bytes()) if compressed else None
         size = path.stat().st_size if data is None else len(data)
     except (OSError, EOFError, zlib.error) as exc:
         raise TileFileError(f"{path}: cannot read tile: {exc}") from exc
@@ -192,7 +189,7 @@ class TileStore:
             for suffix in (".hgt", ".hgt.gz"):
                 path = self.root / f"{name}{suffix}"
                 if path.exists():
-                    tile = read_hgt(path, windowed=True)
+                    tile = read_hgt(path)
                     self.loads += 1
                     break
             self._tiles[name] = tile

@@ -1,7 +1,10 @@
 """Geometric and geographic track properties.
 
-2D/3D lengths, elevation statistics, circularity, and country assignment by
-point-in-polygon tests against a boundaries file.
+``length_2d`` is the length the parse filters read; ``compute_track_metrics``
+gives a fully backfilled track's 2D/3D lengths, elevation statistics and
+circularity in one pass, with the thresholds of ``FilterConfig``.  The country
+is ``pick_country(first_point_countries(...))``: point-in-polygon tests of the
+first point against a boundaries file.
 """
 
 from __future__ import annotations
@@ -65,16 +68,6 @@ def _within_segments(track: Track) -> np.ndarray:
     return keep
 
 
-def _lengths(track: Track) -> tuple[float, float]:
-    """(length_2d, length_3d) from one haversine pass."""
-    keep = _within_segments(track)
-    legs = leg_lengths(track.lat, track.lon)[keep]
-    climb = np.diff(track.ele)[keep]
-    # A leg with an endpoint lacking elevation keeps its 2D distance.
-    sloped = np.where(np.isnan(climb), legs, np.hypot(legs, climb))
-    return _running_sum(legs), _running_sum(sloped)
-
-
 def length_2d(track: Track) -> float:
     """Sum of great-circle distances between consecutive points.
 
@@ -82,14 +75,6 @@ def length_2d(track: Track) -> float:
     and bridging them would inflate the length.
     """
     return _running_sum(leg_lengths(track.lat, track.lon)[_within_segments(track)])
-
-
-def length_3d(track: Track) -> float:
-    """Like length_2d but each leg accounts for the elevation change.
-
-    Legs where either endpoint lacks elevation contribute their 2D distance.
-    """
-    return _lengths(track)[1]
 
 
 @dataclass
@@ -100,12 +85,12 @@ class ElevationStats:
     downhill: float
 
 
-def elevation_stats(track: Track, deadband_m: float = 0.0) -> ElevationStats:
+def elevation_stats(track: Track, deadband_m: float) -> ElevationStats:
     """Highest/lowest elevation and cumulative gain/loss in meters.
 
     With a non-zero deadband, consecutive changes accumulate against an
     anchor elevation and only count once they exceed the deadband, which
-    suppresses sensor jitter.  The default deadband of 0 gives the raw sums
+    suppresses sensor jitter.  A deadband of 0 gives the raw sums
     of positive and negative deltas.  The anchor resets at each segment
     boundary.  Every point must carry an elevation (run the DEM backfill
     first).
@@ -147,7 +132,7 @@ def _endpoints(track: Track) -> tuple[tuple[float, float], tuple[float, float]]:
             (float(track.lat[-1]), float(track.lon[-1])))
 
 
-def is_circular(track: Track, radius_m: float = 350.0) -> bool:
+def is_circular(track: Track, radius_m: float) -> bool:
     """True when the first and last points lie within radius_m (inclusive).
 
     The endpoints span segments: the first point of the first segment and
@@ -168,14 +153,20 @@ class TrackMetrics:
     is_circular: bool
 
 
-def compute_track_metrics(track: Track, circular_radius_m: float = 350.0,
-                          deadband_m: float = 0.0) -> TrackMetrics:
-    """All geometric properties of a fully backfilled track in one pass."""
+def compute_track_metrics(track: Track, circular_radius_m: float,
+                          deadband_m: float) -> TrackMetrics:
+    """All geometric properties of a fully backfilled track in one pass.
+
+    Every point must carry an elevation (``elevation_stats`` raises
+    ValueError otherwise), so each leg's 3D length accounts for its climb.
+    """
     stats = elevation_stats(track, deadband_m=deadband_m)
-    flat, sloped = _lengths(track)
+    keep = _within_segments(track)
+    legs = leg_lengths(track.lat, track.lon)[keep]
+    climb = np.diff(track.ele)[keep]
     return TrackMetrics(
-        length_2d=flat,
-        length_3d=sloped,
+        length_2d=_running_sum(legs),
+        length_3d=_running_sum(np.hypot(legs, climb)),
         elev_highest=stats.highest,
         elev_lowest=stats.lowest,
         uphill=stats.uphill,
@@ -326,8 +317,3 @@ def pick_country(matches: list[str]) -> str:
     in file order; "Unknown" when nothing matches.
     """
     return matches[0] if matches else "Unknown"
-
-
-def assign_country(track: Track, boundaries: list[CountryShape]) -> str:
-    """Country of the track's first point; "Unknown" when nothing matches."""
-    return pick_country(first_point_countries(track, boundaries))

@@ -219,12 +219,14 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
     return GpxDocument(tracks=tracks, source_url=url)
 
 
-def extract_single_track(doc: GpxDocument) -> Track | None:
-    """Return the document's track iff exactly one track has any points.
+def extract_single_track(doc: GpxDocument) -> tuple[Track | None, str | None]:
+    """(the track, None) when exactly one of the document's tracks has any
+    points; otherwise (None, "no-track") or (None, "multi-track").
 
-    Empty tracks do not count toward the total.  Documents with zero or two
-    or more populated tracks yield None (multi-track recordings are out of
-    scope).
+    Empty tracks do not count toward the total.  Multi-track recordings are
+    out of scope.
     """
     populated = [track for track in doc.tracks if track.point_count() > 0]
-    return populated[0] if len(populated) == 1 else None
+    if len(populated) == 1:
+        return populated[0], None
+    return None, "multi-track" if populated else "no-track"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import re
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 logger = logging.getLogger(__name__)
@@ -45,13 +44,7 @@ class TranslationFailedError(Exception):
     """Translation backend could not produce a translation."""
 
 
-@dataclass
-class JudgeVerdict:
-    value: bool
-    raw_reply: str
-
-
-def parse_verdict(reply: str, unsure: bool) -> JudgeVerdict:
+def parse_verdict(reply: str, unsure: bool) -> bool:
     """Extract the boolean from a judge reply.
 
     Models wrap the verdict in prose, so the first standalone "true"/"false"
@@ -59,9 +52,7 @@ def parse_verdict(reply: str, unsure: bool) -> JudgeVerdict:
     the fail-closed direction of the calling check.
     """
     match = _VERDICT_RE.search(reply)
-    if match is None:
-        return JudgeVerdict(value=unsure, raw_reply=reply)
-    return JudgeVerdict(value=match.group(1).lower() == "true", raw_reply=reply)
+    return unsure if match is None else match.group(1).lower() == "true"
 
 
 def judge_quality(text: str, judge: Callable[[str], str]) -> bool:
@@ -70,7 +61,7 @@ def judge_quality(text: str, judge: Callable[[str], str]) -> bool:
     Unparsable replies count as False: when unsure, exclude.
     """
     reply = judge(QUALITY_PROMPT_TEMPLATE.format(text=text))
-    return parse_verdict(reply, unsure=False).value
+    return parse_verdict(reply, unsure=False)
 
 
 def judge_pii(text: str, judge: Callable[[str], str]) -> bool:
@@ -79,7 +70,7 @@ def judge_pii(text: str, judge: Callable[[str], str]) -> bool:
     Unparsable replies count as True: when unsure, exclude.
     """
     reply = judge(PII_PROMPT_TEMPLATE.format(text=text))
-    return parse_verdict(reply, unsure=True).value
+    return parse_verdict(reply, unsure=True)
 
 
 class StubJudge:

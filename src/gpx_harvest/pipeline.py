@@ -30,7 +30,8 @@ the work returns, and a cycle made inside the work waits one key at most.
 
 Every stage names the row fields it reads, and ``read_jsonl`` stops it at
 the first row that lacks one, with an error naming the file, the line, the
-field and the stage to run again.
+field and the stage to run again.  Fetch also stops at a candidate row with
+any other field, or with a value of the wrong type or out of range.
 
 Fetch appends each distinct payload once to ``payloads.bin``, written
 together with ``fetched.jsonl``; each row carries the payload's byte offset
@@ -64,13 +65,13 @@ tiles are read by row window (see ``elevation``).
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import glob
 import hashlib
 import json
 import logging
 import os
+import typing
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
@@ -91,7 +92,7 @@ from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, p
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .language import detect_language
 from .records import (SCALAR_PROPERTIES, atomic_files, coordinates_text, dedup, export_paths,
-                      export_records, passes_track_filters)
+                      export_records, track_exclusion)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, PayloadTooLargeError, WarcRecordSkippedError,
                          extract_payload, fetch_many)
@@ -175,9 +176,12 @@ def _write_rows(handle: TextIO, rows) -> None:
     handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
-def read_jsonl(path: Path, stage: str, fields: tuple[str, ...]) -> Iterator[dict]:
+def read_jsonl(path: Path, stage: str, fields: tuple[str, ...],
+               convert: Callable[[dict], Any] | None = None) -> Iterator:
     """``path``'s rows, read as iterated; a line that is no JSON object, or
-    one that lacks one of ``fields``, is a PipelineError."""
+    one that lacks one of ``fields``, is a PipelineError.  With ``convert``,
+    each row is yielded as ``convert(row)``, and a row it refuses with a
+    TypeError or ValueError is a PipelineError too."""
     if not path.exists():
         raise PipelineError(f"stage {stage}: missing input {path}")
     writer = STAGES[STAGES.index(stage) - 1]
@@ -199,6 +203,12 @@ def read_jsonl(path: Path, stage: str, fields: tuple[str, ...]) -> Iterator[dict
                     if name not in row:
                         raise PipelineError(f"stage {stage}: {path} line {number} has no "
                                             f"field {name!r}; run {writer} again")
+                if convert is not None:
+                    try:
+                        row = convert(row)
+                    except (TypeError, ValueError) as exc:
+                        raise PipelineError(f"stage {stage}: {path} line {number} is not a "
+                                            f"valid row ({exc}); run {writer} again") from exc
                 yield row
     return rows()
 
@@ -312,9 +322,23 @@ def _shard_lines(shard: str) -> Iterator[str]:
         raise PipelineError(f"stage index: cannot read shard {shard}: {exc}") from exc
 
 
+_CANDIDATE_TYPES = typing.get_type_hints(CandidateRecord)
+
+
+def _candidate(row: dict) -> CandidateRecord:
+    """The candidate a ``candidates.jsonl`` row holds: exactly the fields of a
+    ``CandidateRecord``, each of its type, with values it accepts."""
+    if extra := sorted(row.keys() - _CANDIDATE_TYPES.keys()):
+        raise ValueError(f"unexpected fields {extra}")
+    for name, kind in _CANDIDATE_TYPES.items():
+        if type(row[name]) is not kind:
+            raise TypeError(f"field {name!r} must be {kind.__name__}, "
+                            f"not {type(row[name]).__name__}")
+    return CandidateRecord(**row)
+
+
 def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    candidates = (CandidateRecord(**row) for row in read_jsonl(
-        paths.candidates, "fetch", tuple(f.name for f in dataclasses.fields(CandidateRecord))))
+    candidates = read_jsonl(paths.candidates, "fetch", tuple(_CANDIDATE_TYPES), _candidate)
     transport = (FixtureTransport(cfg.fixture_dir) if cfg.fixture_dir
                  else HttpRangeTransport())
 
@@ -404,11 +428,9 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             doc = parse_gpx(payload, row["url"], stats)
         except GpxParseError:
             return "parse-error", None, vars(stats)
-        track = extract_single_track(doc)
-        if track is None:
-            populated = sum(1 for t in doc.tracks if t.point_count() > 0)
-            return ("multi-track" if populated > 1 else "no-track"), None, vars(stats)
-        _, reason = passes_track_filters(track, length_2d(track), cfg.filters)
+        track, reason = extract_single_track(doc)
+        if track is not None:
+            reason = track_exclusion(track, length_2d(track), cfg.filters)
         if reason is not None:
             return reason, None, vars(stats)
         values = np.concatenate((track.lat, track.lon, track.ele)).astype(TRACK_DTYPE, copy=False)

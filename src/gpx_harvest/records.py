@@ -40,21 +40,20 @@ class RecordAssemblyError(Exception):
     """A pipeline stage handed on a track it should have completed (a bug)."""
 
 
-def passes_track_filters(track: Track, length_2d_m: float,
-                         config: FilterConfig) -> tuple[bool, str | None]:
-    """Apply the geometry filters; on failure, name the first broken rule.
+def track_exclusion(track: Track, length_2d_m: float, config: FilterConfig) -> str | None:
+    """"too-short", "too-long" or "low-density": the first geometry filter the
+    track breaks; None when it passes them all.
 
     Length bounds are inclusive at both ends; density is the total point
     count per 100 m of 2D length, also inclusive at the threshold.
     """
     if length_2d_m < config.min_length_m:
-        return False, "too-short"
+        return "too-short"
     if length_2d_m > config.max_length_m:
-        return False, "too-long"
-    density = track.point_count() / (length_2d_m / 100.0)
-    if density < config.min_points_per_100m:
-        return False, "low-density"
-    return True, None
+        return "too-long"
+    if track.point_count() / (length_2d_m / 100.0) < config.min_points_per_100m:
+        return "low-density"
+    return None
 
 
 def coordinates_text(track: Track, url: str) -> str:
@@ -70,27 +69,27 @@ def coordinates_text(track: Track, url: str) -> str:
                       if track.segment_lengths else [])
 
 
-def dedup(rows: Iterable[dict], url_key: str = "url", crawl_key: str = "crawl_id",
-          hash_key: str = "content_hash", counts: dict | None = None) -> list[dict]:
-    """Keep one row per URL, then one per content hash.
+def dedup(rows: Iterable[dict], counts: dict | None = None) -> list[dict]:
+    """Keep one row per ``"url"``, then one per ``"content_hash"``.
 
-    Rows are processed in ascending (url, crawl_id) order and the first
-    occurrence survives, so the outcome never depends on input order.  Pass a
-    dict as ``counts`` to receive the per-pass removal tallies.
+    Rows are processed in ascending (url, crawl_id) order, a missing
+    ``"crawl_id"`` sorting first, and the first occurrence survives, so the
+    outcome never depends on input order.  Pass a dict as ``counts`` to
+    receive the per-pass removal tallies.
     """
-    ordered = sorted(rows, key=lambda r: (r[url_key], r.get(crawl_key, "")))
+    ordered = sorted(rows, key=lambda r: (r["url"], r.get("crawl_id", "")))
     survivors = []
     seen_urls = set()
     for row in ordered:
-        if row[url_key] in seen_urls:
+        if row["url"] in seen_urls:
             continue
-        seen_urls.add(row[url_key])
+        seen_urls.add(row["url"])
         survivors.append(row)
 
     deduped = []
     seen_hashes = set()
     for row in survivors:
-        digest = row[hash_key]
+        digest = row["content_hash"]
         if digest in seen_hashes:
             continue
         seen_hashes.add(digest)

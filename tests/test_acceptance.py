@@ -11,16 +11,16 @@ import pytest
 
 from conftest import network_guard_active
 from gpx_harvest.config import FilterConfig, load_config
-from gpx_harvest.descriptions import filter_rare_languages, find_raw_pii, mask_pii
+from gpx_harvest.descriptions import common_languages, find_raw_pii, length_exclusion, mask_pii
 from gpx_harvest.elevation import (VOID_VALUE, SrtmTile, read_hgt, sample_elevation,
                                    write_hgt)
-from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, haversine_m, is_circular,
-                                     point_in_polygon)
+from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, compute_track_metrics, haversine_m,
+                                     is_circular, point_in_polygon)
 from gpx_harvest.gpx_model import Track
 from gpx_harvest.judges import (PII_PROMPT_TEMPLATE, QUALITY_PROMPT_TEMPLATE,
                                 judge_pii, judge_quality, parse_verdict)
 from gpx_harvest.pipeline import run_pipeline
-from gpx_harvest.records import ALL_PROPERTIES, SCALAR_PROPERTIES, dedup, passes_track_filters
+from gpx_harvest.records import ALL_PROPERTIES, SCALAR_PROPERTIES, dedup, track_exclusion
 from gpx_harvest.synthetic import build_demo_crawl, warc_response_member
 from gpx_harvest.warc_fetch import build_range_header, extract_payload
 
@@ -92,10 +92,11 @@ def test_c04_geodesic_accuracy_and_metric_properties():
 
 
 def test_c05_three_four_five():
-    from gpx_harvest.geo_metrics import length_3d
     delta = math.degrees(300.0 / EARTH_RADIUS_M)
     track = Track(lat=[0.0, 0.0], lon=[0.0, delta], ele=[0.0, 400.0])
-    assert length_3d(track) == pytest.approx(500.0, rel=1e-6)
+    metrics = compute_track_metrics(track, circular_radius_m=CONFIG.circular_radius_m,
+                                    deadband_m=CONFIG.elev_deadband_m)
+    assert metrics.length_3d == pytest.approx(500.0, rel=1e-6)
 
 
 def test_c06_srtm_sampling_and_round_trip(tmp_path):
@@ -118,29 +119,28 @@ def test_c06_srtm_sampling_and_round_trip(tmp_path):
     noisy = rng.integers(-400, 4000, size=(n, n)).astype(np.int16)
     path = tmp_path / "N10E020.hgt"
     write_hgt(path, noisy)
-    assert np.array_equal(read_hgt(path).samples, noisy)
+    assert np.array_equal(read_hgt(path).rows(0, n), noisy)
     rewritten = tmp_path / "again.hgt"
-    write_hgt(rewritten, read_hgt(path).samples)
+    write_hgt(rewritten, read_hgt(path).rows(0, n))
     assert rewritten.read_bytes() == path.read_bytes()
 
 
 def test_c07_filter_thresholds_at_boundaries():
     dense = Track(lat=[0.0] * 2000, lon=[0.0] * 2000)
-    assert passes_track_filters(dense, 500.0, CONFIG)[0]
-    assert passes_track_filters(dense, 100_000.0, CONFIG)[0]
-    assert passes_track_filters(dense, 499.0, CONFIG) == (False, "too-short")
-    assert passes_track_filters(dense, 100_001.0, CONFIG) == (False, "too-long")
+    assert track_exclusion(dense, 500.0, CONFIG) is None
+    assert track_exclusion(dense, 100_000.0, CONFIG) is None
+    assert track_exclusion(dense, 499.0, CONFIG) == "too-short"
+    assert track_exclusion(dense, 100_001.0, CONFIG) == "too-long"
 
     ten = Track(lat=[0.0] * 10, lon=[0.0] * 10)
     nine = Track(lat=[0.0] * 9, lon=[0.0] * 9)
-    assert passes_track_filters(ten, 1000.0, CONFIG) == (True, None)
-    assert passes_track_filters(nine, 1000.0, CONFIG) == (False, "low-density")
+    assert track_exclusion(ten, 1000.0, CONFIG) is None
+    assert track_exclusion(nine, 1000.0, CONFIG) == "low-density"
 
-    from gpx_harvest.descriptions import passes_length_bounds
-    assert passes_length_bounds("d" * 50, CONFIG)
-    assert not passes_length_bounds("d" * 49, CONFIG)
-    assert passes_length_bounds("d" * 1999, CONFIG)
-    assert not passes_length_bounds("d" * 2000, CONFIG)
+    assert length_exclusion("d" * 50, CONFIG) is None
+    assert length_exclusion("d" * 49, CONFIG) == "desc-too-short"
+    assert length_exclusion("d" * 1999, CONFIG) is None
+    assert length_exclusion("d" * 2000, CONFIG) == "desc-too-long"
 
     # circularity endpoints via inverse displacement, verified by the oracle
     for meters, expected in ((349.0, True), (351.0, False)):
@@ -199,23 +199,18 @@ def test_c09_judge_prompt_protocol():
     assert judge_pii(text, make_judge("False")) is False
     assert captured[-1] == PII_PROMPT_TEMPLATE.format(text=text)
 
-    assert parse_verdict("True", unsure=False).value is True
+    assert parse_verdict("True", unsure=False) is True
     assert parse_verdict("true, because it names the route and the views",
-                         unsure=False).value is True
+                         unsure=False) is True
     # unparsable replies fall to the conservative side of each check
     assert judge_quality(text, make_judge("banana")) is False
     assert judge_pii(text, make_judge("banana")) is True
 
 
 def test_c10_rare_language_filter():
-    items = ([{"lang": "fr"}] * 7) + ([{"lang": "eo"}] * 5) + [{"lang": "unknown"}]
-    kept = filter_rare_languages(items, get_lang=lambda r: r["lang"],
-                                 cutoff=CONFIG.rare_lang_cutoff)
-    assert len(kept) == 7
     from collections import Counter
-    histogram = Counter(r["lang"] for r in kept)
-    assert set(histogram) == {"fr"}
-    assert all(count >= 6 for count in histogram.values())
+    counts = Counter(["fr"] * 7 + ["eo"] * 5 + ["unknown"])
+    assert common_languages(counts, CONFIG.rare_lang_cutoff) == {"fr"}
 
 
 def test_c11_export_schema(tmp_path):

@@ -1,12 +1,13 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpx_harvest.config import FilterConfig
-from gpx_harvest.descriptions import (clean_text, filter_rare_languages, find_raw_pii,
-                                      length_exclusion, mask_pii, passes_length_bounds)
+from gpx_harvest.descriptions import (clean_text, common_languages, find_raw_pii,
+                                      length_exclusion, mask_pii)
 
 CONFIG = FilterConfig()
 
@@ -47,12 +48,6 @@ def test_clean_idempotent(text):
 
 # --- length bounds -------------------------------------------------------------
 
-@pytest.mark.parametrize("length,expected", [(49, False), (50, True), (51, True),
-                                             (1999, True), (2000, False), (2001, False)])
-def test_length_bounds(length, expected):
-    assert passes_length_bounds("x" * length, CONFIG) is expected
-
-
 @pytest.mark.parametrize("length,reason", [(0, "desc-too-short"), (49, "desc-too-short"),
                                            (50, None), (1999, None),
                                            (2000, "desc-too-long"), (2001, "desc-too-long")])
@@ -62,7 +57,7 @@ def test_length_exclusion_names_the_bound(length, reason):
 
 def test_length_bounds_counts_code_points_not_bytes():
     text = "ü" * 50  # 100 bytes in UTF-8 but exactly 50 characters
-    assert passes_length_bounds(text, CONFIG)
+    assert length_exclusion(text, CONFIG) is None
 
 
 # --- mask_pii -------------------------------------------------------------------
@@ -155,43 +150,27 @@ def test_masking_token_names():
 
 # --- rare languages -------------------------------------------------------------
 
-def lang_items(**counts):
-    items = []
-    for lang, count in counts.items():
-        items.extend({"lang": lang, "i": i} for i in range(count))
-    return items
-
-
-def get_lang(item):
-    return item["lang"]
+CUTOFF = CONFIG.rare_lang_cutoff
 
 
 def test_rare_language_cutoff_at_five():
-    items = lang_items(fr=7, eo=5, unknown=1)
-    kept = filter_rare_languages(items, get_lang)
-    assert len(kept) == 7
-    assert {get_lang(i) for i in kept} == {"fr"}
+    assert common_languages(Counter(fr=7, eo=5, unknown=1), CUTOFF) == {"fr"}
 
 
 def test_rare_language_boundary_just_above_cutoff():
-    kept = filter_rare_languages(lang_items(de=6), get_lang)
-    assert len(kept) == 6
+    assert common_languages(Counter(de=6), CUTOFF) == {"de"}
 
 
 def test_rare_language_empty_collection():
-    assert filter_rare_languages([], get_lang) == []
+    assert common_languages(Counter(), CUTOFF) == set()
 
 
 def test_rare_language_histogram_property():
-    from collections import Counter
-    items = lang_items(fr=9, de=6, it=5, nl=2, unknown=3)
-    kept = filter_rare_languages(items, get_lang)
-    histogram = Counter(get_lang(i) for i in kept)
-    assert all(count >= 6 for count in histogram.values())
-    assert "unknown" not in histogram
+    counts = Counter(fr=9, de=6, it=5, nl=2, unknown=3)
+    kept = common_languages(counts, CUTOFF)
+    assert kept == {"fr", "de"}
+    assert all(counts[lang] >= 6 for lang in kept)
 
 
 def test_rare_language_cutoff_zero_still_drops_unknown():
-    items = lang_items(fr=1, unknown=2)
-    kept = filter_rare_languages(items, get_lang, cutoff=0)
-    assert {get_lang(i) for i in kept} == {"fr"}
+    assert common_languages(Counter(fr=1, unknown=2), 0) == {"fr"}

@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, BoundaryFileError, assign_country,
-                                     compute_track_metrics, elevation_stats, find_countries,
-                                     first_point_countries, haversine_m, is_circular,
-                                     leg_lengths, length_2d, length_3d, load_boundaries,
-                                     pick_country, point_in_polygon)
+from gpx_harvest.config import FilterConfig
+from gpx_harvest.geo_metrics import (EARTH_RADIUS_M, BoundaryFileError, compute_track_metrics,
+                                     elevation_stats, find_countries, first_point_countries,
+                                     haversine_m, is_circular, leg_lengths, length_2d,
+                                     load_boundaries, pick_country, point_in_polygon)
 from gpx_harvest.gpx_model import Track
 from gpx_harvest.records import coordinates_text
+
+FILTERS = FilterConfig()
+
+
+def metrics_of(track):
+    """``compute_track_metrics`` with the default thresholds, as the pipeline calls it."""
+    return compute_track_metrics(track, circular_radius_m=FILTERS.circular_radius_m,
+                                 deadband_m=FILTERS.elev_deadband_m)
 
 
 def track_from(*segments):
@@ -77,8 +85,8 @@ def test_leg_kernel_matches_summed_scalar_haversine(segments):
             oracle += haversine_m(lat1, lon1, lat2, lon2)
     track = track_from(*segments)
     assert length_2d(track) == pytest.approx(oracle, rel=1e-12, abs=1e-9)
-    assert compute_track_metrics(track_from(*[[(lat, lon, 0.0) for lat, lon in points]
-                                               for points in segments])).length_2d \
+    assert metrics_of(track_from(*[[(lat, lon, 0.0) for lat, lon in points]
+                                   for points in segments])).length_2d \
         == pytest.approx(oracle, rel=1e-12, abs=1e-9)
     for points in segments:
         lat, lon = zip(*points)
@@ -128,7 +136,7 @@ def test_segment_starts_drop_exactly_the_legs_between_segments(drawn):
         down += (-climb[climb < 0]).tolist()
         lines.append(np.column_stack((seg_lon, seg_lat, seg_ele)).tolist())
 
-    metrics = compute_track_metrics(track)
+    metrics = metrics_of(track)
     assert length_2d(track) == _left_to_right(flat)
     assert metrics.length_2d == _left_to_right(flat)
     assert metrics.length_3d == _left_to_right(sloped)
@@ -142,7 +150,7 @@ def test_segment_starts_drop_exactly_the_legs_between_segments(drawn):
 def test_lengths_zero_for_single_point():
     track = track_from([(50.0, 6.0, 100.0)])
     assert length_2d(track) == 0.0
-    assert length_3d(track) == 0.0
+    assert metrics_of(track).length_3d == 0.0
 
 
 def test_three_four_five_triangle():
@@ -150,7 +158,7 @@ def test_three_four_five_triangle():
     delta = equator_offset_deg(300.0)
     track = track_from([(0.0, 0.0, 0.0), (0.0, delta, 400.0)])
     assert length_2d(track) == pytest.approx(300.0, rel=1e-9)
-    assert length_3d(track) == pytest.approx(500.0, rel=1e-6)
+    assert metrics_of(track).length_3d == pytest.approx(500.0, rel=1e-6)
 
 
 def test_lengths_match_independent_summation_oracle():
@@ -170,7 +178,7 @@ def test_lengths_match_independent_summation_oracle():
     full = sum(math.sqrt(oracle_hav(points[i], points[i + 1]) ** 2
                          + (points[i + 1][2] - points[i][2]) ** 2) for i in range(9))
     assert length_2d(track) == pytest.approx(flat, rel=1e-9)
-    assert length_3d(track) == pytest.approx(full, rel=1e-9)
+    assert metrics_of(track).length_3d == pytest.approx(full, rel=1e-9)
 
 
 def test_segment_gaps_add_no_distance():
@@ -191,7 +199,7 @@ def test_concatenated_segments_sharing_endpoint_sum():
 
 def test_length_3d_equals_2d_when_flat():
     track = track_from([(0.0, 0.0, 250.0), (0.0, 0.01, 250.0), (0.0, 0.02, 250.0)])
-    assert length_3d(track) == length_2d(track)
+    assert metrics_of(track).length_3d == length_2d(track)
 
 
 def test_length_3d_at_least_2d():
@@ -200,13 +208,17 @@ def test_length_3d_at_least_2d():
         points = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 500))
                   for _ in range(5)]
         track = track_from(points)
-        assert length_3d(track) >= length_2d(track)
+        assert metrics_of(track).length_3d >= length_2d(track)
 
 
 def test_missing_ele_pairs_contribute_2d():
+    # A pair whose point lacks elevation has no 3D length: metrics need every
+    # point backfilled first, and refuse the track otherwise.
     delta = equator_offset_deg(300.0)
     with_gap = track_from([(0.0, 0.0, None), (0.0, delta, 400.0)])
-    assert length_3d(with_gap) == pytest.approx(300.0, rel=1e-9)
+    assert length_2d(with_gap) == pytest.approx(300.0, rel=1e-9)
+    with pytest.raises(ValueError, match="every point needs an elevation"):
+        metrics_of(with_gap)
 
 
 # --- elevation stats -----------------------------------------------------------------
@@ -232,13 +244,13 @@ def hysteresis_oracle(elevations, deadband):
 
 
 def test_elevation_stats_basic_sums():
-    stats = elevation_stats(elevation_track([100.0, 150.0, 120.0]))
+    stats = elevation_stats(elevation_track([100.0, 150.0, 120.0]), deadband_m=0.0)
     assert (stats.highest, stats.lowest) == (150.0, 100.0)
     assert (stats.uphill, stats.downhill) == (50.0, 30.0)
 
 
 def test_elevation_stats_constant():
-    stats = elevation_stats(elevation_track([200.0] * 5))
+    stats = elevation_stats(elevation_track([200.0] * 5), deadband_m=0.0)
     assert (stats.highest, stats.lowest, stats.uphill, stats.downhill) == (200.0, 200.0, 0.0, 0.0)
 
 
@@ -260,9 +272,9 @@ def test_elevation_stats_against_oracle_random_sequences():
 
 def test_elevation_stats_requires_elevations():
     with pytest.raises(ValueError):
-        elevation_stats(track_from([(50.0, 6.0, 100.0), (50.1, 6.0)]))
+        elevation_stats(track_from([(50.0, 6.0, 100.0), (50.1, 6.0)]), deadband_m=0.0)
     with pytest.raises(ValueError):
-        elevation_stats(Track(lat=[], lon=[]))
+        elevation_stats(Track(lat=[], lon=[]), deadband_m=0.0)
 
 
 def reverse_track(track):
@@ -277,20 +289,20 @@ def test_reversal_swaps_uphill_downhill_keeps_lengths():
         track = track_from(points[:5], points[5:])
         reversed_ = reverse_track(track)
 
+        fwd = metrics_of(track)
+        rev = metrics_of(reversed_)
         assert length_2d(reversed_) == pytest.approx(length_2d(track), rel=1e-12)
-        assert length_3d(reversed_) == pytest.approx(length_3d(track), rel=1e-12)
-        fwd = elevation_stats(track)
-        rev = elevation_stats(reversed_)
+        assert rev.length_3d == pytest.approx(fwd.length_3d, rel=1e-12)
         assert rev.uphill == pytest.approx(fwd.downhill, abs=1e-9)
         assert rev.downhill == pytest.approx(fwd.uphill, abs=1e-9)
-        assert is_circular(reversed_) == is_circular(track)
+        assert rev.is_circular == fwd.is_circular
 
 
 # --- circularity ----------------------------------------------------------------------
 
 def test_is_circular_identical_endpoints():
     track = track_from([(50.0, 6.0), (50.01, 6.01), (50.0, 6.0)])
-    assert is_circular(track)
+    assert is_circular(track, radius_m=350.0)
 
 
 def test_is_circular_349m_yes_351m_no():
@@ -299,12 +311,12 @@ def test_is_circular_349m_yes_351m_no():
         track = track_from([(0.0, 0.0), (0.0, end_lon / 2), (0.0, end_lon)])
         # verify the constructed gap with the distance oracle before asserting
         assert haversine_m(0.0, 0.0, 0.0, end_lon) == pytest.approx(meters, abs=1e-6)
-        assert is_circular(track) is expected
+        assert is_circular(track, radius_m=350.0) is expected
 
 
 def test_is_circular_spans_segments():
     closing_loop = track_from([(0.0, 0.0), (0.0, 0.01)], [(0.01, 0.01), (0.0, 0.0)])
-    assert is_circular(closing_loop)
+    assert is_circular(closing_loop, radius_m=350.0)
 
 
 def test_is_circular_boundary_inclusive():
@@ -319,7 +331,7 @@ def test_is_circular_boundary_inclusive():
 def test_compute_track_metrics_bundle():
     delta = equator_offset_deg(300.0)
     track = track_from([(0.0, 0.0, 100.0), (0.0, delta, 500.0)])
-    metrics = compute_track_metrics(track)
+    metrics = metrics_of(track)
     assert metrics.length_2d == pytest.approx(300.0, rel=1e-9)
     assert metrics.length_3d == pytest.approx(500.0, rel=1e-6)
     assert metrics.elev_highest == 500.0
@@ -458,25 +470,25 @@ def test_load_boundaries_rejects_vertices_that_are_not_finite_numbers(tmp_path, 
         load_boundaries(path)
 
 
-def test_assign_country_first_point_in_france(tmp_path):
+def test_country_of_first_point_in_france(tmp_path):
     path = boundaries_file(tmp_path, [box("France", -5.0, 42.0, 8.0, 51.0),
                                       box("Belgium", 2.5, 49.5, 6.4, 51.5)])
     boundaries = load_boundaries(path)
     track = track_from([(48.85, 2.35), (48.86, 2.36)])
-    assert assign_country(track, boundaries) == "France"
+    assert pick_country(first_point_countries(track, boundaries)) == "France"
 
 
-def test_assign_country_unknown_when_no_match(tmp_path):
+def test_country_unknown_when_no_match(tmp_path):
     boundaries = load_boundaries(boundaries_file(tmp_path, [box("France", -5, 42, 8, 51)]))
     track = track_from([(-33.9, 18.4)])
-    assert assign_country(track, boundaries) == "Unknown"
+    assert pick_country(first_point_countries(track, boundaries)) == "Unknown"
 
 
-def test_assign_country_file_order_breaks_ties(tmp_path):
+def test_country_file_order_breaks_ties(tmp_path):
     overlapping = [box("First", 0, 0, 2, 2), box("Second", 0, 0, 2, 2)]
     boundaries = load_boundaries(boundaries_file(tmp_path, overlapping))
     track = track_from([(1.0, 1.0)])
-    assert assign_country(track, boundaries) == "First"
+    assert pick_country(first_point_countries(track, boundaries)) == "First"
     assert find_countries(1.0, 1.0, boundaries) == ["First", "Second"]
 
 

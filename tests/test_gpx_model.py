@@ -163,32 +163,32 @@ def test_an_omitted_segment_lengths_makes_one_segment():
 
 def test_extract_single_track_identity():
     doc = parse_gpx(gpx_xml([{"segments": [[(50.0, 6.0), (50.1, 6.0)]]}]), URL)
-    track = extract_single_track(doc)
-    assert track is not None
+    track, reason = extract_single_track(doc)
+    assert reason is None
     assert track.point_count() == 2
 
 
 def test_extract_single_track_rejects_multi_track():
     doc = parse_gpx(gpx_xml([{"segments": [[(50.0, 6.0)]]},
                              {"segments": [[(51.0, 6.0)]]}]), URL)
-    assert extract_single_track(doc) is None
+    assert extract_single_track(doc) == (None, "multi-track")
 
 
 def test_extract_single_track_ignores_empty_second_track():
     doc = parse_gpx(gpx_xml([{"desc": "real", "segments": [[(50.0, 6.0)]]},
                              {"desc": "empty", "segments": [[]]}]), URL)
-    track = extract_single_track(doc)
-    assert track is not None and track.desc == "real"
+    track, reason = extract_single_track(doc)
+    assert reason is None and track.desc == "real"
 
 
 def test_extract_single_track_rejects_zero_tracks():
     doc = parse_gpx(gpx_xml([]), URL)
-    assert extract_single_track(doc) is None
+    assert extract_single_track(doc) == (None, "no-track")
 
 
 def test_extract_single_track_drops_empty_segments():
     doc = parse_gpx(gpx_xml([{"segments": [[], [(50.0, 6.0), (50.1, 6.0)], []]}]), URL)
-    track = extract_single_track(doc)
+    track, _ = extract_single_track(doc)
     assert track.segment_lengths == [2]
 
 

@@ -49,13 +49,13 @@ def test_pii_judge_sends_exact_prompt():
     ("The answer is 'True'.", True),
 ])
 def test_parse_verdict_finds_first_standalone_word(reply, expected):
-    assert parse_verdict(reply, unsure=not expected).value is expected
+    assert parse_verdict(reply, unsure=not expected) is expected
 
 
 def test_parse_verdict_ignores_embedded_words():
     # "untrue" must not match as "true"
-    assert parse_verdict("untrue claims here", unsure=False).value is False
-    assert parse_verdict("untrue claims here", unsure=True).value is True
+    assert parse_verdict("untrue claims here", unsure=False) is False
+    assert parse_verdict("untrue claims here", unsure=True) is True
 
 
 def test_unparsable_reply_fails_closed():

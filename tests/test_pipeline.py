@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gpx_harvest import pipeline as pipeline_module
+from gpx_harvest import records as records_module
 from gpx_harvest.cli import main
 from gpx_harvest.config import FilterConfig, PipelineConfig, load_config
 from gpx_harvest.pipeline import (STAGES, PipelineError, PipelinePaths, run_pipeline,
@@ -66,7 +67,7 @@ def test_golden_run_stage_conservation(crawl, tmp_path):
 
 
 def test_exported_records_pass_filters_when_rechecked(crawl, tmp_path):
-    from gpx_harvest.descriptions import passes_length_bounds
+    from gpx_harvest.descriptions import length_exclusion
     cfg = run_config(crawl, tmp_path, "w1")
     run_pipeline(cfg)
     filters = FilterConfig()
@@ -75,7 +76,7 @@ def test_exported_records_pass_filters_when_rechecked(crawl, tmp_path):
     for line in lines:
         obj = json.loads(line)
         assert filters.min_length_m <= obj["length_2d"] <= filters.max_length_m
-        assert passes_length_bounds(obj["desc"], filters)
+        assert length_exclusion(obj["desc"], filters) is None
         point_count = sum(len(seg) for seg in obj["geometry"]["coordinates"])
         assert point_count / (obj["length_2d"] / 100.0) >= filters.min_points_per_100m
         assert obj["desc_lang"] != "unknown"
@@ -364,12 +365,15 @@ def inject_fault(monkeypatch, stage, k):
         monkeypatch.setattr(pipeline_module, "_build_judge",
                             lambda cfg: failing(build_judge(cfg)))
     else:
-        name = {"parse": "parse_gpx", "metrics": "backfill_elevation"}[stage]
-        monkeypatch.setattr(pipeline_module, name, failing(getattr(pipeline_module, name)))
+        module, name = {"fetch": (pipeline_module, "extract_payload"),
+                        "parse": (pipeline_module, "parse_gpx"),
+                        "metrics": (pipeline_module, "backfill_elevation"),
+                        "export": (records_module, "encode_record")}[stage]
+        monkeypatch.setattr(module, name, failing(getattr(module, name)))
     return lambda: calls[0]
 
 
-@pytest.mark.parametrize("stage", ["parse", "enrich", "metrics"])
+@pytest.mark.parametrize("stage", ["fetch", "parse", "enrich", "metrics", "export"])
 @pytest.mark.parametrize("which", ["first", "second", "last"])
 def test_a_fault_part_way_through_a_stage_leaves_its_files_and_resumes_to_a_fresh_run(
         crawl, tmp_path, monkeypatch, stage, which):
@@ -388,7 +392,8 @@ def test_a_fault_part_way_through_a_stage_leaves_its_files_and_resumes_to_a_fres
         run_pipeline(cfg)
     assert gc.isenabled()
     names = set(work_files(cfg.workdir))
-    outputs = {path.name for path in pipeline_module._stage_outputs(cfg, paths, stage)}
+    outputs = {path.relative_to(cfg.workdir).as_posix()
+               for path in pipeline_module._stage_outputs(cfg, paths, stage)}
     assert not names & {f"manifests/{stage}.json", *outputs}
     assert not [name for name in names if name.endswith(".tmp")]
     run_pipeline(cfg)
@@ -837,18 +842,36 @@ def test_cli_reports_corrupt_dem_tile(crawl, tmp_path, capsys, tile_name, conten
     assert f"error: stage metrics: {crawl.srtm_dir / tile_name}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stage, name", [
-    ("fetch", "candidates.jsonl"), ("parse", "fetched.jsonl"), ("enrich", "parsed.jsonl"),
-    ("metrics", "enriched.jsonl"), ("export", "final.jsonl")])
-@pytest.mark.parametrize("damage", [b'{"url": "x", broken', b'["url", "x"]', b'{"url": "\xff"}',
-                                    b'{"url": "x"}'],
-                         ids=["not-json", "not-an-object", "not-utf-8", "missing-field"])
+DAMAGED_ROWS = {"not-json": b'{"url": "x", broken', "not-an-object": b'["url", "x"]',
+                "not-utf-8": b'{"url": "\xff"}', "missing-field": b'{"url": "x"}'}
+# A copy of a real candidate row with one change, and the problem fetch names.
+DAMAGED_CANDIDATES = {
+    "bad-value": ({"warc_offset": -1}, "warc_offset must be >= 0, got -1"),
+    "extra-key": ({"extra": 1}, "unexpected fields ['extra']"),
+    "wrong-type": ({"warc_offset": "12"}, "field 'warc_offset' must be int, not str"),
+}
+STAGE_INPUTS = [("fetch", "candidates.jsonl"), ("parse", "fetched.jsonl"),
+                ("enrich", "parsed.jsonl"), ("metrics", "enriched.jsonl"),
+                ("export", "final.jsonl")]
+
+
+@pytest.mark.parametrize("damage, stage, name", [
+    *[(damage, stage, name) for damage in DAMAGED_ROWS for stage, name in STAGE_INPUTS],
+    *[(damage, "fetch", "candidates.jsonl") for damage in DAMAGED_CANDIDATES],
+], ids=lambda value: value)
 def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, stage, name,
                                                      damage):
     workdir = tmp_path / "w"
     assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    if damage in DAMAGED_CANDIDATES:
+        change, problem = DAMAGED_CANDIDATES[damage]
+        real = json.loads((workdir / name).read_bytes().splitlines()[-1])
+        row = json.dumps({**real, **change}).encode()
+        problem = f"is not a valid row ({problem})"
+    else:
+        row = DAMAGED_ROWS[damage]
     with open(workdir / name, "ab") as handle:
-        handle.write(damage + b"\n")
+        handle.write(row + b"\n")
     line = len((workdir / name).read_bytes().splitlines())
     capsys.readouterr()
 
@@ -858,12 +881,12 @@ def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, st
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     writer = STAGES[STAGES.index(stage) - 1]
-    if damage == b'{"url": "x"}':
+    if damage == "missing-field":
         # The first field, in the order the stage names them, that the row lacks.
         missing = {"fetch": "mime_detected", "parse": "content_hash", "enrich": "desc",
                    "metrics": "content_hash", "export": "content_hash"}[stage]
         problem = f"has no field {missing!r}"
-    else:
+    elif damage in DAMAGED_ROWS:
         problem = "is not a JSON object"
     assert f"{workdir / name} line {line} {problem}; run {writer} again" in err
 

@@ -322,8 +322,8 @@ def test_metrics_stage_stops_on_a_tile_truncated_after_it_was_opened(tmp_path, m
     tile = constant_tile(tmp_path / "srtm", "N50E006", 321)
     read_hgt = elevation.read_hgt
 
-    def read_then_truncate(path, **kwargs):
-        opened = read_hgt(path, **kwargs)
+    def read_then_truncate(path):
+        opened = read_hgt(path)
         Path(path).write_bytes(Path(path).read_bytes()[:1000])
         return opened
 

@@ -14,7 +14,7 @@ from gpx_harvest.geo_metrics import EARTH_RADIUS_M
 from gpx_harvest.gpx_model import Track
 from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES, RecordAssemblyError,
                                  coordinates_text, dedup, encode_record, export_records,
-                                 passes_track_filters, record_properties)
+                                 record_properties, track_exclusion)
 
 CONFIG = FilterConfig()
 
@@ -36,21 +36,18 @@ def make_track(point_count=10, spacing_m=100.0):
 ])
 def test_length_bounds_inclusive(length, expected, reason):
     track = make_track(point_count=2000)  # density never the limiting factor
-    ok, why = passes_track_filters(track, length, CONFIG)
-    assert (ok, why) == (expected, reason)
+    why = track_exclusion(track, length, CONFIG)
+    assert (why is None, why) == (expected, reason)
 
 
 def test_density_boundary_one_point_per_100m():
-    ok, why = passes_track_filters(make_track(point_count=10), 1000.0, CONFIG)
-    assert (ok, why) == (True, None)
-    ok, why = passes_track_filters(make_track(point_count=9), 1000.0, CONFIG)
-    assert (ok, why) == (False, "low-density")
+    assert track_exclusion(make_track(point_count=10), 1000.0, CONFIG) is None
+    assert track_exclusion(make_track(point_count=9), 1000.0, CONFIG) == "low-density"
 
 
 def test_filters_report_first_failed_rule():
     # a 400 m track with terrible density still reports too-short first
-    ok, why = passes_track_filters(make_track(point_count=1), 400.0, CONFIG)
-    assert (ok, why) == (False, "too-short")
+    assert track_exclusion(make_track(point_count=1), 400.0, CONFIG) == "too-short"
 
 
 def test_realistic_track_against_filters():
@@ -58,8 +55,8 @@ def test_realistic_track_against_filters():
     from gpx_harvest.geo_metrics import length_2d
     length = length_2d(track)
     assert 12_000 < length < 12_200  # about the typical mid-range activity
-    ok, why = passes_track_filters(track, length, CONFIG)
-    assert ok, why
+    why = track_exclusion(track, length, CONFIG)
+    assert why is None, why
 
 
 # --- records ---------------------------------------------------------------------
