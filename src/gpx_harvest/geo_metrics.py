@@ -57,12 +57,15 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
-def _within_segments(track: Track) -> np.ndarray:
-    """Which legs (consecutive point pairs) of the track lie within one segment.
+def _within_segments(track: Track) -> np.ndarray | slice:
+    """Which legs (consecutive point pairs) of the track lie within one segment,
+    as an index into the legs: every leg of a track of one segment, else a mask.
 
     A leg into a segment's first point would bridge a recording pause and
     inflate the length, so every length and elevation sum leaves it out.
     """
+    if len(track.segment_lengths) <= 1:
+        return slice(None)
     keep = np.ones(max(track.point_count() - 1, 0), dtype=bool)
     keep[track.segment_starts() - 1] = False
     return keep

@@ -95,14 +95,14 @@ def _child_text(element: ElementTree.Element, name: str) -> str | None:
     return None
 
 
-def _read_points(parent: ElementTree.Element, point_tag: str,
-                 stats: ParseStats) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The parent's ``point_tag`` children as lat, lon and ele arrays, and how
-    many were dropped.
+def _point_values(parent: ElementTree.Element,
+                  point_tag: str) -> tuple[list[float], list[float], list[float], int]:
+    """The lat, lon and ele values of the parent's ``point_tag`` children,
+    read one point at a time, and how many points had no parsable lat or lon.
 
-    A point is dropped when lat or lon is unparsable or out of range.  The
+    A point is skipped when its lat or lon does not convert to a float.  The
     elevation is the point's ``<ele>`` child in the point's own namespace; an
-    absent, unparsable or non-finite one is NaN.
+    absent or unparsable one is NaN.
     """
     lats: list[float] = []
     lons: list[float] = []
@@ -132,7 +132,55 @@ def _read_points(parent: ElementTree.Element, point_tag: str,
         lats.append(lat)
         lons.append(lon)
         eles.append(ele)
+    return lats, lons, eles, unparsable
 
+
+def _bulk_point_values(parent: ElementTree.Element, point_tag: str
+                       ) -> tuple[list[float], list[float], list[float], int] | None:
+    """``_point_values(parent, point_tag)``, read one axis at a time; None
+    when that would not be exact: when the points are in more than one
+    namespace, or when a lat, lon or ele value is missing or does not
+    convert to a float.
+
+    Each axis goes through Python's ``float`` in one pass.  When no element
+    under ``parent`` is an ``<ele>`` in the points' namespace, every
+    elevation is NaN and no point is searched for one.
+    """
+    tags = {element.tag for element in parent}
+    point_tags = [tag for tag in tags if _local(tag) == point_tag]
+    if len(point_tags) != 1:
+        return None
+    tag = point_tags[0]
+    points = list(parent) if len(tags) == 1 else [element for element in parent
+                                                  if element.tag == tag]
+    ele_tag = tag[:len(tag) - len(point_tag)] + "ele"
+    try:
+        lats = [float(point.get("lat", "")) for point in points]
+        lons = [float(point.get("lon", "")) for point in points]
+        if next(parent.iter(ele_tag), None) is None:
+            eles = [np.nan] * len(points)
+        else:
+            eles = [float(point.findtext(ele_tag)) for point in points]
+    except (TypeError, ValueError):  # float(None) for a missing <ele> is a TypeError
+        return None
+    return lats, lons, eles, 0
+
+
+def _read_points(parent: ElementTree.Element, point_tag: str,
+                 stats: ParseStats) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The parent's ``point_tag`` children as lat, lon and ele arrays, and how
+    many were dropped.
+
+    A point is dropped when lat or lon is unparsable or out of range.  The
+    elevation is the point's ``<ele>`` child in the point's own namespace; an
+    absent, unparsable or non-finite one is NaN.
+
+    The values are read in bulk, one axis at a time (``_bulk_point_values``),
+    and only where that cannot be exact (points in several namespaces, or a
+    value that does not convert) one point at a time (``_point_values``).
+    """
+    lats, lons, eles, unparsable = (_bulk_point_values(parent, point_tag)
+                                    or _point_values(parent, point_tag))
     lat = np.array(lats, dtype=np.float64)
     lon = np.array(lons, dtype=np.float64)
     ele = np.array(eles, dtype=np.float64)
@@ -157,8 +205,11 @@ def _track(element: ElementTree.Element, stats: ParseStats) -> Track | None:
     if dropped and dropped / (dropped + sum(lengths)) > MAX_INVALID_POINT_RATIO:
         stats.tracks_dropped += 1
         return None
-    lat, lon, ele = (np.concatenate([np.empty(0)] + [part[axis] for part in parts])
-                     for axis in range(3))
+    if len(parts) == 1:
+        lat, lon, ele, _ = parts[0]
+    else:
+        lat, lon, ele = (np.concatenate([np.empty(0)] + [part[axis] for part in parts])
+                         for axis in range(3))
     return Track(lat, lon, ele, segment_lengths=lengths, desc=_child_text(element, "desc"))
 
 

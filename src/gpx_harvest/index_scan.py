@@ -3,6 +3,14 @@
 Index shards are CDX-J: one record per line, two space-separated prefix
 fields (sortable URL key and timestamp) followed by a JSON payload carrying
 at least url, filename, offset and length.
+
+Both URL checks on a line have a fast path that decides only where a plain
+string test proves the answer ``urllib.parse.urlsplit`` would give, and fall
+back to ``urlsplit`` otherwise.  ``CandidateRecord`` accepts a URL as absolute
+when ``_ABSOLUTE_URL`` matches it: an ASCII scheme, ``://`` and a whole netloc
+of printable ASCII without ``[`` or ``]``.  ``is_gpx_candidate`` rejects a URL
+whose lowercased text holds no ``.gpx`` at all, unless it holds a tab, CR or
+LF: ``urlsplit`` deletes those, so ``x.g``, a tab and ``px`` make the path ``x.gpx``.
 """
 
 from __future__ import annotations
@@ -17,6 +25,17 @@ from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
 _CRAWL_ID_RE = re.compile(r"CC-MAIN-\d{4}-\d{2}")
+
+# A URL that ``urlsplit`` gives a scheme and a netloc: an ASCII letter and
+# scheme characters, "://", then a netloc running to "/", "?", "#" or the end,
+# of printable ASCII without "[" or "]".  The first character being a letter
+# leaves nothing for ``urlsplit`` to strip in front, the netloc cannot hold
+# the tab, CR or LF it deletes, and an ASCII netloc without brackets passes
+# its IPv6 and NFKC checks.  The netloc characters are listed, not negated:
+# a negated class spanning all of Unicode takes milliseconds to compile.
+_NETLOC_CHARS = re.escape("".join(chr(code) for code in range(0x21, 0x7f)
+                                  if chr(code) not in "/?#[]"))
+_ABSOLUTE_URL = re.compile(rf"[A-Za-z][A-Za-z0-9+.-]*://[{_NETLOC_CHARS}]+(?:[/?#]|\Z)")
 
 # The longest WARC record a candidate may point at, in compressed bytes.  One
 # index line must not make fetch request an unbounded range; a longer one is
@@ -42,9 +61,10 @@ class CandidateRecord:
             raise ValueError(f"warc_len must be > 0, got {self.warc_len}")
         if self.warc_len > MAX_WARC_LEN:
             raise ValueError(f"warc_len must be <= {MAX_WARC_LEN}, got {self.warc_len}")
-        parts = urlsplit(self.url)
-        if not parts.scheme or not parts.netloc:
-            raise ValueError(f"url must be absolute, got {self.url!r}")
+        if not _ABSOLUTE_URL.match(self.url):
+            parts = urlsplit(self.url)
+            if not parts.scheme or not parts.netloc:
+                raise ValueError(f"url must be absolute, got {self.url!r}")
 
 
 @dataclass
@@ -105,11 +125,16 @@ def is_gpx_candidate(record: CandidateRecord) -> bool:
     """True when the MIME type mentions gpx or the URL path ends in .gpx.
 
     Both checks are case-insensitive; query string and fragment are stripped
-    before the extension test (crawled URLs often carry "?download=1").
+    before the extension test (crawled URLs often carry "?download=1").  A URL
+    without ".gpx" anywhere, and without the tab, CR or LF that ``urlsplit``
+    deletes, is rejected without splitting it.
     """
     if "gpx" in record.mime_detected.lower():
         return True
-    return urlsplit(record.url).path.lower().endswith(".gpx")
+    url = record.url
+    if ".gpx" not in url.lower() and "\t" not in url and "\r" not in url and "\n" not in url:
+        return False
+    return urlsplit(url).path.lower().endswith(".gpx")
 
 
 def scan_index(lines: Iterable[str], stats: ScanStats | None = None) -> Iterator[CandidateRecord]:

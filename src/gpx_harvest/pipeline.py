@@ -29,9 +29,11 @@ objects forms a reference cycle, so reference counting frees them all when
 the work returns, and a cycle made inside the work waits one key at most.
 
 Every stage names the row fields it reads, and ``read_jsonl`` stops it at
-the first row that lacks one, with an error naming the file, the line, the
-field and the stage to run again.  Fetch also stops at a candidate row with
-any other field, or with a value of the wrong type or out of range.
+the first row that lacks one, or where one holds the wrong type or range
+(``_ROW_FIELDS``: offsets and lengths are ints >= 0, digests strings, and so
+on), with an error naming the file, the line, the field and the stage to run
+again.  Fetch also stops at a candidate row with any other field, or with a
+value of the wrong type or out of range.
 
 Fetch appends each distinct payload once to ``payloads.bin``, written
 together with ``fetched.jsonl``; each row carries the payload's byte offset
@@ -56,6 +58,12 @@ the dict every export encodes: the 16 properties, keyed in
 reads each survivor's text by offset, adding it to the record as
 ``"geometry"``, one record at a time.
 
+Fetch's ranged reads and enrich's judge and translator calls go through
+``map_ordered``: with one worker (``fetch.max_parallel`` or
+``judge_max_parallel`` of 1) they run on the calling thread, with no
+executor, futures or look-ahead queue; with more, in a bounded thread pool.
+Either way results come back in input order, so the files are the same.
+
 Payloads, tracks and coordinates texts are all read back through
 ``StoredFiles``: a missing file, a short read or bytes that no longer match
 the row's sha256 stop the reading stage with an error naming the file.
@@ -71,9 +79,9 @@ import hashlib
 import json
 import logging
 import os
+import reprlib
 import typing
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -95,7 +103,7 @@ from .records import (SCALAR_PROPERTIES, atomic_files, coordinates_text, dedup, 
                       export_records, track_exclusion)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, PayloadTooLargeError, WarcRecordSkippedError,
-                         extract_payload, fetch_many)
+                         extract_payload, fetch_many, map_ordered)
 
 logger = logging.getLogger(__name__)
 
@@ -176,15 +184,40 @@ def _write_rows(handle: TextIO, rows) -> None:
     handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
+def _is_count(value) -> bool:
+    # bool is an int subclass, but true/false is no count.
+    return type(value) is int and value >= 0
+
+
+def _is_lengths(value) -> bool:
+    return (type(value) is list and bool(value)
+            and all(type(length) is int and length > 0 for length in value))
+
+
+# What a stage row's field must hold, by name, wherever a stage reads it, and
+# the words an error uses for it.  Only types and ranges: every row is checked.
+_ROW_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    **dict.fromkeys(("payload_offset", "payload_length", "track_offset", "geometry_offset",
+                     "geometry_length"), (_is_count, "an int >= 0")),
+    **dict.fromkeys(("content_hash", "track_sha256", "geometry_sha256"),
+                    (lambda value: type(value) is str, "a string")),
+    "desc": (lambda value: value is None or type(value) is str, "a string or null"),
+    "segment_lengths": (_is_lengths, "a non-empty list of ints > 0"),
+    "record": (lambda value: type(value) is dict, "an object"),
+}
+
+
 def read_jsonl(path: Path, stage: str, fields: tuple[str, ...],
                convert: Callable[[dict], Any] | None = None) -> Iterator:
-    """``path``'s rows, read as iterated; a line that is no JSON object, or
-    one that lacks one of ``fields``, is a PipelineError.  With ``convert``,
-    each row is yielded as ``convert(row)``, and a row it refuses with a
-    TypeError or ValueError is a PipelineError too."""
+    """``path``'s rows, read as iterated; a line that is no JSON object, one
+    that lacks one of ``fields``, or one where a field of ``fields`` that
+    ``_ROW_FIELDS`` names holds the wrong type or range, is a PipelineError.
+    With ``convert``, each row is yielded as ``convert(row)``, and a row it
+    refuses with a TypeError or ValueError is a PipelineError too."""
     if not path.exists():
         raise PipelineError(f"stage {stage}: missing input {path}")
     writer = STAGES[STAGES.index(stage) - 1]
+    checks = [(name, *_ROW_FIELDS[name]) for name in fields if name in _ROW_FIELDS]
 
     def rows() -> Iterator[dict]:
         # Decoded line by line, so that a line that is not UTF-8 is one more bad line.
@@ -203,6 +236,11 @@ def read_jsonl(path: Path, stage: str, fields: tuple[str, ...],
                     if name not in row:
                         raise PipelineError(f"stage {stage}: {path} line {number} has no "
                                             f"field {name!r}; run {writer} again")
+                for name, accepts, kind in checks:
+                    if not accepts(row[name]):
+                        raise PipelineError(f"stage {stage}: {path} line {number} is not a "
+                                            f"valid row (field {name!r} must be {kind}, not "
+                                            f"{reprlib.repr(row[name])}); run {writer} again")
                 if convert is not None:
                     try:
                         row = convert(row)
@@ -453,9 +491,11 @@ class StoredFiles(ExitStack):
     """Checked reads from a file an earlier stage wrote, opened at the first read.
 
     ``read`` returns ``size`` bytes at ``offset`` and checks them against the
-    sha256 the row recorded; a file that cannot be opened, a short read or a
-    digest mismatch is a ``PipelineError`` naming the file.  Leaving the
-    ``with`` block closes the file.
+    sha256 the row recorded; a file that cannot be opened, a range past its
+    end, a short read or a digest mismatch is a ``PipelineError`` naming the
+    file.  The range is checked against the file's size before a buffer is
+    allocated, as a damaged row may claim any size.  Leaving the ``with``
+    block closes the file.
     """
 
     def __init__(self, path: Path, stage: str, kind: str, writer: str) -> None:
@@ -463,12 +503,16 @@ class StoredFiles(ExitStack):
         self.path, self.writer = path, writer
         self.where = f"stage {stage}: {kind} file {path}"
         self._handle: BinaryIO | None = None
+        self._size = 0
 
     def read(self, offset: int, size: int, sha256: str) -> bytearray:
-        data = bytearray(size)
         try:
             if self._handle is None:
                 self._handle = self.enter_context(open(self.path, "rb"))
+                self._size = os.fstat(self._handle.fileno()).st_size
+            if offset + size > self._size:
+                raise PipelineError(f"{self.where} is truncated")
+            data = bytearray(size)
             self._handle.seek(offset)
             got = self._handle.readinto(data)
         except OSError as exc:
@@ -538,8 +582,7 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         return None, {"desc": text, "desc_lang": lang, "desc_en": text_en,
                       "pii_flags": pii_flags.__dict__}
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.judge_max_parallel)) as pool:
-        outcomes = dict(zip(rows_per_text, pool.map(enrich_text, rows_per_text)))
+    outcomes = dict(map_ordered(enrich_text, rows_per_text, max(1, cfg.judge_max_parallel)))
 
     # The rare-language cut, decided from every row the judges kept.
     languages = Counter()

@@ -19,10 +19,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 from urllib.parse import urlsplit
 
 from .index_scan import CandidateRecord
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 DEFAULT_BASE_URL = "https://data.commoncrawl.org"
 BASE_URL_ENV = "GPX_HARVEST_BASE_URL"
@@ -32,7 +35,7 @@ BASE_URL_ENV = "GPX_HARVEST_BASE_URL"
 # otherwise exhaust memory; a larger one is excluded as "payload-too-large".
 MAX_DECOMPRESSED_BYTES = 64 << 20
 
-# fetch_many keeps this many fetches per worker submitted ahead of its
+# map_ordered keeps this many calls per worker submitted ahead of its
 # consumer: enough to keep every worker busy, few enough to bound memory.
 FETCHES_AHEAD_PER_WORKER = 2
 
@@ -223,18 +226,46 @@ def fetch_candidate(candidate: CandidateRecord, policy: FetchPolicy, transport,
     raise FetchFailedError(f"{candidate.url}: {last_problem}")
 
 
+def map_ordered(function: Callable[[T], R], items: Iterable[T],
+                workers: int) -> Iterator[tuple[T, R]]:
+    """``(item, function(item))`` for each item, in item order.
+
+    With one worker each call runs on the calling thread as the consumer
+    asks for its result: no executor, future or look-ahead queue.  With more
+    workers the calls run in a thread pool of that size, and at most
+    FETCHES_AHEAD_PER_WORKER * workers are submitted and not yet yielded,
+    so finished results never pile up ahead of a slow consumer.  Either way
+    an exception from ``function`` is raised to the consumer at its item.
+    """
+    if workers == 1:
+        for item in items:
+            yield item, function(item)
+        return
+    ahead = FETCHES_AHEAD_PER_WORKER * workers
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for item in items:
+            if len(pending) == ahead:
+                done, future = pending.popleft()
+                yield done, future.result()
+            pending.append((item, pool.submit(function, item)))
+        while pending:
+            done, future = pending.popleft()
+            yield done, future.result()
+
+
 def fetch_many(candidates: Iterable[CandidateRecord], policy: FetchPolicy,
                transport) -> Iterator[tuple[CandidateRecord, bytes | FetchFailedError]]:
     """Fetch candidates concurrently, yielding results in candidate order.
 
     Concurrency is capped at policy.max_parallel and all workers share one
-    rate limiter.  At most FETCHES_AHEAD_PER_WORKER * max_parallel fetches
-    are submitted and not yet yielded, so finished record bytes never pile
-    up ahead of a slow consumer.  Failures are yielded as FetchFailedError
-    values so the caller can log them and keep going.
+    rate limiter.  The fetches go through ``map_ordered``: with one worker
+    each runs on the calling thread, between the consumer's uses of the
+    results; with more, a bounded number run ahead of the consumer in a
+    thread pool.  Failures are yielded as FetchFailedError values so the
+    caller can log them and keep going.
     """
     limiter = RateLimiter(policy.rate_limit_per_s)
-    ahead = FETCHES_AHEAD_PER_WORKER * policy.max_parallel
 
     def fetch_one(candidate: CandidateRecord) -> bytes | FetchFailedError:
         try:
@@ -242,16 +273,7 @@ def fetch_many(candidates: Iterable[CandidateRecord], policy: FetchPolicy,
         except FetchFailedError as exc:
             return exc
 
-    pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=policy.max_parallel) as pool:
-        for candidate in candidates:
-            if len(pending) == ahead:
-                done, future = pending.popleft()
-                yield done, future.result()
-            pending.append((candidate, pool.submit(fetch_one, candidate)))
-        while pending:
-            done, future = pending.popleft()
-            yield done, future.result()
+    return map_ordered(fetch_one, candidates, policy.max_parallel)
 
 
 def _parse_header_block(block: bytes, what: str) -> dict[str, str]:

@@ -1,8 +1,14 @@
 import math
+from unittest import mock
+from xml.etree import ElementTree
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gpx_harvest import gpx_model
 from gpx_harvest.gpx_model import (GpxParseError, ParseStats, Track, extract_single_track,
                                    parse_gpx)
 from gpx_harvest.synthetic import gpx_xml
@@ -220,3 +226,97 @@ def test_parse_honors_declared_encoding():
            '<trkseg><trkpt lat="47.0" lon="11.0"></trkpt></trkseg></trk></gpx>')
     doc = parse_gpx(xml.encode("iso-8859-1"), URL)
     assert doc.tracks[0].desc == "Schöne Tour"
+
+
+# --- bulk point reading ----------------------------------------------------------
+
+# Number texts that Python's ``float`` reads and numpy's string casting may
+# not, and texts that neither reads.
+_NUMBER_TEXTS = ["1_0", "\u0661\u0662", "\u0663.\u0665", " 7 ", "\t-3\n", "+1", "-0", "nan",
+                 "NaN", "inf", "-inf", "1e400", "91", "-181"]
+_BAD_NUMBER_TEXTS = ["", "abc", "0x10", "1,5"]
+
+
+@st.composite
+def gpx_points(draw, point_tag):
+    """The points of one segment or route.  Half of the segments draw every
+    point the same way, in one namespace, each value a number text and each
+    point with an ``<ele>`` or none without; the other half mix namespaces
+    (prefix ``o:``), missing or unreadable values and ``<ele>`` in either
+    namespace.  Points may also carry ``<time>`` and an extension holding an
+    ``<ele>``."""
+    clean = draw(st.booleans())
+    prefixes = [""] if clean else ["", "", "o:"]
+    numbers = st.one_of(st.floats(-200, 200).map(repr), st.sampled_from(_NUMBER_TEXTS))
+    if not clean:
+        numbers = st.one_of(numbers, st.sampled_from(_BAD_NUMBER_TEXTS))
+    with_ele = draw(st.booleans())
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        prefix = draw(st.sampled_from(prefixes))
+        attributes = "".join(f" {name}={quoteattr(text)}" for name in ("lat", "lon")
+                             if (text := draw(numbers if clean else numbers | st.none()))
+                             is not None)
+        children = draw(st.lists(st.sampled_from(
+            ["<time>2024-03-01T09:00:00Z</time>", "<extensions><ele>7</ele></extensions>"]
+            + ([] if clean else ["<ele/>", "<o:ele>5</o:ele>"])), max_size=2))
+        if with_ele if clean else draw(st.booleans()):
+            children.insert(0, f"<{prefix}ele>{escape(draw(numbers))}</{prefix}ele>")
+        points.append(f"<{prefix}{point_tag}{attributes}>{''.join(children)}"
+                      f"</{prefix}{point_tag}>")
+    return "".join(points)
+
+
+@st.composite
+def gpx_documents(draw):
+    """A GPX document of one route, or of one track with up to three segments."""
+    namespace = draw(st.sampled_from(['xmlns="http://www.topografix.com/GPX/1/1"',
+                                      'xmlns="http://www.topografix.com/GPX/1/0"', ""]))
+    extension = st.sampled_from(["", "", "<extensions><ele>1</ele></extensions>"])
+    if draw(st.booleans()):
+        body = f"<rte>{draw(gpx_points('rtept'))}</rte>"
+    else:
+        segments = draw(st.lists(gpx_points("trkpt"), max_size=3))
+        body = "<trk>" + "".join(f"<trkseg>{points}{draw(extension)}</trkseg>"
+                                 for points in segments) + "</trk>"
+    return f'<gpx {namespace} xmlns:o="urn:other">{body}</gpx>'.encode("utf-8")
+
+
+def parsed(payload):
+    """The tracks of ``payload`` as comparable values (bits, not numbers, so
+    that NaN equals NaN), and the parse stats."""
+    stats = ParseStats()
+    doc = parse_gpx(payload, URL, stats)
+    return ([(track.lat.tobytes(), track.lon.tobytes(), track.ele.tobytes(),
+              track.segment_lengths, track.desc) for track in doc.tracks], vars(stats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gpx_documents())
+def test_bulk_point_reading_equals_the_per_point_loop(payload):
+    bulk = parsed(payload)
+    with mock.patch.object(gpx_model, "_bulk_point_values", return_value=None):
+        assert parsed(payload) == bulk
+
+
+@pytest.mark.parametrize("points, bulk", [
+    ('<trkpt lat="1" lon="2"><ele>3</ele></trkpt><trkpt lat="1_0" lon=" 2 "/>', False),
+    ('<trkpt lat="1" lon="2"><ele>3</ele></trkpt><trkpt lat="1_0" lon=" 2 "><ele>nan</ele>'
+     '</trkpt>', True),
+    ('<trkpt lat="1" lon="2"/><trkpt lat="\u0661" lon="2"><extensions/></trkpt><extensions/>',
+     True),
+    ('<trkpt lat="1" lon="2"/><trkpt lat="x" lon="2"/>', False),
+    ('<trkpt lat="1" lon="2"/><o:trkpt lat="1" lon="2"/>', False),
+])
+def test_bulk_point_reading_leaves_only_mixed_namespaces_and_bad_values_to_the_loop(points,
+                                                                                    bulk):
+    root = ElementTree.fromstring(f'<gpx xmlns="http://www.topografix.com/GPX/1/1" '
+                                  f'xmlns:o="urn:other"><trk><trkseg>{points}</trkseg></trk>'
+                                  f'</gpx>')
+    segment = root[0][0]
+    values = gpx_model._bulk_point_values(segment, "trkpt")
+    assert (values is not None) is bulk
+    if bulk:
+        expected = gpx_model._point_values(segment, "trkpt")
+        assert np.array(values[:3]).tobytes() == np.array(expected[:3]).tobytes()
+        assert values[3] == expected[3] == 0

@@ -1,7 +1,10 @@
 import gzip
 import json
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpx_harvest import index_scan
 from gpx_harvest.index_scan import (CandidateRecord, ScanStats, is_gpx_candidate,
@@ -185,3 +188,87 @@ def test_iter_shard_lines_plain_and_gzip(tmp_path):
     from_plain = [r.url for r in scan_index(iter_shard_lines(plain))]
     from_gz = [r.url for r in scan_index(iter_shard_lines(gz))]
     assert from_plain == from_gz == ["http://site0.example/track0.gpx"]
+
+
+# URL-like text: what ``urlsplit`` strips in front, a scheme good or bad, a
+# separator, then a netloc and a rest drawn from the characters that decide
+# what it makes of them: brackets, controls, the tab, CR and LF it deletes,
+# characters that NFKC normalization breaks, and extensions a deleted
+# character splits.  Each of the first three parts is the plain one half of
+# the time, so that many URLs reach the netloc.
+URL_TEXT = st.tuples(
+    st.one_of(st.just(""), st.sampled_from([" ", "\x00", "\x1f", "\t"])),
+    st.one_of(st.just("http"), st.sampled_from(["HTTPS", "svn+ssh", "a1.-", "1x", "h_t", "\xe9",
+                                                ""])),
+    st.one_of(st.just("://"), st.sampled_from([":/", ":", "//", "", ":\t//"])),
+    st.text(alphabet=st.one_of(st.sampled_from("ab.:@%~"), st.sampled_from(
+        "[] \t\r\n\x00\x7f/?#\u2100\u2101\uff21\u0130\u212a\xe9")), max_size=6),
+    st.lists(st.sampled_from(["/", "?", "#", "t", ".gpx", ".GPX", ".G\tPX", ".g\npx", ".gp\rx",
+                              ".gp", "x", "=1", "[", "]", " ", "\u0130"]),
+             max_size=4).map("".join),
+).map("".join)
+
+
+def urlsplit_absolute(url):
+    """Whether ``urlsplit`` gives ``url`` a scheme and a netloc, or the
+    ValueError it raises."""
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:
+        return exc
+    return bool(parts.scheme and parts.netloc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(URL_TEXT)
+def test_candidate_record_accepts_exactly_the_urls_urlsplit_finds_absolute(url):
+    expected = urlsplit_absolute(url)
+    if index_scan._ABSOLUTE_URL.match(url):
+        assert expected is True
+    try:
+        CandidateRecord(url=url, mime_detected="", warc_file="f", warc_offset=0, warc_len=1,
+                        crawl_id="")
+    except ValueError as exc:
+        assert expected is not True
+        if isinstance(expected, ValueError):
+            assert str(exc) == str(expected)
+    else:
+        assert expected is True
+
+
+@settings(max_examples=400, deadline=None)
+@given(URL_TEXT)
+def test_is_gpx_candidate_agrees_with_the_path_urlsplit_finds(url):
+    try:
+        expected = urlsplit(url).path.lower().endswith(".gpx")
+    except ValueError:
+        return  # no candidate holds a URL that urlsplit refuses
+    assert is_gpx_candidate(candidate_with_url(url)) is expected
+
+
+def candidate_with_url(url):
+    """A candidate whose URL is ``url``, set after the record checked its own."""
+    record = CandidateRecord(url="http://a.example/", mime_detected="", warc_file="f",
+                             warc_offset=0, warc_len=1, crawl_id="")
+    record.url = url
+    return record
+
+
+@pytest.mark.parametrize("url, absolute, gpx", [
+    ("http://a.example/t.g\tpx", True, True),  # urlsplit deletes the tab
+    ("http://a.example/t.G\nPX?x=1", True, True),
+    ("\x00 http://a.example/t.gpx", True, True),  # urlsplit strips C0 controls in front
+    ("http://[::1/t.gpx", False, None),  # an invalid IPv6 netloc
+    ("http://ex\u2100ample.com/t.gpx", False, None),  # NFKC makes the netloc "exa/cample.com"
+    ("a.example/t.gpx", False, True),
+])
+def test_url_checks_where_only_urlsplit_knows_the_answer(url, absolute, gpx):
+    if absolute:
+        CandidateRecord(url=url, mime_detected="", warc_file="f", warc_offset=0, warc_len=1,
+                        crawl_id="")
+    else:
+        with pytest.raises(ValueError):
+            CandidateRecord(url=url, mime_detected="", warc_file="f", warc_offset=0,
+                            warc_len=1, crawl_id="")
+    if gpx is not None:
+        assert is_gpx_candidate(candidate_with_url(url)) is gpx

@@ -16,7 +16,7 @@ from gpx_harvest.config import FilterConfig, PipelineConfig, load_config
 from gpx_harvest.pipeline import (STAGES, PipelineError, PipelinePaths, run_pipeline,
                                   write_json_atomic)
 from gpx_harvest.synthetic import build_demo_crawl
-from gpx_harvest.warc_fetch import FetchPolicy, RateLimiter
+from gpx_harvest.warc_fetch import FetchPolicy, FixtureTransport, RateLimiter
 
 
 @pytest.fixture()
@@ -318,6 +318,51 @@ def test_two_work_directories_from_one_crawl_hold_identical_files(crawl, tmp_pat
     run_pipeline(first)
     run_pipeline(second)
     assert_same_work_files(second, first)
+
+
+def with_workers(cfg, workers):
+    """``cfg`` with ``workers`` fetch threads and ``workers`` judge threads."""
+    cfg.fetch.max_parallel = cfg.judge_max_parallel = workers
+    return cfg
+
+
+def test_one_worker_and_three_workers_write_identical_files(crawl, tmp_path):
+    one = with_workers(run_config(crawl, tmp_path, "one"), 1)
+    three = with_workers(run_config(crawl, tmp_path, "three"), 3)
+    run_pipeline(one)
+    run_pipeline(three)
+    assert_same_work_files(three, one)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_worker_fetches_and_judges_on_the_calling_thread(crawl, tmp_path, monkeypatch,
+                                                             workers):
+    threads = {"fetch": set(), "judge": set()}
+    get_range = FixtureTransport.get_range
+
+    def recording_get_range(self, *args):
+        threads["fetch"].add(threading.current_thread())
+        return get_range(self, *args)
+
+    build_judge = pipeline_module._build_judge
+
+    def recording_judge(cfg):
+        judge = build_judge(cfg)
+
+        def call(*args, **kwargs):
+            threads["judge"].add(threading.current_thread())
+            return judge(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(FixtureTransport, "get_range", recording_get_range)
+    monkeypatch.setattr(pipeline_module, "_build_judge", recording_judge)
+    assert run_pipeline(with_workers(run_config(crawl, tmp_path, "w"), workers)).records() == 2
+    for seen in threads.values():
+        assert seen
+        if workers == 1:
+            assert seen == {threading.current_thread()}
+        else:
+            assert threading.current_thread() not in seen
 
 
 @pytest.mark.parametrize("damage", ["deleted", "truncated"])
@@ -844,27 +889,42 @@ def test_cli_reports_corrupt_dem_tile(crawl, tmp_path, capsys, tile_name, conten
 
 DAMAGED_ROWS = {"not-json": b'{"url": "x", broken', "not-an-object": b'["url", "x"]',
                 "not-utf-8": b'{"url": "\xff"}', "missing-field": b'{"url": "x"}'}
-# A copy of a real candidate row with one change, and the problem fetch names.
-DAMAGED_CANDIDATES = {
-    "bad-value": ({"warc_offset": -1}, "warc_offset must be >= 0, got -1"),
-    "extra-key": ({"extra": 1}, "unexpected fields ['extra']"),
-    "wrong-type": ({"warc_offset": "12"}, "field 'warc_offset' must be int, not str"),
-}
 STAGE_INPUTS = [("fetch", "candidates.jsonl"), ("parse", "fetched.jsonl"),
                 ("enrich", "parsed.jsonl"), ("metrics", "enriched.jsonl"),
                 ("export", "final.jsonl")]
+# A copy of a real row of a stage's input with one change, and the problem
+# the stage names.  The copy repeats its original's content hash and text,
+# so it is caught where it is read, not where its key's work runs.
+DAMAGED_FIELDS = {
+    "bad-value": ("fetch", {"warc_offset": -1}, "warc_offset must be >= 0, got -1"),
+    "extra-key": ("fetch", {"extra": 1}, "unexpected fields ['extra']"),
+    "wrong-type": ("fetch", {"warc_offset": "12"}, "field 'warc_offset' must be int, not str"),
+    "offset-as-text": ("parse", {"payload_offset": "12"},
+                       "field 'payload_offset' must be an int >= 0, not '12'"),
+    "negative-length": ("parse", {"payload_length": -5},
+                        "field 'payload_length' must be an int >= 0, not -5"),
+    "desc-as-number": ("enrich", {"desc": 5}, "field 'desc' must be a string or null, not 5"),
+    "lengths-as-text": ("metrics", {"segment_lengths": "x"},
+                        "field 'segment_lengths' must be a non-empty list of ints > 0, not 'x'"),
+    "track-offset-as-text": ("metrics", {"track_offset": "0"},
+                             "field 'track_offset' must be an int >= 0, not '0'"),
+    "geometry-offset-as-text": ("export", {"geometry_offset": "1"},
+                                "field 'geometry_offset' must be an int >= 0, not '1'"),
+    "record-as-number": ("export", {"record": 5}, "field 'record' must be an object, not 5"),
+}
 
 
 @pytest.mark.parametrize("damage, stage, name", [
     *[(damage, stage, name) for damage in DAMAGED_ROWS for stage, name in STAGE_INPUTS],
-    *[(damage, "fetch", "candidates.jsonl") for damage in DAMAGED_CANDIDATES],
+    *[(damage, stage, dict(STAGE_INPUTS)[stage])
+      for damage, (stage, _, _) in DAMAGED_FIELDS.items()],
 ], ids=lambda value: value)
 def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, stage, name,
                                                      damage):
     workdir = tmp_path / "w"
     assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
-    if damage in DAMAGED_CANDIDATES:
-        change, problem = DAMAGED_CANDIDATES[damage]
+    if damage in DAMAGED_FIELDS:
+        _, change, problem = DAMAGED_FIELDS[damage]
         real = json.loads((workdir / name).read_bytes().splitlines()[-1])
         row = json.dumps({**real, **change}).encode()
         problem = f"is not a valid row ({problem})"
@@ -889,6 +949,27 @@ def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, st
     elif damage in DAMAGED_ROWS:
         problem = "is not a JSON object"
     assert f"{workdir / name} line {line} {problem}; run {writer} again" in err
+
+
+@pytest.mark.parametrize("stage, name, change", [
+    ("parse", "fetched.jsonl", {"payload_length": 2 ** 62}),
+    ("metrics", "enriched.jsonl", {"segment_lengths": [2 ** 60]}),
+    ("export", "final.jsonl", {"geometry_length": 2 ** 62}),
+], ids=["payload", "track", "geometry"])
+def test_cli_reports_a_stored_range_past_the_end_of_its_file_on_one_line(crawl, tmp_path, capsys,
+                                                                       stage, name, change):
+    # Lengths no memory can hold: the range is refused before any buffer is allocated.
+    workdir = tmp_path / "w"
+    assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    rows = [{**json.loads(line), **change} for line in (workdir / name).read_bytes().splitlines()]
+    (workdir / name).write_text("".join(json.dumps(row) + "\n" for row in rows), "utf-8")
+    capsys.readouterr()
+
+    code = main([stage, "--config", str(crawl.config), "--workdir", str(workdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: stage {stage}: ") and err.endswith(" is truncated\n")
+    assert err.count("\n") == 1
 
 
 def test_cli_failure_exit_code(crawl, tmp_path):
