@@ -33,7 +33,8 @@ the first row that lacks one, or where one holds the wrong type or range
 (``_ROW_FIELDS``: offsets and lengths are ints >= 0, digests strings, and so
 on), with an error naming the file, the line, the field and the stage to run
 again.  Fetch also stops at a candidate row with any other field, or with a
-value of the wrong type or out of range.
+value of the wrong type or out of range, and export at a record that lacks
+one of the 16 properties or holds a metric it rounds that is no number.
 
 Fetch appends each distinct payload once to ``payloads.bin``, written
 together with ``fetched.jsonl``; each row carries the payload's byte offset
@@ -80,6 +81,7 @@ import json
 import logging
 import os
 import reprlib
+import time
 import typing
 from collections import Counter
 from contextlib import ExitStack, closing
@@ -99,8 +101,8 @@ from .geo_metrics import (compute_track_metrics, first_point_countries, length_2
 from .gpx_model import GpxParseError, ParseStats, Track, extract_single_track, parse_gpx
 from .index_scan import CandidateRecord, ScanStats, iter_shard_lines, scan_index
 from .language import detect_language
-from .records import (SCALAR_PROPERTIES, atomic_files, coordinates_text, dedup, export_paths,
-                      export_records, track_exclusion)
+from .records import (ROUNDED_PROPERTIES, SCALAR_PROPERTIES, atomic_files, coordinates_text,
+                      dedup, export_paths, export_records, track_exclusion)
 from .warc_fetch import (FetchFailedError, FixtureTransport, HttpRangeTransport,
                          PayloadDecodeError, PayloadTooLargeError, WarcRecordSkippedError,
                          extract_payload, fetch_many, map_ordered)
@@ -199,7 +201,7 @@ def _is_lengths(value) -> bool:
 _ROW_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     **dict.fromkeys(("payload_offset", "payload_length", "track_offset", "geometry_offset",
                      "geometry_length"), (_is_count, "an int >= 0")),
-    **dict.fromkeys(("content_hash", "track_sha256", "geometry_sha256"),
+    **dict.fromkeys(("url", "crawl_id", "content_hash", "track_sha256", "geometry_sha256"),
                     (lambda value: type(value) is str, "a string")),
     "desc": (lambda value: value is None or type(value) is str, "a string or null"),
     "segment_lengths": (_is_lengths, "a non-empty list of ints > 0"),
@@ -661,10 +663,24 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     return _finish_stage(cfg, paths, report)
 
 
+def _final_row(row: dict) -> dict:
+    """A ``final.jsonl`` row whose record holds every property export writes,
+    each metric it rounds a number."""
+    record = row["record"]
+    for name in SCALAR_PROPERTIES:
+        if name not in record:
+            raise ValueError(f"record has no property {name!r}")
+    for name in ROUNDED_PROPERTIES:
+        if type(record[name]) not in (int, float):  # so true/false is no number
+            raise TypeError(f"record property {name!r} must be a number, "
+                            f"not {reprlib.repr(record[name])}")
+    return row
+
+
 def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     rows = list(read_jsonl(paths.final, "export",
-                           ("url", "content_hash", "record", "geometry_offset",
-                            "geometry_length", "geometry_sha256")))
+                           ("url", "content_hash", "crawl_id", "record", "geometry_offset",
+                            "geometry_length", "geometry_sha256"), _final_row))
     report = StageReport("export")
     report.inputs = len(rows)
 
@@ -776,7 +792,9 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     With resume enabled, a stage is skipped while its manifest, report aside,
     equals ``_stage_state``: its settings, its outputs and the previous
     manifest's sha256.  The returned stats carry the saved reports of skipped
-    stages plus the list of stages actually executed this run.
+    stages plus the list of stages actually executed this run.  Each executed
+    stage's wall time and input rate are logged, and kept out of manifests
+    and ``stats.json``, whose bytes must not depend on the run's speed.
     """
     selected = list(STAGES) if stages is None else list(stages)
     for stage in selected:
@@ -794,7 +812,11 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
         if resume and _stage_is_complete(cfg, paths, stage):
             logger.info("%s: up to date, skipping", stage)
             continue
-        _STAGE_FUNCTIONS[stage](cfg, paths)
+        started = time.perf_counter()
+        report = _STAGE_FUNCTIONS[stage](cfg, paths)
+        seconds = time.perf_counter() - started
+        logger.info("%s: %.3f s, %.0f inputs/s", stage, seconds,
+                    report.inputs / seconds if seconds > 0 else 0.0)
         executed.append(stage)
 
     stats = _collect_stats(paths)

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -55,6 +57,23 @@ def test_golden_run_produces_two_records(crawl, tmp_path):
     assert de["elev_source"] == "DEM"
     assert de["is_circular"] is True
     assert de["elev_highest"] == 250.0
+
+
+def test_each_executed_stage_logs_its_wall_time_and_input_rate(crawl, tmp_path, caplog):
+    def timed_stages():
+        lines = [re.fullmatch(r"(\w+): \d+\.\d{3} s, \d+ inputs/s", record.getMessage())
+                 for record in caplog.records if record.name == "gpx_harvest.pipeline"]
+        caplog.clear()
+        return [line[1] for line in lines if line]
+
+    cfg = run_config(crawl, tmp_path, "w1")
+    with caplog.at_level(logging.INFO, logger="gpx_harvest.pipeline"):
+        run_pipeline(cfg)
+        assert timed_stages() == list(STAGES)
+        run_pipeline(cfg)
+        assert timed_stages() == []
+        run_pipeline(cfg, stages=["export"], resume=False)
+        assert timed_stages() == ["export"]
 
 
 def test_golden_run_stage_conservation(crawl, tmp_path):
@@ -892,9 +911,17 @@ DAMAGED_ROWS = {"not-json": b'{"url": "x", broken', "not-an-object": b'["url", "
 STAGE_INPUTS = [("fetch", "candidates.jsonl"), ("parse", "fetched.jsonl"),
                 ("enrich", "parsed.jsonl"), ("metrics", "enriched.jsonl"),
                 ("export", "final.jsonl")]
-# A copy of a real row of a stage's input with one change, and the problem
-# the stage names.  The copy repeats its original's content hash and text,
-# so it is caught where it is read, not where its key's work runs.
+
+
+def _record_with(**change):
+    """A function of a ``final.jsonl`` row: the row, with ``change`` made to its record."""
+    return lambda row: {**row, "record": {**row["record"], **change}}
+
+
+# A copy of a real row of a stage's input with one change (fields to
+# replace, or a function of the row), and the problem the stage names.  The
+# copy repeats its original's content hash and text, so it is caught where it
+# is read, not where its key's work runs.
 DAMAGED_FIELDS = {
     "bad-value": ("fetch", {"warc_offset": -1}, "warc_offset must be >= 0, got -1"),
     "extra-key": ("fetch", {"extra": 1}, "unexpected fields ['extra']"),
@@ -911,6 +938,16 @@ DAMAGED_FIELDS = {
     "geometry-offset-as-text": ("export", {"geometry_offset": "1"},
                                 "field 'geometry_offset' must be an int >= 0, not '1'"),
     "record-as-number": ("export", {"record": 5}, "field 'record' must be an object, not 5"),
+    "url-as-number": ("export", {"url": 5}, "field 'url' must be a string, not 5"),
+    "crawl-id-null": ("export", {"crawl_id": None},
+                      "field 'crawl_id' must be a string, not None"),
+    "empty-record": ("export", {"record": {}}, "record has no property 'url'"),
+    "length-2d-as-text": ("export", _record_with(length_2d="abc"),
+                          "record property 'length_2d' must be a number, not 'abc'"),
+    "length-2d-null": ("export", _record_with(length_2d=None),
+                       "record property 'length_2d' must be a number, not None"),
+    "length-2d-as-bool": ("export", _record_with(length_2d=True),
+                          "record property 'length_2d' must be a number, not True"),
 }
 
 
@@ -926,7 +963,7 @@ def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, st
     if damage in DAMAGED_FIELDS:
         _, change, problem = DAMAGED_FIELDS[damage]
         real = json.loads((workdir / name).read_bytes().splitlines()[-1])
-        row = json.dumps({**real, **change}).encode()
+        row = json.dumps(change(real) if callable(change) else {**real, **change}).encode()
         problem = f"is not a valid row ({problem})"
     else:
         row = DAMAGED_ROWS[damage]

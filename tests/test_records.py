@@ -3,7 +3,10 @@ import json
 import math
 import random
 import tempfile
+import types
 
+import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +93,102 @@ def test_coordinates_text_rejects_missing_elevation():
     track = Track(lat=[53.8], lon=[-2.45])
     with pytest.raises(RecordAssemblyError, match="elevation in http://a.example/t.gpx"):
         coordinates_text(track, "http://a.example/t.gpx")
+
+
+def json_dumps_coordinates(track):
+    """The reference text: ``json.dumps`` of each segment's [lon, lat, ele] lists."""
+    points = np.column_stack((track.lon, track.lat, track.ele))
+    ends = np.cumsum(track.segment_lengths).tolist()
+    return json.dumps([points[end - length:end].tolist()
+                       for end, length in zip(ends, track.segment_lengths)])
+
+
+@pytest.fixture
+def fast_path_calls(monkeypatch):
+    """Each value ``coordinates_text`` hands orjson, in call order: a track
+    it writes through ``json.dumps`` adds nothing."""
+    calls = []
+
+    def dumps(value):
+        calls.append(value)
+        return orjson.dumps(value)
+    monkeypatch.setattr(records_module, "orjson", types.SimpleNamespace(dumps=dumps))
+    return calls
+
+
+# The edges of the range where repr writes a float without an exponent, and
+# whether orjson may write the track.  Each value sits in one point of a
+# two-point track whose other values are ordinary coordinates.
+_EDGES = {
+    "lower-bound": (1e-4, True),
+    "below-lower-bound": (float(np.nextafter(1e-4, 0)), False),
+    "below-upper-bound": (float(np.nextafter(1e16, 0)), True),
+    "upper-bound": (1e16, False),
+    "smallest-subnormal": (5e-324, False),
+    "negative-zero": (-0.0, True),
+    "zero": (0.0, True),
+    "1e-5": (0.00001, False),
+    "negative-below-lower-bound": (-float(np.nextafter(1e-4, 0)), False),
+    "negative-lower-bound": (-1e-4, True),
+    "huge": (1e300, False),
+}
+
+
+@pytest.mark.parametrize("axis", ["lon", "lat", "ele"])
+@pytest.mark.parametrize("value, fast", _EDGES.values(), ids=_EDGES)
+def test_coordinates_text_matches_json_dumps_at_the_edges_of_the_fast_range(
+        fast_path_calls, axis, value, fast):
+    columns = {"lat": [53.8, 53.81], "lon": [-2.45, -2.44], "ele": [80.0, 81.5]}
+    columns[axis][1] = value
+    track = Track(**columns, segment_lengths=[1, 1])
+    assert coordinates_text(track, "http://a.example/t.gpx") == json_dumps_coordinates(track)
+    assert len(fast_path_calls) == fast
+
+
+def test_coordinates_text_of_a_track_without_segments(fast_path_calls):
+    assert coordinates_text(Track(lat=[], lon=[], ele=[]), "u") == "[]"
+    assert fast_path_calls == [[]]
+
+
+def test_coordinates_text_matches_repr_on_many_values_in_the_fast_range(fast_path_calls):
+    rng = np.random.default_rng(305)
+    # Random magnitudes spread evenly over the exponents of the range.
+    spread = 10.0 ** rng.uniform(-4, 16, 30_000)
+    # GPS-style values: degrees and metres rounded to 5–7 and 1–2 decimals.
+    degrees = [np.round(rng.uniform(-180, 180, 10_000), places) for places in (5, 6, 7)]
+    metres = [np.round(rng.uniform(-430, 8850, 10_000), places) for places in (1, 2)]
+    # Powers of two inside the range, and one ulp either side of each.
+    powers = np.ldexp(1.0, np.arange(-13, 53))
+    powers = np.concatenate((powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)))
+    values = np.concatenate((spread, -spread, *degrees, *metres, powers, -powers, [1e-4]))
+    values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+    values = np.resize(values, 3 * (len(values) // 3 + 1))
+    lat, lon, ele = values.reshape(3, -1)
+    track = Track(lat=lat, lon=lon, ele=ele)
+    assert coordinates_text(track, "u") == json_dumps_coordinates(track)
+    assert len(fast_path_calls) == 1
+
+
+@st.composite
+def tracks_of_finite_values(draw):
+    """1–4 segments of finite float64 values: any finite value, subnormals,
+    ±0.0 and huge values included, or only values orjson may write."""
+    values = draw(st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.one_of(st.floats(1e-4, 1e16, exclude_max=True),
+                  st.floats(-1e16, -1e-4, exclude_min=True), st.sampled_from([0.0, -0.0])),
+    ]))
+    points = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, points - 1), max_size=3))) if points > 1 else []
+    lat, lon, ele = (draw(st.lists(values, min_size=points, max_size=points)) for _ in range(3))
+    return Track(lat=lat, lon=lon, ele=ele,
+                 segment_lengths=np.diff([0, *cuts, points]).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracks_of_finite_values())
+def test_coordinates_text_is_json_dumps_of_every_finite_track(track):
+    assert coordinates_text(track, "http://a.example/t.gpx") == json_dumps_coordinates(track)
 
 
 def test_properties_rounded_to_two_decimals_geometry_full_precision():
