@@ -19,7 +19,6 @@ PHONE_TOKEN = "<TELEPHONE>"
 
 _SQUARE_BRACKETS_RE = re.compile(r"\[[^][]*\]")
 _CURLY_BRACKETS_RE = re.compile(r"\{[^{}]*\}")
-_WHITESPACE_RE = re.compile(r"\s+")
 
 _EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 _URL_RE = re.compile(r"(?:(?:https?|ftp)://|www\.)[^\s<>]+", re.IGNORECASE)
@@ -55,7 +54,8 @@ def _clean_once(text: str) -> str:
         if reduced == text:
             break
         text = reduced
-    return _WHITESPACE_RE.sub(" ", text).strip()
+    # str.split() splits at exactly the characters re's \s matches.
+    return " ".join(text.split())
 
 
 def clean_text(raw: str) -> str:

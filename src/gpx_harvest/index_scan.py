@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import gzip
 import io
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
+
+import orjson
 
 _CRAWL_ID_RE = re.compile(r"CC-MAIN-\d{4}-\d{2}")
 
@@ -42,6 +43,10 @@ _ABSOLUTE_URL = re.compile(rf"[A-Za-z][A-Za-z0-9+.-]*://[{_NETLOC_CHARS}]+(?:[/?
 # a malformed line.
 MAX_WARC_LEN = 16 << 20
 
+# One past the largest WARC offset a candidate may hold: the stage writer
+# encodes integers in 64 bits, and no file is 8 EiB long.
+WARC_OFFSET_LIMIT = 1 << 63
+
 
 @dataclass
 class CandidateRecord:
@@ -57,6 +62,8 @@ class CandidateRecord:
     def __post_init__(self) -> None:
         if self.warc_offset < 0:
             raise ValueError(f"warc_offset must be >= 0, got {self.warc_offset}")
+        if self.warc_offset >= WARC_OFFSET_LIMIT:
+            raise ValueError(f"warc_offset must be < 2**63, got {self.warc_offset}")
         if self.warc_len <= 0:
             raise ValueError(f"warc_len must be > 0, got {self.warc_len}")
         if self.warc_len > MAX_WARC_LEN:
@@ -87,6 +94,13 @@ def parse_index_line(line: str) -> CandidateRecord | None:
     The JSON payload must carry url, filename, offset and length, with
     offset/length as base-10 integers.  "mime-detected" is preferred for the
     MIME string, falling back to "mime", then to empty.
+
+    The payload is decoded by orjson, so a line whose payload holds NaN or
+    Infinity, a number beyond a double's range or a lone surrogate escape
+    (``\\ud800``) is malformed, as is one whose payload is no JSON object or
+    nests a field's value too deep to turn into a string.  So is an offset
+    below 0 or at least 2**63, a length of 0 or above ``MAX_WARC_LEN``, and a
+    URL without a scheme and a netloc: the checks of ``CandidateRecord``.
     """
     stripped = line.strip()
     if not stripped:
@@ -95,8 +109,8 @@ def parse_index_line(line: str) -> CandidateRecord | None:
     if brace < 0:
         return None
     try:
-        payload = json.loads(stripped[brace:])
-    except (ValueError, RecursionError):  # bad JSON, an over-long integer, deep nesting
+        payload = orjson.loads(stripped[brace:])
+    except orjson.JSONDecodeError:
         return None
     if not isinstance(payload, dict):
         return None
@@ -116,7 +130,7 @@ def parse_index_line(line: str) -> CandidateRecord | None:
             warc_len=int(str(length), 10),
             crawl_id=_crawl_id_from(str(filename)),
         )
-    except ValueError:
+    except (ValueError, RecursionError):  # a bad value, or str() of one nested too deep
         return None
     return record
 

@@ -304,7 +304,7 @@ def detect_language(text: str) -> str:
     letters = sum(map(str.isalpha, text))
     if letters < _MIN_LETTERS:
         return "unknown"
-    non_space = len(text) - sum(map(str.isspace, text))
+    non_space = len("".join(text.split()))
     if non_space and letters / non_space < _MIN_LETTER_FRACTION:
         return "unknown"
 

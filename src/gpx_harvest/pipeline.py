@@ -36,6 +36,14 @@ again.  Fetch also stops at a candidate row with any other field, or with a
 value of the wrong type or out of range, and export at a record that lacks
 one of the 16 properties or holds a metric it rounds that is no number.
 
+Each stage row is one compact JSON object per line, encoded by
+``orjson.dumps`` and decoded by ``orjson.loads``: UTF-8, no spaces, integers
+within 64 bits (``CandidateRecord`` keeps ``warc_offset`` below 2**63 so that
+index can write every candidate it finds).  Rows that ``json.dumps`` wrote
+read back equal, so an older work directory resumes.  A line that is not
+UTF-8, or not JSON (NaN, say), is a line that is no JSON object.  Manifests
+are written with ``json.dump`` and read with ``orjson.loads``.
+
 Fetch appends each distinct payload once to ``payloads.bin``, written
 together with ``fetched.jsonl``; each row carries the payload's byte offset
 and its length there, and its ``content_hash`` is the sha256 of those bytes.
@@ -83,14 +91,16 @@ import os
 import reprlib
 import time
 import typing
+import zlib
 from collections import Counter
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from . import judges
 from .config import PipelineConfig
@@ -144,11 +154,18 @@ class StageReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StageReport":
-        """The report ``to_dict`` wrote; ValueError when a count is no integer."""
+        """The report ``to_dict`` wrote; ValueError when the stage is no string or
+        a count is no integer.  An info value is a count or counts by name
+        (enrich's languages), so no value from a manifest, however deeply nested,
+        reaches ``stats.json``."""
         report = cls(stage=raw["stage"], inputs=raw["inputs"], outputs=raw["outputs"],
                      excluded=dict(raw.get("excluded", {})), info=dict(raw.get("info", {})))
-        if not all(type(count) is int
-                   for count in (report.inputs, report.outputs, *report.excluded.values())):
+        if type(report.stage) is not str:
+            raise ValueError("a report's stage is not a string")
+        counts = [report.inputs, report.outputs, *report.excluded.values()]
+        for value in report.info.values():
+            counts.extend(value.values() if type(value) is dict else [value])
+        if not all(type(count) is int for count in counts):
             raise ValueError(f"stage {report.stage}: a report count is not an integer")
         return report
 
@@ -182,8 +199,17 @@ def write_json_atomic(path: Path, obj) -> None:
         json.dump(obj, handle, ensure_ascii=False, indent=2)
 
 
-def _write_rows(handle: TextIO, rows) -> None:
-    handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+def _write_rows(handle: BinaryIO, rows: Iterable[dict], stage: str) -> None:
+    """Write each row as one JSON line.  orjson encodes at most 255 levels of
+    nesting, and parse, enrich and metrics copy fields of their input rows
+    unchecked, so a row it refuses is a PipelineError."""
+    for row in rows:
+        try:
+            line = orjson.dumps(row, option=orjson.OPT_APPEND_NEWLINE)
+        except TypeError as exc:  # orjson's JSONEncodeError
+            raise PipelineError(f"stage {stage}: cannot write a row ({exc}); a field of one "
+                                f"of its input rows is nested too deep") from exc
+        handle.write(line)
 
 
 def _is_count(value) -> bool:
@@ -222,14 +248,15 @@ def read_jsonl(path: Path, stage: str, fields: tuple[str, ...],
     checks = [(name, *_ROW_FIELDS[name]) for name in fields if name in _ROW_FIELDS]
 
     def rows() -> Iterator[dict]:
-        # Decoded line by line, so that a line that is not UTF-8 is one more bad line.
+        # Decoded line by line, so that a line that is not UTF-8, or not JSON
+        # (NaN, say), is one more bad line.
         with open(path, "rb") as handle:
             for number, line in enumerate(handle, 1):
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line.decode("utf-8"))
-                except ValueError:
+                    row = orjson.loads(line)
+                except orjson.JSONDecodeError:
                     row = None
                 if not isinstance(row, dict):
                     raise PipelineError(f"stage {stage}: {path} line {number} is not a JSON "
@@ -344,10 +371,11 @@ def stage_index(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     stats = ScanStats()
     # Each candidate streams to candidates.jsonl as the scan yields it.
-    with atomic_files((paths.candidates, "w")) as (candidates,):
+    with atomic_files((paths.candidates, "wb")) as (candidates,):
         for shard in shard_paths:
             _write_rows(candidates, (record.__dict__
-                                     for record in scan_index(_shard_lines(shard), stats)))
+                                     for record in scan_index(_shard_lines(shard), stats)),
+                        "index")
     return _finish_stage(cfg, paths, StageReport(
         "index", inputs=stats.lines, outputs=stats.candidates,
         info={"shards": len(shard_paths), "not_candidate": stats.not_candidate,
@@ -355,10 +383,11 @@ def stage_index(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
 
 def _shard_lines(shard: str) -> Iterator[str]:
-    """``iter_shard_lines``, with a failure to read the shard as a PipelineError."""
+    """``iter_shard_lines``, with a failure to read the shard as a PipelineError:
+    an unreadable file, bad gzip data or a stream cut before its end."""
     try:
         yield from iter_shard_lines(shard)
-    except OSError as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         raise PipelineError(f"stage index: cannot read shard {shard}: {exc}") from exc
 
 
@@ -389,8 +418,8 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     # replaced together once every candidate is done.  The transport is closed
     # when fetching ends, releasing a live transport's connections.
     with (closing(transport),
-          atomic_files((paths.payloads, "wb"), (paths.fetched, "w"),
-                       (paths.fetch_failures, "w")) as (payloads, fetched, failures)):
+          atomic_files((paths.payloads, "wb"), (paths.fetched, "wb"),
+                       (paths.fetch_failures, "wb")) as (payloads, fetched, failures)):
         for candidate, result in fetch_many(candidates, cfg.fetch, transport):
             report.inputs += 1
             if isinstance(result, FetchFailedError):
@@ -408,7 +437,7 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                     reason = None
             if reason is not None:
                 report.exclude(reason)
-                _write_rows(failures, [{"url": candidate.url, "reason": str(problem)}])
+                _write_rows(failures, [{"url": candidate.url, "reason": str(problem)}], "fetch")
                 continue
             digest = hashlib.sha256(payload).hexdigest()
             if digest not in offsets:
@@ -416,7 +445,7 @@ def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                 payloads.write(payload)
             _write_rows(fetched, [{**candidate.__dict__, "content_hash": digest,
                                    "payload_offset": offsets[digest],
-                                   "payload_length": len(payload)}])
+                                   "payload_length": len(payload)}], "fetch")
             report.outputs += 1
 
     return _finish_stage(cfg, paths, report)
@@ -482,9 +511,9 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     # Each accepted track and its row stream to their files as soon as it is parsed.
     with (StoredFiles(paths.payloads, "parse", "payload", "fetch") as payloads,
-          atomic_files((paths.tracks, "wb"), (paths.parsed, "w")) as (tracks, parsed)):
+          atomic_files((paths.tracks, "wb"), (paths.parsed, "wb")) as (tracks, parsed)):
         _write_rows(parsed, ({**row, **fields} for row, fields in _kept_rows(
-            report, rows, itemgetter("content_hash"), parse_one)))
+            report, rows, itemgetter("content_hash"), parse_one)), "parse")
 
     return _finish_stage(cfg, paths, report)
 
@@ -598,9 +627,10 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         rare = reason is None and fields["desc_lang"] not in common
         return ("rare-lang" if rare else reason), fields, {}
 
-    with atomic_files((paths.enriched, "w")) as (enriched,):
+    with atomic_files((paths.enriched, "wb")) as (enriched,):
         _write_rows(enriched, ({**row, **fields} for row, fields in _kept_rows(
-            report, read_jsonl(paths.parsed, "enrich", ("desc",)), desc_text, enrich_one)))
+            report, read_jsonl(paths.parsed, "enrich", ("desc",)), desc_text, enrich_one)),
+                    "enrich")
 
     report.info = {"languages": {lang: languages[lang] for lang in sorted(common)}}
     return _finish_stage(cfg, paths, report)
@@ -652,13 +682,13 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     # Each row gets its own url/warc_* copy of its content hash's record.
     with (StoredFiles(paths.tracks, "metrics", "tracks", "parse") as tracks,
-          atomic_files((paths.geometry, "wb"), (paths.final, "w")) as (geometry, final)):
+          atomic_files((paths.geometry, "wb"), (paths.final, "wb")) as (geometry, final)):
         for row, (record, location) in _kept_rows(report, rows, itemgetter("content_hash"),
                                                   metrics_one):
             capture = {name: row[name] for name in ("url", "warc_file", "warc_offset", "warc_len")}
             _write_rows(final, [{"url": row["url"], "crawl_id": row.get("crawl_id", ""),
                                  "content_hash": row["content_hash"],
-                                 "record": {**record, **capture}, **location}])
+                                 "record": {**record, **capture}, **location}], "metrics")
 
     return _finish_stage(cfg, paths, report)
 
@@ -754,10 +784,10 @@ class PipelineStats:
 def _read_manifest(paths: PipelinePaths, stage: str) -> tuple[dict, StageReport] | None:
     """``stage``'s manifest without its report, and the report; None when the
     manifest is missing or unreadable, is not a JSON object or holds no usable
-    report."""
+    report.  orjson decodes it, so no nesting, however deep, raises here."""
     try:
-        raw = json.loads(paths.manifest(stage).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        raw = orjson.loads(paths.manifest(stage).read_bytes())
+    except (OSError, orjson.JSONDecodeError):
         return None
     if not (isinstance(raw, dict) and isinstance(raw.get("report"), dict)):
         return None

@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -13,6 +14,14 @@ CONFIG = FilterConfig()
 
 
 # --- clean_text ---------------------------------------------------------------
+
+def test_str_split_and_re_agree_on_every_whitespace_character():
+    # clean_text collapses whitespace with str.split, and detect_language counts
+    # it the same way; both stand for re's \\s and str.isspace.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert " ".join(every.split()) == re.sub(r"\s+", " ", every).strip()
+    assert len("".join(every.split())) == len(every) - sum(map(str.isspace, every))
+
 
 def test_clean_html_tags_and_whitespace():
     assert clean_text("Nice <b>views</b>!\n\tSteep.") == "Nice views! Steep."

@@ -5,6 +5,7 @@ documented error types; nothing else may escape and abort a run.
 """
 
 import gzip
+import io
 import random
 
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from gpx_harvest.gpx_model import GpxDocument, GpxParseError, parse_gpx
 from gpx_harvest.index_scan import CandidateRecord, parse_index_line
+from gpx_harvest.pipeline import _write_rows
 from gpx_harvest.synthetic import gpx_xml, line_points, warc_response_member
 from gpx_harvest.warc_fetch import PayloadDecodeError, WarcRecordSkippedError, extract_payload
 
@@ -21,13 +23,34 @@ _INDEX_PIECES = st.sampled_from([
     '"12"', '"-1"', '"0x10"', "12", "-3", "1e999", "null", "true", '"\\ud800"', "1" * 5000,
 ])
 
+# Payloads that hold the four fields a candidate needs, each as JSON text:
+# lines that mostly parse, with hostile values where they can hurt the writer.
+_INDEX_NUMBERS = st.sampled_from([
+    "12", '"12"', "0", '"-1"', "12.0", "1e999", str(2 ** 63 - 1), str(2 ** 63), f'"{2 ** 63}"',
+    str(2 ** 64), '"1000000000000000000000000000000"',
+])
+_INDEX_PAYLOADS = st.fixed_dictionaries({
+    "url": st.sampled_from(['"http://a.example/t.gpx"', '"http://a.example/\\ud800.gpx"',
+                            '"http://a.example/\\u00e9\\u0000.gpx"', "5"]),
+    "filename": st.sampled_from(['"crawl-data/CC-MAIN-2024-10/x"', '"\\udfff"', "[1]", "1.5"]),
+    "offset": _INDEX_NUMBERS,
+    "length": st.sampled_from(["12", '"12"', "0", "1e999"]),
+}, optional={
+    "mime": st.sampled_from(['"application/gpx+xml"', '"\\ud83d"', "{}"]),
+    "status": st.sampled_from(["200", "NaN", "-Infinity", "1e999"]),
+}).map(lambda fields: "k 20240101 {" + ", ".join(f'"{name}": {value}'
+                                                for name, value in fields.items()) + "}")
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(max_size=200),
-                 st.lists(_INDEX_PIECES, max_size=40).map(lambda p: "k 20240101 " + "".join(p))))
+                 st.lists(_INDEX_PIECES, max_size=40).map(lambda p: "k 20240101 " + "".join(p)),
+                 _INDEX_PAYLOADS))
 def test_parse_index_line_returns_a_candidate_or_none(line):
     result = parse_index_line(line)
     assert result is None or isinstance(result, CandidateRecord)
+    if result is not None:  # and index can write every candidate it finds
+        _write_rows(io.BytesIO(), [result.__dict__], "index")
 
 
 _HEADER_LINES = st.sampled_from([

@@ -98,6 +98,14 @@ def test_candidate_record_invariants():
                         warc_offset=0, warc_len=0, crawl_id="")
 
 
+def test_candidate_record_offset_fits_in_63_bits():
+    # The stage writer encodes integers in 64 bits.
+    assert parse_index_line(cdxj("http://a.example/t.gpx", offset=str(2 ** 63 - 1))) is not None
+    with pytest.raises(ValueError, match="warc_offset must be < 2\\*\\*63"):
+        CandidateRecord(url="http://x/a", mime_detected="", warc_file="f",
+                        warc_offset=2 ** 63, warc_len=1, crawl_id="")
+
+
 def shard_lines(gpx_positions, total):
     lines = []
     for i in range(total):
@@ -134,11 +142,23 @@ def test_scan_index_counts_malformed():
     assert stats.candidates + stats.not_candidate == 4
 
 
+def fields_then(extra):
+    """A candidate's payload with ``extra`` text after its four fields."""
+    return '{"url": "http://a.example/t.gpx", "filename": "f", "length": 3' + extra + "}"
+
+
 @pytest.mark.parametrize("payload", [
     '{"a":' * 100_000,
-    '{"url": "http://a.example/t.gpx", "filename": "f", "offset": ' + "1" * 5000
-    + ', "length": 3}',
-], ids=["deeply-nested", "over-long-integer"])
+    fields_then(', "offset": ' + "1" * 5000),
+    fields_then(', "offset": 1, "mime": ' + "[" * 100_000 + "]" * 100_000),
+    '{"url": "http://a.example/\\ud800.gpx", "filename": "f", "offset": 1, "length": 3}',
+    fields_then(', "offset": 1, "status": NaN'),
+    fields_then(', "offset": 1, "status": -Infinity'),
+    fields_then(', "offset": 1, "status": 1e400'),
+    fields_then(', "offset": "1000000000000000000000000000000"'),
+    fields_then(f', "offset": {2 ** 63}'),
+], ids=["deeply-nested", "over-long-integer", "deeply-nested-value", "lone-surrogate",
+        "nan", "infinity", "beyond-a-double", "offset-beyond-64-bits", "offset-at-2**63"])
 def test_scan_index_counts_hostile_json_as_malformed(payload):
     assert parse_index_line(f"key 20240101000000 {payload}") is None
     stats = ScanStats()

@@ -1,4 +1,5 @@
 import gc
+import gzip
 import hashlib
 import json
 import logging
@@ -9,15 +10,16 @@ import sys
 import threading
 from pathlib import Path
 
+import orjson
 import pytest
 
 from gpx_harvest import pipeline as pipeline_module
 from gpx_harvest import records as records_module
 from gpx_harvest.cli import main
 from gpx_harvest.config import FilterConfig, PipelineConfig, load_config
-from gpx_harvest.pipeline import (STAGES, PipelineError, PipelinePaths, run_pipeline,
-                                  write_json_atomic)
-from gpx_harvest.synthetic import build_demo_crawl
+from gpx_harvest.pipeline import (STAGES, PipelineError, PipelinePaths, read_jsonl,
+                                  run_pipeline, write_json_atomic)
+from gpx_harvest.synthetic import build_demo_crawl, write_index_shard
 from gpx_harvest.warc_fetch import FetchPolicy, FixtureTransport, RateLimiter
 
 
@@ -610,11 +612,21 @@ def test_manifests_without_a_link_to_the_previous_one_rerun_every_stage(crawl, t
     assert_same_exports(cfg, fresh)
 
 
+def _with_report_field(text, name, value):
+    """A manifest's text with its report's ``name`` set to ``value``, where the
+    string "DEEP" stands for 100,000 nested arrays, too deep for a recursive
+    encoder."""
+    raw = json.loads(text)
+    raw["report"][name] = value
+    return json.dumps(raw).replace('"DEEP"', "[" * 100_000 + "]" * 100_000)
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: json.dumps([text]),
     lambda text: json.dumps(text),
     lambda text: text[:len(text) // 2],
-], ids=["array", "string", "truncated"])
+    lambda text: "[" * 100_000,
+], ids=["array", "string", "truncated", "deeply-nested"])
 def test_a_damaged_manifest_reruns_its_stage(crawl, tmp_path, damage):
     fresh = run_config(crawl, tmp_path, "fresh")
     run_pipeline(fresh)
@@ -633,10 +645,14 @@ def test_a_damaged_manifest_reruns_its_stage(crawl, tmp_path, damage):
     lambda text: json.dumps([text]),
     lambda text: json.dumps(text),
     lambda text: text[:len(text) // 2],
+    lambda text: "[" * 100_000,
+    lambda text: _with_report_field(text, "info", {"elev_dem": "DEEP"}),
+    lambda text: _with_report_field(text, "stage", "DEEP"),
     lambda text: json.dumps({**json.loads(text), "report": {"stage": "metrics"}}),
     lambda text: json.dumps({**json.loads(text), "report": {
         "stage": "metrics", "inputs": 2, "outputs": 1, "excluded": {"pii": "1"}}}),
-], ids=["array", "string", "truncated", "report-without-counts", "report-with-a-text-count"])
+], ids=["array", "string", "truncated", "deeply-nested", "deeply-nested-info",
+        "deeply-nested-stage", "report-without-counts", "report-with-a-text-count"])
 def test_stage_commands_treat_another_stages_damaged_manifest_as_missing(crawl, tmp_path,
                                                                          damage):
     fresh = run_config(crawl, tmp_path, "fresh")
@@ -907,7 +923,8 @@ def test_cli_reports_corrupt_dem_tile(crawl, tmp_path, capsys, tile_name, conten
 
 
 DAMAGED_ROWS = {"not-json": b'{"url": "x", broken', "not-an-object": b'["url", "x"]',
-                "not-utf-8": b'{"url": "\xff"}', "missing-field": b'{"url": "x"}'}
+                "not-utf-8": b'{"url": "\xff"}', "missing-field": b'{"url": "x"}',
+                "deeply-nested": b"[" * 100_000}
 STAGE_INPUTS = [("fetch", "candidates.jsonl"), ("parse", "fetched.jsonl"),
                 ("enrich", "parsed.jsonl"), ("metrics", "enriched.jsonl"),
                 ("export", "final.jsonl")]
@@ -1007,6 +1024,141 @@ def test_cli_reports_a_stored_range_past_the_end_of_its_file_on_one_line(crawl, 
     assert code == 1
     assert err.startswith(f"error: stage {stage}: ") and err.endswith(" is truncated\n")
     assert err.count("\n") == 1
+
+
+# The files whose lines are stage rows: every stage input, plus fetch's failures.
+ROW_FILES = [name for _, name in STAGE_INPUTS] + ["fetch_failures.jsonl"]
+
+
+def test_every_stage_row_decodes_the_same_with_orjson_and_json(crawl, tmp_path):
+    workdir = tmp_path / "w"
+    assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    lines = 0
+    for name in ROW_FILES:
+        for line in (workdir / name).read_bytes().splitlines():
+            assert orjson.loads(line) == json.loads(line), name
+            lines += 1
+    assert lines > 0
+
+
+def test_rows_written_by_json_dumps_read_back_equal_and_export_the_same(crawl, tmp_path):
+    # A work directory written before rows were compact: each stage reads its
+    # input rewritten in json.dumps's spacing and writes the same manifest as
+    # a fresh run, so the same outputs, by their sha256s.
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    cfg = run_config(crawl, tmp_path, "w1")
+    run_pipeline(cfg)
+    for stage, name in STAGE_INPUTS:
+        path = cfg.workdir / name
+        rows = list(read_jsonl(path, stage, ()))
+        path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                        "utf-8")
+        assert path.read_bytes() != (fresh.workdir / name).read_bytes()
+        assert list(read_jsonl(path, stage, ())) == rows
+        assert main([stage, "--config", str(crawl.config), "--workdir", str(cfg.workdir)]) == 0
+        manifest = PipelinePaths(workdir=cfg.workdir).manifest(stage).read_bytes()
+        assert manifest == PipelinePaths(workdir=fresh.workdir).manifest(stage).read_bytes()
+    assert_same_exports(cfg, fresh)
+
+
+BEYOND_64_BITS = str(2 ** 64).encode()
+_real_orjson_loads = orjson.loads
+
+
+def _decoding_beyond_64_bits_as_a_float(data):
+    return _real_orjson_loads(data.replace(BEYOND_64_BITS, b"1.8446744073709552e19"))
+
+
+def _refusing_beyond_64_bits(data):
+    if BEYOND_64_BITS in data:
+        raise orjson.JSONDecodeError("integer beyond 64 bits", data.decode("utf-8"),
+                                     data.index(BEYOND_64_BITS))
+    return _real_orjson_loads(data)
+
+
+@pytest.mark.parametrize("decoding", ["installed", "as-float", "refused"])
+@pytest.mark.parametrize("stage, name, field, as_float", [
+    ("fetch", "candidates.jsonl", "warc_offset", "field 'warc_offset' must be int, not float"),
+    ("parse", "fetched.jsonl", "payload_offset",
+     "field 'payload_offset' must be an int >= 0, not 1.8446744073709552e+19"),
+], ids=["candidate", "fetched"])
+def test_an_integer_beyond_64_bits_in_a_row_is_one_error_line(crawl, tmp_path, capsys,
+                                                            monkeypatch, decoding, stage, name,
+                                                            field, as_float):
+    # orjson 3.8 decodes such an integer as a float, and later releases refuse
+    # it; either way the row is refused, on one line.
+    workdir = tmp_path / "w"
+    assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    path = workdir / name
+    lines = path.read_bytes().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), field: 2 ** 64}).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    if decoding != "installed":
+        monkeypatch.setattr(orjson, "loads", _decoding_beyond_64_bits_as_a_float
+                            if decoding == "as-float" else _refusing_beyond_64_bits)
+    capsys.readouterr()
+
+    code = main([stage, "--config", str(crawl.config), "--workdir", str(workdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    problems = {"as-float": [f"is not a valid row ({as_float})"],
+                "refused": ["is not a JSON object"]}
+    expected = problems.get(decoding, [*problems["as-float"], *problems["refused"]])
+    writer = STAGES[STAGES.index(stage) - 1]
+    assert any(f"{path} line 1 {problem}; run {writer} again" in err for problem in expected)
+
+
+def _nested(depth):
+    """A JSON text of ``depth`` nested arrays: more than orjson writes, but
+    less than a recursive decoder refuses."""
+    return json.loads("[" * depth + "]" * depth)
+
+
+@pytest.mark.parametrize("stage, name, field", [
+    ("parse", "fetched.jsonl", "extra"),
+    ("enrich", "parsed.jsonl", "warc_file"),
+    ("metrics", "enriched.jsonl", "desc_en"),
+], ids=["extra-field", "capture-field", "record-field"])
+def test_a_row_field_nested_too_deep_to_write_is_one_error_line(crawl, tmp_path, capsys, stage,
+                                                               name, field):
+    # Each stage copies the field from its input row to its output row unchecked.
+    workdir = tmp_path / "w"
+    assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    path = workdir / name
+    lines = path.read_bytes().splitlines()
+    lines = [json.dumps({**json.loads(line), field: _nested(300)}).encode() for line in lines]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+
+    code = main([stage, "--config", str(crawl.config), "--workdir", str(workdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: stage {stage}: cannot write a row (")
+    assert err.endswith("; a field of one of its input rows is nested too deep\n")
+    assert err.count("\n") == 1
+
+
+def test_an_index_line_with_a_lone_surrogate_is_malformed_and_the_run_completes(crawl, tmp_path):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    run_pipeline(fresh)
+    lines = gzip.decompress(crawl.shard.read_bytes()).decode("utf-8").splitlines()
+    lines.append('example,a)/x.gpx 20240210120000 {"url": "http://a.example/\\ud800.gpx", '
+                 '"filename": "crawl-data/CC-MAIN-2024-10/x.warc.gz", "offset": "1", '
+                 '"length": "2"}')
+    write_index_shard(crawl.shard, lines)
+
+    workdir = tmp_path / "w"
+    assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    stats = json.loads((workdir / "out" / "stats.json").read_text("utf-8"))
+    reference = json.loads((fresh.resolved_out_dir() / "stats.json").read_text("utf-8"))
+    index, before = stats["stages"]["index"], reference["stages"]["index"]
+    assert (index["inputs"], index["outputs"]) == (before["inputs"] + 1, before["outputs"])
+    assert index["info"]["malformed"] == before["info"]["malformed"] + 1
+    for name in EXPORTS[:3]:
+        assert (workdir / "out" / name).read_bytes() == (fresh.resolved_out_dir()
+                                                         / name).read_bytes()
 
 
 def test_cli_failure_exit_code(crawl, tmp_path):

@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import re
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,8 @@ from gpx_harvest.pipeline import (PipelineError, PipelinePaths, StageReport, run
                                   stage_enrich, stage_export, stage_fetch, stage_index,
                                   stage_metrics, stage_parse)
 from gpx_harvest.records import ALL_PROPERTIES, SCALAR_PROPERTIES, atomic_files
-from gpx_harvest.synthetic import constant_tile, gpx_xml, line_points, warc_response_member
+from gpx_harvest.synthetic import (build_demo_crawl, constant_tile, gpx_xml, line_points,
+                                   warc_response_member)
 from gpx_harvest.warc_fetch import FetchPolicy, FixtureTransport
 
 GOOD_DESC = ("A long and rewarding walk through the valley and up to the old "
@@ -30,6 +32,25 @@ def test_index_stage_stops_on_an_unreadable_shard(tmp_path):
     paths = PipelinePaths(workdir=tmp_path)
     with pytest.raises(PipelineError, match=re.escape(f"stage index: cannot read shard {shard}")):
         stage_index(cfg, paths)
+    assert not paths.candidates.exists()
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (lambda data: data[:-12], EOFError),
+    # The first deflate block's type set to 3, which no stream may use.
+    (lambda data: data[:10] + bytes([data[10] | 0b110]) + data[11:], zlib.error),
+], ids=["cut", "bad-block-type"])
+def test_index_stage_stops_on_a_damaged_gzip_shard(tmp_path, damage, cause):
+    crawl = build_demo_crawl(tmp_path / "crawl")
+    data = crawl.shard.read_bytes()
+    assert data[3] == 0  # no optional header fields: the deflate data starts at byte 10
+    crawl.shard.write_bytes(damage(data))
+    cfg = PipelineConfig(workdir=tmp_path / "w", shards=str(crawl.shard))
+    paths = PipelinePaths(workdir=cfg.workdir)
+    with pytest.raises(PipelineError, match=re.escape(
+            f"stage index: cannot read shard {crawl.shard}: ")) as raised:
+        stage_index(cfg, paths)
+    assert isinstance(raised.value.__cause__, cause)
     assert not paths.candidates.exists()
 
 
@@ -371,8 +392,8 @@ def test_atomic_files_keep_previous_file_when_rows_fail(tmp_path):
         yield {"url": "http://t.example/1.gpx"}
         raise RuntimeError("crash part-way through a re-run")
 
-    with pytest.raises(RuntimeError), atomic_files((path, "w")) as (handle,):
-        pipeline_module._write_rows(handle, rows())
+    with pytest.raises(RuntimeError), atomic_files((path, "wb")) as (handle,):
+        pipeline_module._write_rows(handle, rows(), "parse")
     assert path.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
 
