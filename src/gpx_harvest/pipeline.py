@@ -42,7 +42,8 @@ within 64 bits (``CandidateRecord`` keeps ``warc_offset`` below 2**63 so that
 index can write every candidate it finds).  Rows that ``json.dumps`` wrote
 read back equal, so an older work directory resumes.  A line that is not
 UTF-8, or not JSON (NaN, say), is a line that is no JSON object.  Manifests
-are written with ``json.dump`` and read with ``orjson.loads``.
+are written with ``json.dump`` and read with ``json.loads``; they are read a
+few times per run, not once per row.
 
 Fetch appends each distinct payload once to ``payloads.bin``, written
 together with ``fetched.jsonl``; each row carries the payload's byte offset
@@ -87,6 +88,7 @@ import glob
 import hashlib
 import json
 import logging
+import math
 import os
 import reprlib
 import time
@@ -154,18 +156,11 @@ class StageReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StageReport":
-        """The report ``to_dict`` wrote; ValueError when the stage is no string or
-        a count is no integer.  An info value is a count or counts by name
-        (enrich's languages), so no value from a manifest, however deeply nested,
-        reaches ``stats.json``."""
+        """The report ``to_dict`` wrote; ValueError when a count is no integer."""
         report = cls(stage=raw["stage"], inputs=raw["inputs"], outputs=raw["outputs"],
                      excluded=dict(raw.get("excluded", {})), info=dict(raw.get("info", {})))
-        if type(report.stage) is not str:
-            raise ValueError("a report's stage is not a string")
-        counts = [report.inputs, report.outputs, *report.excluded.values()]
-        for value in report.info.values():
-            counts.extend(value.values() if type(value) is dict else [value])
-        if not all(type(count) is int for count in counts):
+        if not all(type(count) is int
+                   for count in (report.inputs, report.outputs, *report.excluded.values())):
             raise ValueError(f"stage {report.stage}: a report count is not an integer")
         return report
 
@@ -200,15 +195,15 @@ def write_json_atomic(path: Path, obj) -> None:
 
 
 def _write_rows(handle: BinaryIO, rows: Iterable[dict], stage: str) -> None:
-    """Write each row as one JSON line.  orjson encodes at most 255 levels of
-    nesting, and parse, enrich and metrics copy fields of their input rows
-    unchecked, so a row it refuses is a PipelineError."""
+    """Write each row as one JSON line.  Parse, enrich and metrics copy fields
+    of their input rows unchecked, and orjson refuses some values that
+    ``json.dumps`` writes (more than 255 levels of nesting, a lone surrogate),
+    so a row it refuses is a PipelineError."""
     for row in rows:
         try:
             line = orjson.dumps(row, option=orjson.OPT_APPEND_NEWLINE)
         except TypeError as exc:  # orjson's JSONEncodeError
-            raise PipelineError(f"stage {stage}: cannot write a row ({exc}); a field of one "
-                                f"of its input rows is nested too deep") from exc
+            raise PipelineError(f"stage {stage}: cannot write a row: {exc}") from exc
         handle.write(line)
 
 
@@ -661,9 +656,15 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             raise PipelineError(f"stage metrics: {exc}") from exc
         counters = {"elev_gps" if elev_source == "GPS" else "elev_dem": 1}
 
-        metrics = compute_track_metrics(track,
-                                        circular_radius_m=cfg.filters.circular_radius_m,
-                                        deadband_m=cfg.filters.elev_deadband_m)
+        # Elevations are finite but unbounded, so a climb between two of them
+        # (1e308 and -1e308) can overflow.  A metric that is not finite excludes
+        # the track: orjson would write it as null, which export refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            metrics = compute_track_metrics(track,
+                                            circular_radius_m=cfg.filters.circular_radius_m,
+                                            deadband_m=cfg.filters.elev_deadband_m)
+        if not all(math.isfinite(getattr(metrics, name)) for name in ROUNDED_PROPERTIES):
+            return "non-finite-metric", None, {}
 
         matches = first_point_countries(track, boundaries)
         country = pick_country(matches)
@@ -784,10 +785,10 @@ class PipelineStats:
 def _read_manifest(paths: PipelinePaths, stage: str) -> tuple[dict, StageReport] | None:
     """``stage``'s manifest without its report, and the report; None when the
     manifest is missing or unreadable, is not a JSON object or holds no usable
-    report.  orjson decodes it, so no nesting, however deep, raises here."""
+    report.  A manifest nested too deep to decode is unreadable too."""
     try:
-        raw = orjson.loads(paths.manifest(stage).read_bytes())
-    except (OSError, orjson.JSONDecodeError):
+        raw = json.loads(paths.manifest(stage).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
         return None
     if not (isinstance(raw, dict) and isinstance(raw.get("report"), dict)):
         return None

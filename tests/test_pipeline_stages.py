@@ -207,6 +207,23 @@ def test_enrich_stage_translation_failed(tmp_path, monkeypatch):
     assert report.excluded == {"translation-failed": 1}
 
 
+def test_a_translation_the_row_writer_refuses_is_a_pipeline_error(tmp_path, monkeypatch):
+    # A live endpoint's JSON reply may decode to a lone surrogate, which a
+    # UTF-8 row cannot hold; the error repeats the encoder's own reason.
+    german = ("Eine lange und lohnende Wanderung durch das Tal hinauf zum alten "
+              "Wachturm, mit stetigem Anstieg und schönem Abstieg durch den Wald.")
+    cfg = PipelineConfig(workdir=tmp_path)
+    cfg.filters.rare_lang_cutoff = 0
+    paths = PipelinePaths(workdir=tmp_path)
+    seed_parsed(paths, [german])
+    monkeypatch.setattr(pipeline_module, "_build_translator",
+                        lambda cfg: lambda text, lang: "A walk \ud800")
+    with pytest.raises(PipelineError, match=re.escape(
+            "stage enrich: cannot write a row: str is not valid UTF-8")):
+        stage_enrich(cfg, paths)
+    assert not paths.enriched.exists()
+
+
 def test_enrich_stage_rare_language_cut(tmp_path):
     cfg = PipelineConfig(workdir=tmp_path)  # default cutoff 5
     paths = PipelinePaths(workdir=tmp_path)
@@ -382,6 +399,23 @@ def test_non_finite_ele_is_backfilled_and_exports_valid_json(tmp_path):
     assert record["elev_highest"] == record["elev_lowest"] == 321.0
     assert {position[2] for line in record["geometry"]["coordinates"]
             for position in line} == {321.0}
+
+
+def test_a_metric_that_overflows_excludes_its_track_and_export_completes(tmp_path):
+    # Elevations of ±1e308 are finite, so parse keeps them, but the climb
+    # between two of them overflows to infinity, which no row can hold.
+    cfg = PipelineConfig(workdir=tmp_path, filters=FilterConfig(rare_lang_cutoff=0))
+    paths = PipelinePaths(workdir=tmp_path)
+    hostile = gpx_xml([{"name": "t", "desc": GOOD_DESC, "segments": [
+        line_points(50.0, 6.0, 30, 50.0, ele=lambda i: (-1) ** i * 1e308)]}])
+    seed_fetched(paths, [hostile, good_track_payload()])
+
+    stats = run_pipeline(cfg, stages=["parse", "enrich", "metrics", "export"])
+    assert stats.reports["parse"].outputs == 2
+    assert stats.reports["metrics"].excluded == {"non-finite-metric": 1}
+    assert stats.records() == 1
+    assert b"null" not in paths.final.read_bytes()
+    assert stage_export(cfg, paths).outputs == 1
 
 def test_atomic_files_keep_previous_file_when_rows_fail(tmp_path):
     path = tmp_path / "parsed.jsonl"
