@@ -20,6 +20,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import NoneType
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
@@ -83,6 +84,10 @@ class ScanStats:
     blank: int = 0
 
 
+# A MIME value may be absent or null; any other value but a string is malformed.
+_MIME_TYPES = (str, NoneType)
+
+
 def _crawl_id_from(filename: str) -> str:
     match = _CRAWL_ID_RE.search(filename)
     return match.group(0) if match else ""
@@ -92,8 +97,10 @@ def parse_index_line(line: str) -> CandidateRecord | None:
     """Parse one CDX-J line; None for blank, comment-like or malformed lines.
 
     The JSON payload must carry url, filename, offset and length, with
-    offset/length as base-10 integers.  "mime-detected" is preferred for the
-    MIME string, falling back to "mime", then to empty.
+    url and filename as strings and offset/length as base-10 integers.
+    "mime-detected" is preferred for the MIME string, falling back to "mime",
+    then to empty; a MIME value that is neither a string nor null is
+    malformed.
 
     The payload is decoded by orjson, so a line whose payload holds NaN or
     Infinity, a number beyond a double's range or a lone surrogate escape
@@ -119,16 +126,19 @@ def parse_index_line(line: str) -> CandidateRecord | None:
     filename = payload.get("filename")
     offset = payload.get("offset")
     length = payload.get("length")
-    if not url or not filename or offset is None or length is None:
+    detected, mime = payload.get("mime-detected"), payload.get("mime")
+    if (not url or not filename or offset is None or length is None
+            or type(url) is not str or type(filename) is not str
+            or type(detected) not in _MIME_TYPES or type(mime) not in _MIME_TYPES):
         return None
     try:
         record = CandidateRecord(
-            url=str(url),
-            mime_detected=str(payload.get("mime-detected") or payload.get("mime") or "").lower(),
-            warc_file=str(filename),
+            url=url,
+            mime_detected=(detected or mime or "").lower(),
+            warc_file=filename,
             warc_offset=int(str(offset), 10),
             warc_len=int(str(length), 10),
-            crawl_id=_crawl_id_from(str(filename)),
+            crawl_id=_crawl_id_from(filename),
         )
     except (ValueError, RecursionError):  # a bad value, or str() of one nested too deep
         return None

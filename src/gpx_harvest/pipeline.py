@@ -34,7 +34,9 @@ the first row that lacks one, or where one holds the wrong type or range
 on), with an error naming the file, the line, the field and the stage to run
 again.  Fetch also stops at a candidate row with any other field, or with a
 value of the wrong type or out of range, and export at a record that lacks
-one of the 16 properties or holds a metric it rounds that is no number.
+one of the 16 properties or holds one of the wrong type or range
+(``_RECORD_PROPERTIES``: strings, counts, numbers and a bool), so that no
+value reaches the exports unchecked.
 
 Each stage row is one compact JSON object per line, encoded by
 ``orjson.dumps`` and decoded by ``orjson.loads``: UTF-8, no spaces, integers
@@ -58,15 +60,16 @@ values, written together with ``parsed.jsonl``; each row carries the track's
 byte offset there, its segment lengths and the sha256 of its bytes.  Metrics
 reads the arrays back from that file and never parses GPX.
 
-Metrics writes each content hash's coordinates once, as the exact JSON text
-both exports embed, to ``geometry.jsonl`` (one text per line), written
-together with ``final.jsonl`` and listed in metrics' manifest.  Each
-``final.jsonl`` row carries the scalar record plus the text's byte offset in
-that file, its length and its sha256, never the text.  The scalar record is
-the dict every export encodes: the 16 properties, keyed in
+Metrics writes each content hash's coordinates once, as the UTF-8 bytes of
+the exact JSON text both exports embed, to ``geometry.jsonl`` (one text per
+line), written together with ``final.jsonl`` and listed in metrics'
+manifest.  Each ``final.jsonl`` row carries the scalar record plus the text's
+byte offset in that file, its length and its sha256, never the text.  The
+scalar record is the dict every export encodes: the 16 properties, keyed in
 ``records.SCALAR_PROPERTIES`` order.  Export dedups those thin rows and then
-reads each survivor's text by offset, adding it to the record as
-``"geometry"``, one record at a time.
+reads each survivor's bytes by offset, adding them to the record as
+``"geometry"``, one record at a time.  The coordinates stay bytes from
+``coordinates_text`` to the export files: no stage decodes them.
 
 Fetch's ranged reads and enrich's judge and translator calls go through
 ``map_ordered``: with one worker (``fetch.max_parallel`` or
@@ -217,13 +220,16 @@ def _is_lengths(value) -> bool:
             and all(type(length) is int and length > 0 for length in value))
 
 
+_COUNT = (_is_count, "an int >= 0")
+_STRING = (lambda value: type(value) is str, "a string")
+
 # What a stage row's field must hold, by name, wherever a stage reads it, and
 # the words an error uses for it.  Only types and ranges: every row is checked.
 _ROW_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     **dict.fromkeys(("payload_offset", "payload_length", "track_offset", "geometry_offset",
-                     "geometry_length"), (_is_count, "an int >= 0")),
+                     "geometry_length"), _COUNT),
     **dict.fromkeys(("url", "crawl_id", "content_hash", "track_sha256", "geometry_sha256"),
-                    (lambda value: type(value) is str, "a string")),
+                    _STRING),
     "desc": (lambda value: value is None or type(value) is str, "a string or null"),
     "segment_lengths": (_is_lengths, "a non-empty list of ints > 0"),
     "record": (lambda value: type(value) is dict, "an object"),
@@ -675,7 +681,7 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
         fields = {**row, **vars(metrics), "country": country, "elev_source": elev_source}
         record = {name: fields[name] for name in SCALAR_PROPERTIES}
-        text = coordinates_text(track, row["url"]).encode("utf-8")
+        text = coordinates_text(track, row["url"])
         offset = geometry.tell()
         geometry.write(text + b"\n")
         return None, (record, {"geometry_offset": offset, "geometry_length": len(text),
@@ -694,16 +700,28 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
     return _finish_stage(cfg, paths, report)
 
 
+# What each property of a ``final.jsonl`` record must hold, in
+# ``SCALAR_PROPERTIES`` order, and the words an error uses for it.  Export
+# writes every value as it is, so each is checked here.
+_RECORD_PROPERTIES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "url": _STRING, "warc_file": _STRING, "warc_offset": _COUNT, "warc_len": _COUNT,
+    "country": _STRING, "desc": _STRING, "desc_lang": _STRING, "desc_en": _STRING,
+    "elev_source": _STRING,
+    # type(), not isinstance: true/false is no number.
+    **dict.fromkeys(ROUNDED_PROPERTIES, (lambda value: type(value) in (int, float), "a number")),
+    "is_circular": (lambda value: type(value) is bool, "a bool"),
+}
+
+
 def _final_row(row: dict) -> dict:
     """A ``final.jsonl`` row whose record holds every property export writes,
-    each metric it rounds a number."""
+    each of the type and range ``_RECORD_PROPERTIES`` names."""
     record = row["record"]
-    for name in SCALAR_PROPERTIES:
+    for name, (valid, words) in _RECORD_PROPERTIES.items():
         if name not in record:
             raise ValueError(f"record has no property {name!r}")
-    for name in ROUNDED_PROPERTIES:
-        if type(record[name]) not in (int, float):  # so true/false is no number
-            raise TypeError(f"record property {name!r} must be a number, "
+        if not valid(record[name]):
+            raise TypeError(f"record property {name!r} must be {words}, "
                             f"not {reprlib.repr(record[name])}")
     return row
 
@@ -723,10 +741,11 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     out_dir = cfg.resolved_out_dir()
     with StoredFiles(paths.geometry, "export", "geometry", "metrics") as geometry:
-        # Each survivor's coordinates are read only as export reaches it.
+        # Each survivor's coordinates are read only as export reaches it, and
+        # written as the bytes metrics stored.
         records = ({**row["record"], "geometry": geometry.read(
-            row["geometry_offset"], row["geometry_length"],
-            row["geometry_sha256"]).decode("utf-8")} for row in survivors)
+            row["geometry_offset"], row["geometry_length"], row["geometry_sha256"])}
+                   for row in survivors)
         try:
             export_records(records, out_dir)
         except OSError as exc:

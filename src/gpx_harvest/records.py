@@ -1,21 +1,22 @@
 """Output records: track filters, deduplication, coordinates text, and export.
 
 A record is a dict of the 16 scalar properties, keyed in
-``SCALAR_PROPERTIES`` order, plus ``"geometry"``: the JSON text of a
-MultiLineString's coordinates, whose vertices are [lon, lat, elevation]
-triples, one line string per original segment.  ``coordinates_text`` encodes
-them once, byte for byte as ``json.dumps`` would (with orjson where that is
-exact); metrics stores that exact text and both exports splice it in.
-``export_records`` writes all three files in one pass, building and encoding
-each record's properties once.  Files are written through ``atomic_files``,
-so a failed write never leaves a partial file behind.
+``SCALAR_PROPERTIES`` order, plus ``"geometry"``: the UTF-8 bytes of the
+JSON text of a MultiLineString's coordinates, whose vertices are
+[lon, lat, elevation] triples, one line string per original segment.
+``coordinates_text`` encodes them once, byte for byte as ``json.dumps``
+would (with orjson where that is exact); metrics stores those bytes, and
+both exports write them as they are, never decoded or copied into a longer
+string.  ``export_records`` writes all three files as UTF-8 bytes in one
+pass, encoding each record's properties and CSV row once.  Files are written
+through ``atomic_files``, so a failed write never leaves a partial file behind.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
+import re
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -58,8 +59,9 @@ def track_exclusion(track: Track, length_2d_m: float, config: FilterConfig) -> s
     return None
 
 
-def coordinates_text(track: Track, url: str) -> str:
-    """The JSON text of the track's MultiLineString coordinates, full precision.
+def coordinates_text(track: Track, url: str) -> bytes:
+    """The JSON text of the track's MultiLineString coordinates, full precision,
+    as UTF-8 bytes.
 
     The text is exactly what ``json.dumps`` writes.  When every value is
     ±0.0 or has ``1e-4 <= |v| < 1e16``, the range where ``repr`` writes a
@@ -79,8 +81,8 @@ def coordinates_text(track: Track, url: str) -> str:
              if track.segment_lengths else [])
     magnitudes = np.abs(points)
     if (((magnitudes >= 1e-4) & (magnitudes < 1e16)) | (points == 0)).all():
-        return orjson.dumps(lines).replace(b",", b", ").decode("ascii")
-    return json.dumps(lines)
+        return orjson.dumps(lines).replace(b",", b", ")
+    return json.dumps(lines).encode()
 
 
 def dedup(rows: Iterable[dict], counts: dict | None = None) -> list[dict]:
@@ -130,19 +132,33 @@ def record_properties(record: dict) -> dict:
     return properties
 
 
-def encode_record(record: dict) -> tuple[dict, str, str]:
-    """The record's scalar properties, its GeoJSON Feature and its ``tracks.jsonl`` line.
+# A CSV field is quoted, its quotes doubled, when it holds one of these.
+_CSV_QUOTED = re.compile('[,"\n]')
 
-    Both texts are exactly what ``json.dumps(..., ensure_ascii=False)`` writes.
-    The properties are built and encoded once for both, and the stored
-    coordinates text is spliced in, never re-encoded.
+
+def _csv_field(value) -> str:
+    r"""``value`` as Python 3.11's ``csv.writer(lineterminator="\n")`` writes
+    a field under QUOTE_MINIMAL: None is empty, any other non-string is
+    ``str(value)``, and a field holding ``,``, ``"`` or ``\n`` is quoted with
+    its quotes doubled (``\r``, NUL and the rest stay unquoted).  The bytes
+    are the same on every Python, where 3.10's csv refuses a NUL and 3.13's
+    quotes a ``\r``."""
+    text = "" if value is None else value if type(value) is str else str(value)
+    if _CSV_QUOTED.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def encode_record(record: dict) -> tuple[bytes, bytes]:
+    r"""The record's scalar properties as JSON and as a ``tracks.csv`` row.
+
+    The JSON is exactly what ``json.dumps(..., ensure_ascii=False)`` writes,
+    the row what Python 3.11's ``csv.writer(lineterminator="\n")`` writes; each
+    is built and encoded to UTF-8 once.
     """
     properties = record_properties(record)
-    text = json.dumps(properties, ensure_ascii=False)
-    geometry = f'{{"type": "MultiLineString", "coordinates": {record["geometry"]}}}'
-    return (properties,
-            f'{{"type": "Feature", "properties": {text}, "geometry": {geometry}}}',
-            f'{text[:-1]}, "geometry": {geometry}}}')
+    return (json.dumps(properties, ensure_ascii=False).encode(),
+            (",".join(map(_csv_field, properties.values())) + "\n").encode())
 
 
 @contextmanager
@@ -184,25 +200,35 @@ def export_paths(out_dir: str | Path) -> dict[str, Path]:
     }
 
 
+# The bytes around a record's properties and coordinates in a GeoJSON Feature
+# and a tracks.jsonl line, as ``json.dumps`` spaces them.
+_FEATURE_HEAD = b'{"type": "Feature", "properties": '
+_GEOMETRY_HEAD = b', "geometry": {"type": "MultiLineString", "coordinates": '
+
+
 def export_records(records: Iterable[dict], out_dir: str | Path) -> dict[str, Path]:
     """Write the dataset as GeoJSON, line-delimited JSON, and scalar CSV.
 
     Output order follows the input (dedup survivor order); identical inputs
     produce byte-identical files.  ``records`` is consumed once, each record
     going to all three files before the next is taken, so a generator keeps
-    one record in memory at a time.  The three files are replaced together or
-    not at all.
+    one record in memory at a time.  Each record's coordinates bytes are
+    written to both JSON files as they are, one piece among the others.  The
+    three files are replaced together or not at all.
     """
     paths = export_paths(out_dir)
-    with atomic_files((paths["geojson"], "w"), (paths["jsonl"], "w"),
-                      (paths["csv"], "w")) as (geojson, jsonl, csv_file):
-        writer = csv.DictWriter(csv_file, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")
-        writer.writeheader()
-        geojson.write('{"type": "FeatureCollection", "features": [')
-        for index, record in enumerate(records):
-            properties, feature, line = encode_record(record)
-            geojson.write((", " if index else "") + feature)
-            jsonl.write(line + "\n")
-            writer.writerow(properties)
-        geojson.write("]}")
+    with atomic_files((paths["geojson"], "wb"), (paths["jsonl"], "wb"),
+                      (paths["csv"], "wb")) as (geojson, jsonl, csv_file):
+        csv_file.write(",".join(SCALAR_PROPERTIES).encode() + b"\n")
+        geojson.write(b'{"type": "FeatureCollection", "features": [')
+        separator = b""
+        for record in records:
+            properties, row = encode_record(record)
+            geometry = record["geometry"]
+            geojson.writelines((separator, _FEATURE_HEAD, properties, _GEOMETRY_HEAD, geometry,
+                                b"}}"))
+            jsonl.writelines((properties[:-1], _GEOMETRY_HEAD, geometry, b"}}\n"))
+            csv_file.write(row)
+            separator = b", "
+        geojson.write(b"]}")
     return paths

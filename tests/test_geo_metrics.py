@@ -142,7 +142,7 @@ def test_segment_starts_drop_exactly_the_legs_between_segments(drawn):
     assert metrics.length_3d == _left_to_right(sloped)
     assert metrics.uphill == _left_to_right(up)
     assert metrics.downhill == _left_to_right(down)
-    assert coordinates_text(track, "http://a.example/t.gpx") == json.dumps(lines)
+    assert coordinates_text(track, "http://a.example/t.gpx") == json.dumps(lines).encode()
 
 
 # --- lengths ---------------------------------------------------------------------

@@ -56,6 +56,14 @@ def test_parse_index_line_mime_fallback():
     assert record.crawl_id == ""
 
 
+def test_parse_index_line_treats_a_null_mime_as_absent():
+    assert parse_index_line(cdxj("http://a.example/t.gpx", mime=None)).mime_detected == ""
+    fallback = ('key 20240101000000 ' +
+                json.dumps({"url": "http://a.example/t.gpx", "mime-detected": None,
+                            "mime": "TEXT/XML", "filename": "f", "offset": 0, "length": 5}))
+    assert parse_index_line(fallback).mime_detected == "text/xml"
+
+
 def make_record(url="http://x.example/route", mime="text/html"):
     return CandidateRecord(url=url, mime_detected=mime, warc_file="f.warc.gz",
                            warc_offset=0, warc_len=1, crawl_id="")
@@ -157,8 +165,16 @@ def fields_then(extra):
     fields_then(', "offset": 1, "status": 1e400'),
     fields_then(', "offset": "1000000000000000000000000000000"'),
     fields_then(f', "offset": {2 ** 63}'),
+    '{"url": "http://a.example/t.gpx", "filename": 7, "offset": 1, "length": 3}',
+    '{"url": "http://a.example/t.gpx", "filename": ["crawl-data/CC-MAIN-2024-10/x.warc.gz"], '
+    '"offset": 1, "length": 3}',
+    '{"url": ["http://a.example/t.gpx"], "filename": "f", "offset": 1, "length": 3}',
+    fields_then(', "offset": 1, "mime": ["text/html"]'),
+    fields_then(', "offset": 1, "mime-detected": 5, "mime": "application/gpx+xml"'),
 ], ids=["deeply-nested", "over-long-integer", "deeply-nested-value", "lone-surrogate",
-        "nan", "infinity", "beyond-a-double", "offset-beyond-64-bits", "offset-at-2**63"])
+        "nan", "infinity", "beyond-a-double", "offset-beyond-64-bits", "offset-at-2**63",
+        "filename-as-number", "filename-as-list", "url-as-list", "mime-as-list",
+        "mime-detected-as-number"])
 def test_scan_index_counts_hostile_json_as_malformed(payload):
     assert parse_index_line(f"key 20240101000000 {payload}") is None
     stats = ScanStats()

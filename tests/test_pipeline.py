@@ -965,6 +965,12 @@ DAMAGED_FIELDS = {
                        "record property 'length_2d' must be a number, not None"),
     "length-2d-as-bool": ("export", _record_with(length_2d=True),
                           "record property 'length_2d' must be a number, not True"),
+    "is-circular-as-text": ("export", _record_with(is_circular="yes"),
+                            "record property 'is_circular' must be a bool, not 'yes'"),
+    "warc-offset-as-list": ("export", _record_with(warc_offset=[1]),
+                            "record property 'warc_offset' must be an int >= 0, not [1]"),
+    "desc-en-null": ("export", _record_with(desc_en=None),
+                     "record property 'desc_en' must be a string, not None"),
 }
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import types
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpx_harvest import records as records_module
@@ -96,11 +97,12 @@ def test_coordinates_text_rejects_missing_elevation():
 
 
 def json_dumps_coordinates(track):
-    """The reference text: ``json.dumps`` of each segment's [lon, lat, ele] lists."""
+    """The reference bytes: ``json.dumps`` of each segment's [lon, lat, ele]
+    lists, encoded."""
     points = np.column_stack((track.lon, track.lat, track.ele))
     ends = np.cumsum(track.segment_lengths).tolist()
     return json.dumps([points[end - length:end].tolist()
-                       for end, length in zip(ends, track.segment_lengths)])
+                       for end, length in zip(ends, track.segment_lengths)]).encode()
 
 
 @pytest.fixture
@@ -146,7 +148,7 @@ def test_coordinates_text_matches_json_dumps_at_the_edges_of_the_fast_range(
 
 
 def test_coordinates_text_of_a_track_without_segments(fast_path_calls):
-    assert coordinates_text(Track(lat=[], lon=[], ele=[]), "u") == "[]"
+    assert coordinates_text(Track(lat=[], lon=[], ele=[]), "u") == b"[]"
     assert fast_path_calls == [[]]
 
 
@@ -191,7 +193,7 @@ def test_coordinates_text_is_json_dumps_of_every_finite_track(track):
     assert coordinates_text(track, "http://a.example/t.gpx") == json_dumps_coordinates(track)
 
 
-def test_properties_rounded_to_two_decimals_geometry_full_precision():
+def test_properties_rounded_to_two_decimals_geometry_full_precision(tmp_path):
     track = Track(lat=[53.812345678], lon=[-2.456789012], ele=[80.123456])
     full = record(track)
     properties = record_properties(full)
@@ -201,7 +203,8 @@ def test_properties_rounded_to_two_decimals_geometry_full_precision():
     assert properties["uphill"] == 55.56
     assert properties["downhill"] == 44.44
     assert json.loads(full["geometry"])[0][0] == [-2.456789012, 53.812345678, 80.123456]
-    feature = json.loads(encode_record(full)[1])
+    assert json.loads(encode_record(full)[0]) == properties
+    feature = json.loads(export_records([full], tmp_path)["geojson"].read_bytes())["features"][0]
     assert feature["geometry"]["coordinates"][0][0] == [-2.456789012, 53.812345678, 80.123456]
 
 
@@ -370,7 +373,9 @@ def reference_json_obj(one, coordinates):
 _NUMBERS = st.one_of(st.sampled_from([-0.0, 0.0, 1e-7, -1e-7, 123456.789012345, 5e-324]),
                      st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 _POINTS = st.tuples(_NUMBERS, _NUMBERS, _NUMBERS)
-_TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "ö", "日"]),
+_SPECIAL_CHARACTERS = [",", '"', "\\", "\x00", "\x1f", "\t", "\n", "\r", " ", "\u2028", "ö", "日"]
+_SCALARS = [None, True, False, 0, -0.0, 5e-324, 1e16, 2 ** 63 - 1]
+_TEXT = st.text(st.one_of(st.sampled_from(_SPECIAL_CHARACTERS),
                           st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=40)
 
 
@@ -382,17 +387,56 @@ def _records(draw):
     flat = [point for line in segments for point in line]
     track = Track(lat=[p[1] for p in flat], lon=[p[0] for p in flat],
                   ele=[p[2] for p in flat], segment_lengths=[len(line) for line in segments])
-    drawn = record(track, country=draw(_TEXT), elev_source=draw(st.sampled_from(["GPS", "DEM"])),
+    drawn = record(track, url=draw(_TEXT), warc_offset=draw(st.integers(0, 2 ** 63 - 1)),
+                   country=draw(_TEXT), elev_source=draw(st.sampled_from(["GPS", "DEM"])),
                    circular=draw(st.booleans()))
+    # Metrics writes only strings for desc_en; the other scalars check the
+    # CSV's rule for values that are not strings.
     drawn.update(desc=draw(_TEXT), desc_lang=draw(st.sampled_from(["en", "de", "ja"])),
-                 desc_en=draw(_TEXT))
+                 desc_en=draw(st.one_of(_TEXT, st.sampled_from(_SCALARS))))
     for name in ("length_2d", "length_3d", "elev_highest", "elev_lowest", "uphill", "downhill"):
         drawn[name] = draw(_NUMBERS)
     return drawn, [[list(point) for point in points] for points in segments]
 
 
+# Characters that csv writes as Python 3.11 does only on some versions: 3.10
+# refuses a NUL, and 3.13 quotes a CR.  To 3.11's csv both are ordinary
+# characters, so the reference hands csv an unused ordinary character in
+# their place and puts them back, which gives 3.11's bytes on every version.
+_VERSION_DEPENDENT = ("\x00", "\r")
+
+
+def reference_csv(records):
+    """``tracks.csv`` as ``csv.DictWriter`` writes the records' properties on
+    Python 3.11."""
+    rows = [record_properties(one) for one in records]
+    used = {char for row in rows for value in row.values() if type(value) is str
+            for char in value}
+    spare = (chr(code) for code in range(0xE000, 0xF900) if chr(code) not in used)
+    stand_ins = {char: next(spare) for char in _VERSION_DEPENDENT}
+    hide = str.maketrans(stand_ins)
+    handle = io.StringIO(newline="")
+    writer = csv.DictWriter(handle, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({name: value.translate(hide) if type(value) is str else value
+                      for name, value in row.items()} for row in rows)
+    restore = str.maketrans({stand_in: char for char, stand_in in stand_ins.items()})
+    return handle.getvalue().translate(restore).encode("utf-8")
+
+
+def _edge_records():
+    """One record per field value at the edges of CSV quoting, in ``country``
+    and ``desc_en``, with the coordinates of ``two_segment_track``."""
+    coordinates = [[[-2.45, 53.8, 80.0], [-2.44, 53.8, 81.0]], [[-2.44, 53.81, 82.0]]]
+    values = [*_SPECIAL_CHARACTERS, *_SCALARS, "a,b", 'say "hi"', "two\nlines", "cr\ronly",
+              "\x00nul", " lead", "trail ", "", "Grüße, 日本"]
+    return [({**record(two_segment_track()), "country": value, "desc_en": value}, coordinates)
+            for value in values]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_records(), max_size=3))
+@example(_edge_records())
 def test_export_bytes_equal_the_dict_based_encoding(drawn):
     collection = {"type": "FeatureCollection",
                   "features": [reference_feature(r, coords) for r, coords in drawn]}
@@ -403,4 +447,5 @@ def test_export_bytes_equal_the_dict_based_encoding(drawn):
         assert paths["geojson"].read_bytes() == json.dumps(
             collection, ensure_ascii=False).encode("utf-8")
         assert paths["jsonl"].read_bytes() == jsonl.encode("utf-8")
+        assert paths["csv"].read_bytes() == reference_csv([one for one, _ in drawn])
 
