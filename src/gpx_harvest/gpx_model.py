@@ -7,14 +7,44 @@ exists.  The pipeline stores a track as just these: ``tracks.f64`` holds the
 track's own ``lat``, ``lon`` and ``ele`` arrays back to back.  Accepts GPX 1.0,
 GPX 1.1 and namespace-less documents.  Route files (<rte>/<rtept>) are folded
 into the same track model, one segment per route.
+
+Most of a GPX file is its points, and building an element for every point,
+elevation and timestamp is most of what parsing costs.  So ``parse_gpx``
+first scans the payload bytes for point blocks: literal ``<trkseg>``
+elements whose whole body is points of one strict form, ``<trkpt lat="N"
+lon="N">``, an optional ``<ele>N</ele>``, an optional ``<time>`` of ASCII
+letters, digits and ``:.+-``, and ``</trkpt>``, with only spaces, tabs and
+line breaks between tags, and ``<ele>`` on every point of the block or on
+none.  Each block's lat, lon and ele texts are read by one ``orjson.loads``
+per axis, and ElementTree parses only the skeleton left when each block's
+body is cut out and its ``<trkseg>`` tagged with the block's index.
+
+The scan is exact, giving the same tracks, stats and errors as the tree
+readers, so it applies only where the bytes leave no room for doubt:
+the payload may start with ``<?xml version="1.x" encoding="UTF-8"?>`` and
+holds no other ``<?``, no ``<!`` (comment, CDATA or DOCTYPE), no NUL, no
+byte-order mark and not the tag's attribute name, so every literal
+``<trkseg>`` is a tag of a UTF-8 document and every point's text is as
+written; each number is a JSON number of at most ``_MAX_NUMBER_CHARS``
+characters other than a bare ``-0`` (which orjson reads as the int 0), so
+orjson reads the value ``float`` reads (``tests/test_gpx_model.py`` checks a
+seeded corpus of such texts bit for bit).  A block that is not of that form
+stays in the skeleton for the tree readers; a payload that is not, or a
+number orjson refuses, or a skeleton ElementTree refuses, is parsed whole
+by the tree readers as before, so a malformed payload's error text is the
+same.  Either way each segment's values go through the same finite, range
+and drop rules (``_kept_points``).
 """
 
 from __future__ import annotations
 
+import codecs
+import re
 from dataclasses import dataclass
 from xml.etree import ElementTree
 
 import numpy as np
+import orjson
 
 # A track that loses more than this fraction of its points to coordinate
 # validation is discarded entirely: lengths computed from the remainder
@@ -166,6 +196,27 @@ def _bulk_point_values(parent: ElementTree.Element, point_tag: str
     return lats, lons, eles, 0
 
 
+def _kept_points(lats, lons, eles, unparsable: int, stats: ParseStats
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One segment's points as lat, lon and ele arrays, and how many were
+    dropped, from its read values and the count of points already dropped as
+    unparsable.
+
+    A point is dropped when lat or lon is out of range (NaN included); a
+    non-finite elevation is NaN.  The tree readers and the point-block scan
+    both end here.
+    """
+    lat = np.asarray(lats, dtype=np.float64)
+    lon = np.asarray(lons, dtype=np.float64)
+    ele = np.asarray(eles, dtype=np.float64)
+    ele = np.where(np.isfinite(ele), ele, np.nan)
+    # NaN coordinates fail these comparisons too, so they are dropped.
+    valid = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+    dropped = unparsable + len(valid) - int(np.count_nonzero(valid))
+    stats.points_dropped += dropped
+    return lat[valid], lon[valid], ele[valid], dropped
+
+
 def _read_points(parent: ElementTree.Element, point_tag: str,
                  stats: ParseStats) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The parent's ``point_tag`` children as lat, lon and ele arrays, and how
@@ -179,26 +230,120 @@ def _read_points(parent: ElementTree.Element, point_tag: str,
     and only where that cannot be exact (points in several namespaces, or a
     value that does not convert) one point at a time (``_point_values``).
     """
-    lats, lons, eles, unparsable = (_bulk_point_values(parent, point_tag)
-                                    or _point_values(parent, point_tag))
-    lat = np.array(lats, dtype=np.float64)
-    lon = np.array(lons, dtype=np.float64)
-    ele = np.array(eles, dtype=np.float64)
-    ele = np.where(np.isfinite(ele), ele, np.nan)
-    # NaN coordinates fail these comparisons too, so they are dropped.
-    valid = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-    dropped = unparsable + len(valid) - int(np.count_nonzero(valid))
-    stats.points_dropped += dropped
-    return lat[valid], lon[valid], ele[valid], dropped
+    return _kept_points(*(_bulk_point_values(parent, point_tag)
+                          or _point_values(parent, point_tag)), stats)
 
 
-def _track(element: ElementTree.Element, stats: ParseStats) -> Track | None:
+# --- the point-block scan (see the module docstring) ---------------------------
+
+# The longest number text the scan reads; the corpus test in
+# tests/test_gpx_model.py covers texts up to this length.
+_MAX_NUMBER_CHARS = 40
+
+# The attribute that tags a cut-out block's <trkseg> in the skeleton with the
+# block's index; a payload that already holds the name is not scanned.
+_BLOCK_ATTRIBUTE = "gpx-harvest-block"
+_TAGGED_SEGMENT = f'<trkseg {_BLOCK_ATTRIBUTE}="%d"></trkseg>'.encode()
+
+_SPACE = rb"[ \t\r\n]*"
+
+# A block's lat, lon and ele arrays.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _number(end: bytes) -> bytes:
+    """A number text followed by ``end``: characters of JSON numbers only, and
+    never a bare ``-0``.  orjson refuses the texts of these characters that
+    are no JSON number (``+1``, ``1.``, ``.5``, ``01``)."""
+    return rb"(?!-0" + end + rb")[-+.0-9eE]{1,%d}" % _MAX_NUMBER_CHARS
+
+
+def _block_body(ele: bytes) -> re.Pattern[bytes]:
+    """The body of a point block and its ``</trkseg>``, each point holding
+    ``ele`` before its optional ``<time>``."""
+    point = (rb'<trkpt lat="' + _number(b'"') + rb'" lon="' + _number(b'"') + rb'">' + _SPACE
+             + ele + rb"(?:<time>[0-9A-Za-z:.+-]*</time>" + _SPACE + rb")?</trkpt>" + _SPACE)
+    return re.compile(_SPACE + rb"(?:" + point + rb")*</trkseg>")
+
+
+# A block whose points all hold an <ele>, and one whose points hold none.
+_BLOCK_WITH_ELE = _block_body(rb"<ele>" + _number(b"<") + rb"</ele>" + _SPACE)
+_BLOCK_WITHOUT_ELE = _block_body(b"")
+_ELE_TEXT = re.compile(rb"<ele>([^<]*)")
+_DECLARATION = re.compile(rb'<\?xml version="1\.[0-9]" encoding="UTF-8"\?>')
+
+
+def _numbers(texts: list[bytes]) -> np.ndarray:
+    """The values of JSON number texts, by one ``orjson.loads``.  Raises
+    orjson's JSONDecodeError, a ValueError, for a text that is no JSON number
+    or overflows a float."""
+    return np.array(orjson.loads(b"[" + b",".join(texts) + b"]"), dtype=np.float64)
+
+
+def _scan_blocks(payload: bytes) -> tuple[bytes, list[_Block]] | None:
+    """The skeleton of ``payload`` and the lat, lon and ele arrays of its point
+    blocks, in order; None when the payload holds no block, is not one the
+    scan reads exactly, or holds a number text orjson refuses.
+
+    The skeleton is the payload with each block's body cut out and its
+    ``<trkseg>`` tagged with the block's index in ``_BLOCK_ATTRIBUTE``.
+    """
+    declaration = _DECLARATION.match(payload)
+    if (payload.startswith(codecs.BOM_UTF8) or b"\0" in payload or b"<!" in payload
+            or payload.find(b"<?", declaration.end() if declaration else 0) >= 0
+            or _BLOCK_ATTRIBUTE.encode() in payload):
+        return None
+    pieces: list[bytes] = []
+    blocks: list[_Block] = []
+    copied = 0
+    start = payload.find(b"<trkseg>")
+    while start >= 0:
+        body_start = start + len(b"<trkseg>")
+        block = _BLOCK_WITH_ELE.match(payload, body_start)
+        with_ele = block is not None
+        block = block or _BLOCK_WITHOUT_ELE.match(payload, body_start)
+        if block is None:
+            start = payload.find(b"<trkseg>", body_start)
+            continue
+        body = payload[body_start:block.end() - len(b"</trkseg>")]
+        # Quotes hold only the lat and lon texts, so each point is four pieces.
+        quoted = body.split(b'"')
+        try:
+            lat = _numbers(quoted[1::4])
+            lon = _numbers(quoted[3::4])
+            ele = (_numbers(_ELE_TEXT.findall(body)) if with_ele
+                   else np.full(len(lat), np.nan))
+        except ValueError:  # no JSON number (``1.``), or beyond a float (``1e400``)
+            return None
+        pieces += (payload[copied:start], _TAGGED_SEGMENT % len(blocks))
+        blocks.append((lat, lon, ele))
+        copied = block.end()
+        start = payload.find(b"<trkseg>", copied)
+    if not blocks:
+        return None
+    pieces.append(payload[copied:])
+    return b"".join(pieces), blocks
+
+
+def _segment(element: ElementTree.Element, stats: ParseStats, blocks: list[_Block]
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A <trkseg>'s points as ``_read_points`` returns them; from ``blocks``
+    when the scan tagged it.  Without blocks the payload was parsed whole,
+    and an attribute of that name is the payload's own."""
+    block = element.get(_BLOCK_ATTRIBUTE) if blocks else None
+    if block is None:
+        return _read_points(element, "trkpt", stats)
+    return _kept_points(*blocks[int(block)], 0, stats)
+
+
+def _track(element: ElementTree.Element, stats: ParseStats,
+           blocks: list[_Block]) -> Track | None:
     """The <trk> (one segment per non-empty <trkseg>) or <rte> (one segment)
     as a track; None when it lost too many points to validation."""
     if _local(element.tag) == "rte":
         parts = [_read_points(element, "rtept", stats)]
     else:
-        parts = [_read_points(child, "trkpt", stats)
+        parts = [_segment(child, stats, blocks)
                  for child in element if _local(child.tag) == "trkseg"]
     lengths = [len(lat) for lat, _, _, _ in parts if len(lat)]
     dropped = sum(part[3] for part in parts)
@@ -211,6 +356,15 @@ def _track(element: ElementTree.Element, stats: ParseStats) -> Track | None:
         lat, lon, ele = (np.concatenate([np.empty(0)] + [part[axis] for part in parts])
                          for axis in range(3))
     return Track(lat, lon, ele, segment_lengths=lengths, desc=_child_text(element, "desc"))
+
+
+def _xml_root(payload: bytes) -> ElementTree.Element:
+    try:
+        return ElementTree.fromstring(payload)
+    # An unknown declared encoding raises LookupError; a multi-byte one, or
+    # one whose codec fails on the bytes, raises ValueError.
+    except (ElementTree.ParseError, LookupError, ValueError) as exc:
+        raise GpxParseError(f"not parseable XML: {exc}") from exc
 
 
 def _strip_or_none(text: str | None) -> str | None:
@@ -235,17 +389,24 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
     document-level <desc> (GPX 1.0) or <metadata><desc> (GPX 1.1) when the
     track carries none.
 
+    Segments in the point-block form are read from the payload bytes, and
+    ElementTree builds only the rest (see the module docstring); the tracks,
+    stats and errors are those of reading the whole tree.
+
     Raises GpxParseError for non-XML payloads, an XML declaration naming an
     encoding expat cannot read, or a non-<gpx> root.
     """
     if stats is None:
         stats = ParseStats()
-    try:
-        root = ElementTree.fromstring(payload)
-    # An unknown declared encoding raises LookupError; a multi-byte one, or
-    # one whose codec fails on the bytes, raises ValueError.
-    except (ElementTree.ParseError, LookupError, ValueError) as exc:
-        raise GpxParseError(f"not parseable XML: {exc}") from exc
+    root, blocks = None, []
+    scanned = _scan_blocks(payload)
+    if scanned is not None:
+        try:
+            root, blocks = _xml_root(scanned[0]), scanned[1]
+        except GpxParseError:
+            pass  # the whole payload is parsed below, for its own error text
+    if root is None:
+        root = _xml_root(payload)
     if _local(root.tag) != "gpx":
         raise GpxParseError(f"root element is <{_local(root.tag)}>, expected <gpx>")
 
@@ -258,7 +419,7 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
         elif tag == "desc":
             doc_desc = doc_desc or _strip_or_none(child.text)
         elif tag in ("trk", "rte"):
-            track = _track(child, stats)
+            track = _track(child, stats, blocks)
             if track is not None:
                 tracks.append(track)
 

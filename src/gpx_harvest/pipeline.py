@@ -32,11 +32,14 @@ Every stage names the row fields it reads, and ``read_jsonl`` stops it at
 the first row that lacks one, or where one holds the wrong type or range
 (``_ROW_FIELDS``: offsets and lengths are ints >= 0, digests strings, and so
 on), with an error naming the file, the line, the field and the stage to run
-again.  Fetch also stops at a candidate row with any other field, or with a
-value of the wrong type or out of range, and export at a record that lacks
-one of the 16 properties or holds one of the wrong type or range
-(``_RECORD_PROPERTIES``: strings, counts, numbers and a bool), so that no
-value reaches the exports unchecked.
+again.  The capture's ``warc_*`` fields and the description's language and
+translation, which metrics copies into a record, are among them, so a bad
+one stops metrics and names enrich as the stage to run again.  Fetch checks
+a candidate row itself (``_candidate``): it stops at any other field, or at
+a value of the wrong type or out of range.  Export stops at a
+record that lacks one of the 16 properties or holds one of the wrong type or
+range (``_RECORD_PROPERTIES``: strings, counts, numbers and a bool), so that
+no value reaches the exports unchecked.
 
 Each stage row is one compact JSON object per line, encoded by
 ``orjson.dumps`` and decoded by ``orjson.loads``: UTF-8, no spaces, integers
@@ -227,9 +230,9 @@ _STRING = (lambda value: type(value) is str, "a string")
 # the words an error uses for it.  Only types and ranges: every row is checked.
 _ROW_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     **dict.fromkeys(("payload_offset", "payload_length", "track_offset", "geometry_offset",
-                     "geometry_length"), _COUNT),
-    **dict.fromkeys(("url", "crawl_id", "content_hash", "track_sha256", "geometry_sha256"),
-                    _STRING),
+                     "geometry_length", "warc_offset", "warc_len"), _COUNT),
+    **dict.fromkeys(("url", "crawl_id", "content_hash", "track_sha256", "geometry_sha256",
+                     "warc_file", "desc_lang", "desc_en"), _STRING),
     "desc": (lambda value: value is None or type(value) is str, "a string or null"),
     "segment_lengths": (_is_lengths, "a non-empty list of ints > 0"),
     "record": (lambda value: type(value) is dict, "an object"),
@@ -237,16 +240,17 @@ _ROW_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
 
 
 def read_jsonl(path: Path, stage: str, fields: tuple[str, ...],
-               convert: Callable[[dict], Any] | None = None) -> Iterator:
+               convert: Callable[[dict], Any] | None = None,
+               kinds: dict[str, tuple[Callable[[Any], bool], str]] = _ROW_FIELDS) -> Iterator:
     """``path``'s rows, read as iterated; a line that is no JSON object, one
     that lacks one of ``fields``, or one where a field of ``fields`` that
-    ``_ROW_FIELDS`` names holds the wrong type or range, is a PipelineError.
+    ``kinds`` names holds the wrong type or range, is a PipelineError.
     With ``convert``, each row is yielded as ``convert(row)``, and a row it
     refuses with a TypeError or ValueError is a PipelineError too."""
     if not path.exists():
         raise PipelineError(f"stage {stage}: missing input {path}")
     writer = STAGES[STAGES.index(stage) - 1]
-    checks = [(name, *_ROW_FIELDS[name]) for name in fields if name in _ROW_FIELDS]
+    checks = [(name, *kinds[name]) for name in fields if name in kinds]
 
     def rows() -> Iterator[dict]:
         # Decoded line by line, so that a line that is not UTF-8, or not JSON
@@ -408,7 +412,9 @@ def _candidate(row: dict) -> CandidateRecord:
 
 
 def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    candidates = read_jsonl(paths.candidates, "fetch", tuple(_CANDIDATE_TYPES), _candidate)
+    # ``_candidate`` checks each field's exact type and CandidateRecord its range.
+    candidates = read_jsonl(paths.candidates, "fetch", tuple(_CANDIDATE_TYPES), _candidate,
+                            kinds={})
     transport = (FixtureTransport(cfg.fixture_dir) if cfg.fixture_dir
                  else HttpRangeTransport())
 

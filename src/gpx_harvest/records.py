@@ -133,16 +133,17 @@ def record_properties(record: dict) -> dict:
 
 
 # A CSV field is quoted, its quotes doubled, when it holds one of these.
-_CSV_QUOTED = re.compile('[,"\n]')
+_CSV_QUOTED = re.compile('[,"\n\r]')
 
 
 def _csv_field(value) -> str:
-    r"""``value`` as Python 3.11's ``csv.writer(lineterminator="\n")`` writes
-    a field under QUOTE_MINIMAL: None is empty, any other non-string is
-    ``str(value)``, and a field holding ``,``, ``"`` or ``\n`` is quoted with
-    its quotes doubled (``\r``, NUL and the rest stay unquoted).  The bytes
-    are the same on every Python, where 3.10's csv refuses a NUL and 3.13's
-    quotes a ``\r``."""
+    r"""``value`` as ``csv.writer(lineterminator="\n")`` writes a field under
+    QUOTE_MINIMAL: None is empty, any other non-string is ``str(value)``, and
+    a field holding ``,``, ``"``, ``\n`` or ``\r`` is quoted with its quotes
+    doubled (NUL and the rest stay unquoted).  A ``\r`` is quoted as Python
+    3.13's csv quotes it, so that a CSV reader reads the field as one; 3.11's
+    leaves it bare, and 3.10's refuses a NUL.  The bytes are the same on
+    every Python."""
     text = "" if value is None else value if type(value) is str else str(value)
     if _CSV_QUOTED.search(text):
         return '"' + text.replace('"', '""') + '"'
@@ -153,8 +154,8 @@ def encode_record(record: dict) -> tuple[bytes, bytes]:
     r"""The record's scalar properties as JSON and as a ``tracks.csv`` row.
 
     The JSON is exactly what ``json.dumps(..., ensure_ascii=False)`` writes,
-    the row what Python 3.11's ``csv.writer(lineterminator="\n")`` writes; each
-    is built and encoded to UTF-8 once.
+    the row what ``csv.writer(lineterminator="\n")`` writes (``_csv_field``);
+    each is built and encoded to UTF-8 once.
     """
     properties = record_properties(record)
     return (json.dumps(properties, ensure_ascii=False).encode(),

@@ -1,4 +1,9 @@
+import codecs
 import math
+import random
+import re
+import struct
+from fractions import Fraction
 from unittest import mock
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
@@ -11,7 +16,7 @@ from hypothesis import strategies as st
 from gpx_harvest import gpx_model
 from gpx_harvest.gpx_model import (GpxParseError, ParseStats, Track, extract_single_track,
                                    parse_gpx)
-from gpx_harvest.synthetic import gpx_xml
+from gpx_harvest.synthetic import gpx_xml, line_points
 
 URL = "http://a.example/t.gpx"
 
@@ -267,19 +272,55 @@ def gpx_points(draw, point_tag):
     return "".join(points)
 
 
+# Number texts at the edges of the point-block scan: JSON numbers it reads
+# (``0``, ``7``, 40 digits), and texts it leaves to the tree readers.
+_SCAN_NUMBER_TEXTS = ["0", "-0", "01.5", "1.", ".5", "7", "1234567890" * 4,
+                      "-0.0", "-0e5", "1e-400", "1E400", "51.5e0"]
+
+
+@st.composite
+def block_points(draw):
+    """The points of one segment in the point-block scan's form: every point
+    ``<trkpt lat="N" lon="N">``, an optional ``<ele>``, an optional
+    ``<time>``, ``</trkpt>``, with spaces, tabs or line breaks between tags.
+    ``<ele>`` is on all, some or none of the points.  Half of the segments
+    also draw number texts from the scan's edge cases."""
+    space = st.sampled_from(["", "", " ", "\n", "\r\n", "\t", "  \n  "])
+    numbers = st.one_of(st.floats(-200, 200).map(repr),
+                        st.integers(-4000, 90000).map(lambda tenths: f"{tenths / 10:.1f}"))
+    if draw(st.booleans()):
+        numbers |= st.sampled_from(_SCAN_NUMBER_TEXTS)
+    eles = draw(st.sampled_from(["all", "some", "none"]))
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        ele = ""
+        if eles == "all" or eles == "some" and draw(st.booleans()):
+            ele = f"<ele>{draw(numbers)}</ele>{draw(space)}"
+        time = draw(st.sampled_from(["", "<time>2024-03-01T09:00:00Z</time>", "<time></time>",
+                                     "<time>2024-03-01T09:00:00.5+01:00</time>"]))
+        points.append(f'{draw(space)}<trkpt lat="{draw(numbers)}" lon="{draw(numbers)}">'
+                      f'{draw(space)}{ele}{time}{draw(space) if time else ""}</trkpt>')
+    return "".join(points) + draw(space)
+
+
 @st.composite
 def gpx_documents(draw):
-    """A GPX document of one route, or of one track with up to three segments."""
+    """A GPX document of one route, or of one track with up to three segments,
+    each in the point-block scan's form or not; with or without an XML
+    declaration."""
     namespace = draw(st.sampled_from(['xmlns="http://www.topografix.com/GPX/1/1"',
                                       'xmlns="http://www.topografix.com/GPX/1/0"', ""]))
     extension = st.sampled_from(["", "", "<extensions><ele>1</ele></extensions>"])
     if draw(st.booleans()):
         body = f"<rte>{draw(gpx_points('rtept'))}</rte>"
     else:
-        segments = draw(st.lists(gpx_points("trkpt"), max_size=3))
-        body = "<trk>" + "".join(f"<trkseg>{points}{draw(extension)}</trkseg>"
-                                 for points in segments) + "</trk>"
-    return f'<gpx {namespace} xmlns:o="urn:other">{body}</gpx>'.encode("utf-8")
+        segment = st.one_of(st.tuples(gpx_points("trkpt"), extension).map("".join),
+                            block_points())
+        segments = draw(st.lists(segment, max_size=3))
+        body = "<trk>" + "".join(f"<trkseg>{points}</trkseg>" for points in segments) + "</trk>"
+    declaration = draw(st.sampled_from(["", '<?xml version="1.0" encoding="UTF-8"?>\n',
+                                        '<?xml version="1.1" encoding="UTF-8"?>']))
+    return f'{declaration}<gpx {namespace} xmlns:o="urn:other">{body}</gpx>'.encode("utf-8")
 
 
 def parsed(payload):
@@ -294,9 +335,20 @@ def parsed(payload):
 @settings(max_examples=300, deadline=None)
 @given(gpx_documents())
 def test_bulk_point_reading_equals_the_per_point_loop(payload):
-    bulk = parsed(payload)
-    with mock.patch.object(gpx_model, "_bulk_point_values", return_value=None):
-        assert parsed(payload) == bulk
+    # The point-block scan declines on both sides, so that every segment goes
+    # through the tree readers.
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        bulk = parsed(payload)
+        with mock.patch.object(gpx_model, "_bulk_point_values", return_value=None):
+            assert parsed(payload) == bulk
+
+
+@settings(max_examples=300, deadline=None)
+@given(gpx_documents())
+def test_point_block_scan_equals_the_tree_readers(payload):
+    scanned = parsed(payload)
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        assert parsed(payload) == scanned
 
 
 @pytest.mark.parametrize("points, bulk", [
@@ -320,3 +372,175 @@ def test_bulk_point_reading_leaves_only_mixed_namespaces_and_bad_values_to_the_l
         expected = gpx_model._point_values(segment, "trkpt")
         assert np.array(values[:3]).tobytes() == np.array(expected[:3]).tobytes()
         assert values[3] == expected[3] == 0
+
+
+# --- the point-block scan ------------------------------------------------------
+
+_BLOCK_POINTS = ('<trkpt lat="50.0" lon="6.0"><ele>12.5</ele><time>2024-03-01T09:00:00Z</time>'
+                 '</trkpt>\n<trkpt lat="50.001" lon="6.0"><ele>13</ele></trkpt>')
+
+
+def block_document(points=_BLOCK_POINTS, prolog='<?xml version="1.0" encoding="UTF-8"?>\n',
+                   desc="Loop", inside="", after=""):
+    """A one-track GPX document whose one segment holds ``points``."""
+    return (f'{prolog}<gpx version="1.1" xmlns="http://www.topografix.com/GPX/1/1">'
+            f'<trk><desc>{desc}</desc>{inside}<trkseg>{points}</trkseg></trk></gpx>{after}'
+            ).encode("utf-8")
+
+
+def test_a_block_document_takes_the_scan():
+    skeleton, blocks = gpx_model._scan_blocks(block_document())
+    assert b"<trkpt" not in skeleton
+    assert [len(lat) for lat, _, _ in blocks] == [2]
+    track = parse_gpx(block_document(), URL).tracks[0]
+    assert track.ele.tolist() == [12.5, 13.0]
+
+
+@pytest.mark.parametrize("payload", [
+    block_document(desc="Loop<!-- two laps -->"),
+    block_document(desc="<![CDATA[Loop]]>"),
+    block_document(prolog='<?xml version="1.0" encoding="UTF-8"?>\n<!DOCTYPE gpx>'),
+    block_document(prolog='<?xml version="1.0" encoding="UTF-8"?>'
+                          '<?xml-stylesheet href="gpx.xsl"?>'),
+    codecs.BOM_UTF8 + block_document(prolog=""),
+    block_document(prolog='<?xml version="1.0" encoding="ISO-8859-1"?>\n'),
+    block_document(prolog="<?xml version='1.0' encoding='UTF-8'?>\n"),
+    block_document(points='<trkpt lon="6.0" lat="50.0"></trkpt>'),
+    block_document(points="<trkpt lat='50.0' lon='6.0'></trkpt>"),
+    block_document(points='<trkpt lat="50.0" lon="6.0"><extensions><hr>120</hr></extensions>'
+                          '</trkpt>'),
+    block_document(desc="gpx-harvest-block"),
+    block_document(inside=f'<trkseg gpx-harvest-block="1">{_BLOCK_POINTS}</trkseg>'),
+    block_document(inside=f"<?keep <trkseg>{_BLOCK_POINTS}</trkseg>?>"),
+], ids=["comment", "cdata", "doctype", "instruction-after-declaration", "bom", "iso-8859-1",
+        "single-quoted-declaration", "lon-before-lat", "single-quoted-attributes", "extensions",
+        "attribute-name-in-payload", "attribute-in-payload", "block-in-instruction"])
+def test_inputs_the_scan_cannot_read_exactly_take_the_tree_readers(payload):
+    assert gpx_model._scan_blocks(payload) is None
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        tree = parsed(payload)
+    assert parsed(payload) == tree
+    assert tree[0]  # the document's track
+
+
+@pytest.mark.parametrize("text", _SCAN_NUMBER_TEXTS)
+@pytest.mark.parametrize("axis", ["lat", "lon", "ele"])
+def test_the_scan_reads_each_edge_number_text_as_the_tree_readers_do(text, axis):
+    values = {"lat": "50.5", "lon": "6.5", "ele": "12.5", axis: text}
+    payload = block_document(points=f'<trkpt lat="{values["lat"]}" lon="{values["lon"]}">'
+                                    f'<ele>{values["ele"]}</ele></trkpt>')
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        tree = parsed(payload)
+    assert parsed(payload) == tree
+
+
+def test_a_block_after_the_root_fails_with_the_tree_readers_error():
+    payload = block_document(after=f"\n<trkseg>{_BLOCK_POINTS}</trkseg>")
+    assert gpx_model._scan_blocks(payload) is not None  # but ElementTree refuses its skeleton
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        with pytest.raises(GpxParseError) as tree:
+            parse_gpx(payload, URL)
+    with pytest.raises(GpxParseError) as scanned:
+        parse_gpx(payload, URL)
+    assert str(scanned.value) == str(tree.value)
+    assert "junk after document element" in str(tree.value)
+
+
+def _exact_decimal(value: Fraction) -> str:
+    """A fraction whose denominator is a power of two, written out in full."""
+    sign = "-" if value < 0 else ""
+    numerator, denominator = abs(value.numerator), value.denominator
+    places = denominator.bit_length() - 1
+    assert denominator == 1 << places
+    digits = str(numerator * 5 ** places).rjust(places + 1, "0")
+    return sign + (f"{digits[:-places]}.{digits[-places:]}" if places else digits)
+
+
+def _number_corpus(seed: int, count: int) -> list[bytes]:
+    """``count`` JSON number texts the scan reads: GPS-style ``repr``s,
+    1-decimal elevations, long mantissas, exact decimals halfway between two
+    floats (and one digit past), exponents, subnormals and integers."""
+    rng = random.Random(seed)
+
+    def gps():
+        value = rng.uniform(-180.0, 180.0)
+        return repr(round(value, rng.randint(0, 12)) if rng.random() < 0.5 else value)
+
+    def elevation():
+        return f"{rng.randint(-4000, 90000) / 10:.1f}"
+
+    def long_mantissa():
+        size = rng.randint(17, 39)
+        digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=size - 1))
+        cut = rng.randint(1, size)
+        text = digits[:cut] + (f".{digits[cut:]}" if cut < size else "")
+        return ("-" if rng.random() < 0.5 and len(text) < 40 else "") + text
+
+    def halfway():
+        while True:
+            low = rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(21, 128)
+            middle = (Fraction(low) + Fraction(float(np.nextafter(low, np.inf)))) / 2
+            text = _exact_decimal(middle if rng.random() < 0.5 else -middle)
+            if "." in text and rng.random() < 0.3:
+                text += rng.choice("19")  # just past halfway, either way
+            if len(text) <= gpx_model._MAX_NUMBER_CHARS:
+                return text
+
+    def exponent():
+        mantissa = rng.choice([f"{rng.uniform(0.0, 10.0):.{rng.randint(1, 16)}f}",
+                               str(rng.randint(1, 10 ** 17))])
+        return (f"{'-' if rng.random() < 0.5 else ''}{mantissa}{rng.choice('eE')}"
+                f"{rng.choice(['', '+', '-'])}{rng.randint(0, 290)}")
+
+    def subnormal():
+        value = struct.unpack("<d", struct.pack("<Q", rng.randint(1, (1 << 52) - 1)))[0]
+        return repr(value) if rng.random() < 0.5 else _exact_decimal(Fraction(value))[:40]
+
+    def integer():
+        return str(rng.choice([rng.randint(0, 9999), rng.randint(0, 2 ** 64),
+                               rng.randint(0, 10 ** 39), -rng.randint(1, 2 ** 63)]))
+
+    makers = [gps, elevation, long_mantissa, halfway, exponent, subnormal, integer]
+    return [rng.choice(makers)().encode() for _ in range(count)]
+
+
+def test_the_scan_reads_every_number_text_as_float_does():
+    texts = _number_corpus(305, 100_000)
+    number = re.compile(gpx_model._number(rb"$"))
+    assert all(number.fullmatch(text) for text in texts)
+    assert max(map(len, texts)) == gpx_model._MAX_NUMBER_CHARS
+    scanned = gpx_model._numbers(texts)
+    expected = np.array([float(text) for text in texts])
+    assert scanned.tobytes() == expected.tobytes()
+
+
+def _long_ride(rng: random.Random, points: int, with_ele: bool) -> bytes:
+    """A payload shaped like the benchmark's long tracks: 1-3 segments of
+    legs a few metres apart, every point timed, 1-decimal elevations on all
+    points or on none."""
+    segments = []
+    lat, lon = rng.uniform(45.0, 55.0), rng.uniform(-3.0, 12.0)
+    sizes = [points // 3] * 2 + [points - 2 * (points // 3)]
+    for size in sizes[:rng.randint(1, 3)]:
+        base = rng.uniform(300.0, 1500.0)
+        segment = line_points(lat, lon, size, rng.uniform(3.0, 6.0),
+                              bearing=rng.choice(("east", "north")), times=True,
+                              ele=(lambda i: round(base + 40.0 * math.sin(i / 60.0), 1))
+                              if with_ele else None)
+        segments.append(segment)
+        lat, lon = segment[-1][0] + 0.0005, segment[-1][1] + 0.0005
+    return gpx_xml([{"name": "Long ride", "desc": "Along the river and back.",
+                     "segments": segments}])
+
+
+@pytest.mark.parametrize("with_ele", [True, False])
+def test_every_segment_of_a_long_track_takes_the_scan(with_ele):
+    rng = random.Random(7)
+    for points in (2000, 3500):
+        payload = _long_ride(rng, points, with_ele)
+        skeleton, blocks = gpx_model._scan_blocks(payload)
+        assert len(blocks) == payload.count(b"<trkseg>") >= 1
+        assert b"<trkpt" not in skeleton
+        scanned = parsed(payload)
+        with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+            assert parsed(payload) == scanned

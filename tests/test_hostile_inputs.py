@@ -7,11 +7,13 @@ documented error types; nothing else may escape and abort a run.
 import gzip
 import io
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpx_harvest.gpx_model import GpxDocument, GpxParseError, parse_gpx
+from gpx_harvest import gpx_model
+from gpx_harvest.gpx_model import GpxDocument, GpxParseError, ParseStats, parse_gpx
 from gpx_harvest.index_scan import CandidateRecord, parse_index_line
 from gpx_harvest.pipeline import _write_rows
 from gpx_harvest.synthetic import gpx_xml, line_points, warc_response_member
@@ -92,12 +94,19 @@ _GPX_PIECES = st.sampled_from([
     "<ele>-</ele>", "<rte>", "</rte>", '<rtept lat="-91" lon="0"/>', "<desc>d</desc>",
     "<name> </name>", "<metadata><desc>m</desc></metadata>", "&amp;", "&bogus;", "<![CDATA[x]]>",
     "<?xml version='1.0' encoding='latin-1'?>", "\x00", "é",
+    # Pieces of the point blocks that parse_gpx reads without ElementTree.
+    '<?xml version="1.0" encoding="UTF-8"?>', "\n", '<trkpt lat="-0" lon="1E400">',
+    '<trkpt lat="01.5" lon="7">', "<time>2024-03-01T09:00:00Z</time>", "<ele>-0</ele>",
+    '<trkseg><trkpt lat="50.1" lon="6.2"><ele>12.5</ele></trkpt></trkseg>',
+    '<trkseg gpx-harvest-block="0"></trkseg>', "<?pi x?>",
 ])
 
 
 @st.composite
 def _mutated_gpx(draw):
-    """A valid GPX document with a slice cut out or a few bytes overwritten."""
+    """A valid GPX document with a slice cut out or a few bytes overwritten.
+    ``gpx_xml`` writes its segments as the point blocks that parse_gpx reads
+    without ElementTree."""
     payload = bytearray(gpx_xml([{"name": "t", "desc": "d",
                                   "segments": [line_points(50.0, 6.0, 5, 50.0, ele=1.0)]}]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -110,14 +119,36 @@ def _mutated_gpx(draw):
     return bytes(payload)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
+_GPX_PAYLOADS = st.one_of(
     st.binary(max_size=300),
     st.lists(_GPX_PIECES, max_size=30).map(lambda p: "".join(p).encode("utf-8")),
     _mutated_gpx(),
-))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GPX_PAYLOADS)
 def test_parse_gpx_returns_a_document_or_a_parse_error(payload):
     try:
         assert isinstance(parse_gpx(payload, "http://a.example/t.gpx"), GpxDocument)
     except GpxParseError:
         pass
+
+
+def _outcome(payload):
+    """The tracks and stats parse_gpx reads from ``payload``, or its error text."""
+    stats = ParseStats()
+    try:
+        doc = parse_gpx(payload, "http://a.example/t.gpx", stats)
+    except GpxParseError as exc:
+        return str(exc)
+    return [(track.lat.tobytes(), track.lon.tobytes(), track.ele.tobytes(),
+             track.segment_lengths, track.desc) for track in doc.tracks], vars(stats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GPX_PAYLOADS)
+def test_parse_gpx_reads_damaged_payloads_the_same_without_the_point_block_scan(payload):
+    scanned = _outcome(payload)
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        assert _outcome(payload) == scanned

@@ -971,6 +971,17 @@ DAMAGED_FIELDS = {
                             "record property 'warc_offset' must be an int >= 0, not [1]"),
     "desc-en-null": ("export", _record_with(desc_en=None),
                      "record property 'desc_en' must be a string, not None"),
+    # The capture and description fields that metrics copies into a record.
+    "capture-offset-as-list": ("metrics", {"warc_offset": [1]},
+                               "field 'warc_offset' must be an int >= 0, not [1]"),
+    "capture-length-negative": ("metrics", {"warc_len": -1},
+                                "field 'warc_len' must be an int >= 0, not -1"),
+    "capture-file-as-number": ("metrics", {"warc_file": 5},
+                               "field 'warc_file' must be a string, not 5"),
+    "language-as-number": ("metrics", {"desc_lang": 7},
+                           "field 'desc_lang' must be a string, not 7"),
+    "translation-null": ("metrics", {"desc_en": None},
+                         "field 'desc_en' must be a string, not None"),
 }
 
 
@@ -1125,8 +1136,8 @@ def _nested(depth):
 @pytest.mark.parametrize("stage, name, field", [
     ("parse", "fetched.jsonl", "extra"),
     ("enrich", "parsed.jsonl", "warc_file"),
-    ("metrics", "enriched.jsonl", "desc_en"),
-], ids=["extra-field", "capture-field", "record-field"])
+    ("metrics", "enriched.jsonl", "crawl_id"),
+], ids=["extra-field", "capture-field", "final-row-field"])
 def test_a_row_field_nested_too_deep_to_write_is_one_error_line(crawl, tmp_path, capsys, stage,
                                                                name, field):
     # Each stage copies the field from its input row to its output row unchecked.

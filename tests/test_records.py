@@ -399,29 +399,26 @@ def _records(draw):
     return drawn, [[list(point) for point in points] for points in segments]
 
 
-# Characters that csv writes as Python 3.11 does only on some versions: 3.10
-# refuses a NUL, and 3.13 quotes a CR.  To 3.11's csv both are ordinary
-# characters, so the reference hands csv an unused ordinary character in
-# their place and puts them back, which gives 3.11's bytes on every version.
-_VERSION_DEPENDENT = ("\x00", "\r")
-
-
+# Python 3.10's csv refuses a NUL, so the reference hands csv an unused
+# ordinary character in its place and puts the NUL back.  A CR is quoted as
+# Python 3.13 quotes it: with "\r\n" as the line terminator every version's
+# csv quotes a field holding a CR or a LF, and each row's terminator is then
+# cut back to "\n".  Both give 3.13's bytes on every version.
 def reference_csv(records):
-    """``tracks.csv`` as ``csv.DictWriter`` writes the records' properties on
-    Python 3.11."""
+    """``tracks.csv`` as ``csv.writer`` writes the records' properties on
+    Python 3.13."""
     rows = [record_properties(one) for one in records]
     used = {char for row in rows for value in row.values() if type(value) is str
             for char in value}
-    spare = (chr(code) for code in range(0xE000, 0xF900) if chr(code) not in used)
-    stand_ins = {char: next(spare) for char in _VERSION_DEPENDENT}
-    hide = str.maketrans(stand_ins)
-    handle = io.StringIO(newline="")
-    writer = csv.DictWriter(handle, fieldnames=list(SCALAR_PROPERTIES), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows({name: value.translate(hide) if type(value) is str else value
-                      for name, value in row.items()} for row in rows)
-    restore = str.maketrans({stand_in: char for char, stand_in in stand_ins.items()})
-    return handle.getvalue().translate(restore).encode("utf-8")
+    stand_in = next(chr(code) for code in range(0xE000, 0xF900) if chr(code) not in used)
+    lines = []
+    for values in [list(SCALAR_PROPERTIES), *(row.values() for row in rows)]:
+        handle = io.StringIO(newline="")
+        csv.writer(handle, lineterminator="\r\n").writerow(
+            value.replace("\x00", stand_in) if type(value) is str else value
+            for value in values)
+        lines.append(handle.getvalue().removesuffix("\r\n").replace(stand_in, "\x00") + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 def _edge_records():
@@ -449,3 +446,15 @@ def test_export_bytes_equal_the_dict_based_encoding(drawn):
         assert paths["jsonl"].read_bytes() == jsonl.encode("utf-8")
         assert paths["csv"].read_bytes() == reference_csv([one for one, _ in drawn])
 
+
+
+def test_a_url_holding_a_cr_reads_back_from_the_csv_as_one_row(tmp_path):
+    # An index URL may hold a CR; unquoted, a CSV reader would split its row.
+    url = "http://a.example/x\r.gpx"
+    paths = export_records([record(two_segment_track(), url=url)], tmp_path)
+    with open(paths["csv"], encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) == 2
+    assert rows[0] == list(SCALAR_PROPERTIES)
+    assert rows[1][0] == url
+    assert paths["csv"].read_bytes().split(b"\n")[1].startswith(b'"http://a.example/x\r.gpx",')
