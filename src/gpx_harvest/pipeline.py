@@ -28,18 +28,8 @@ otherwise trigger collections that walk them over and over; none of those
 objects forms a reference cycle, so reference counting frees them all when
 the work returns, and a cycle made inside the work waits one key at most.
 
-Every stage names the row fields it reads, and ``read_jsonl`` stops it at
-the first row that lacks one, or where one holds the wrong type or range
-(``_ROW_FIELDS``: offsets and lengths are ints >= 0, digests strings, and so
-on), with an error naming the file, the line, the field and the stage to run
-again.  The capture's ``warc_*`` fields and the description's language and
-translation, which metrics copies into a record, are among them, so a bad
-one stops metrics and names enrich as the stage to run again.  Fetch checks
-a candidate row itself (``_candidate``): it stops at any other field, or at
-a value of the wrong type or out of range.  Export stops at a
-record that lacks one of the 16 properties or holds one of the wrong type or
-range (``_RECORD_PROPERTIES``: strings, counts, numbers and a bool), so that
-no value reaches the exports unchecked.
+What a row of each stage file holds is declared once, in ``ROW_TABLES``;
+``read_jsonl`` checks every row whole against its file's table.
 
 Each stage row is one compact JSON object per line, encoded by
 ``orjson.dumps`` and decoded by ``orjson.loads``: UTF-8, no spaces, integers
@@ -98,7 +88,6 @@ import math
 import os
 import reprlib
 import time
-import typing
 import zlib
 from collections import Counter
 from contextlib import ExitStack, closing
@@ -201,10 +190,9 @@ def write_json_atomic(path: Path, obj) -> None:
 
 
 def _write_rows(handle: BinaryIO, rows: Iterable[dict], stage: str) -> None:
-    """Write each row as one JSON line.  Parse, enrich and metrics copy fields
-    of their input rows unchecked, and orjson refuses some values that
-    ``json.dumps`` writes (more than 255 levels of nesting, a lone surrogate),
-    so a row it refuses is a PipelineError."""
+    """Write each row as one JSON line.  orjson refuses some values that
+    ``json.dumps`` writes (a lone surrogate, more than 255 levels of
+    nesting), so a row it refuses is a PipelineError."""
     for row in rows:
         try:
             line = orjson.dumps(row, option=orjson.OPT_APPEND_NEWLINE)
@@ -213,44 +201,105 @@ def _write_rows(handle: BinaryIO, rows: Iterable[dict], stage: str) -> None:
         handle.write(line)
 
 
-def _is_count(value) -> bool:
-    # bool is an int subclass, but true/false is no count.
-    return type(value) is int and value >= 0
+@dataclass(frozen=True)
+class Kind:
+    """What one key of a stage row holds, and the words an error uses for it."""
+
+    accepts: Callable[[Any], bool]
+    words: str
 
 
-def _is_lengths(value) -> bool:
-    return (type(value) is list and bool(value)
-            and all(type(length) is int and length > 0 for length in value))
+class RowTable:
+    """Every key an object of a stage file holds, in the order its writer
+    writes them, and each key's kind: a ``Kind``, or a ``RowTable`` for an
+    object inside the row.  The check list is built once."""
+
+    words = "an object"
+
+    def __init__(self, kinds: dict[str, Kind | RowTable]) -> None:
+        self.kinds = kinds
+        self._checks = tuple((name, kind.accepts) for name, kind in kinds.items())
+
+    def accepts(self, row) -> bool:
+        """Whether ``row`` is an object of exactly this table's keys, each of its kind."""
+        if type(row) is not dict or row.keys() != self.kinds.keys():
+            return False
+        for name, accepts in self._checks:
+            if not accepts(row[name]):
+                return False
+        return True
+
+    def refusal(self, row: dict, owner: str | None = None) -> str:
+        """Why ``accepts`` refuses ``row``, an object: the first key it lacks, in
+        table order, its other keys, or its first value of the wrong kind.
+        ``owner`` is the key of the row that holds ``row``, if any."""
+        if missing := next((name for name in self.kinds if name not in row), None):
+            return f"{owner} has no property {missing!r}" if owner else f"has no field {missing!r}"
+        if extra := sorted(row.keys() - self.kinds.keys()):
+            problem = (f"{owner} has unexpected properties {extra}" if owner
+                       else f"unexpected fields {extra}")
+        else:
+            name, kind = next((name, kind) for name, kind in self.kinds.items()
+                              if not kind.accepts(row[name]))
+            value = row[name]
+            if isinstance(kind, RowTable) and type(value) is dict:
+                problem = kind.refusal(value, owner=name)
+            else:
+                key = f"{owner} property {name!r}" if owner else f"field {name!r}"
+                problem = f"{key} must be {kind.words}, not {reprlib.repr(value)}"
+        return problem if owner else f"is not a valid row ({problem})"
 
 
-_COUNT = (_is_count, "an int >= 0")
-_STRING = (lambda value: type(value) is str, "a string")
+_STRING = Kind(lambda value: type(value) is str, "a string")
+# bool is an int subclass, but true/false is no count.
+_COUNT = Kind(lambda value: type(value) is int and value >= 0, "an int >= 0")
+_BOOL = Kind(lambda value: type(value) is bool, "a bool")
+# type(), not isinstance: true/false is no number.
+_NUMBER = Kind(lambda value: type(value) in (int, float), "a number")
+_STRING_OR_NULL = Kind(lambda value: value is None or type(value) is str, "a string or null")
+_LENGTHS = Kind(lambda value: type(value) is list and bool(value) and all(
+    type(length) is int and length > 0 for length in value), "a non-empty list of ints > 0")
 
-# What a stage row's field must hold, by name, wherever a stage reads it, and
-# the words an error uses for it.  Only types and ranges: every row is checked.
-_ROW_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
-    **dict.fromkeys(("payload_offset", "payload_length", "track_offset", "geometry_offset",
-                     "geometry_length", "warc_offset", "warc_len"), _COUNT),
-    **dict.fromkeys(("url", "crawl_id", "content_hash", "track_sha256", "geometry_sha256",
-                     "warc_file", "desc_lang", "desc_en"), _STRING),
-    "desc": (lambda value: value is None or type(value) is str, "a string or null"),
-    "segment_lengths": (_is_lengths, "a non-empty list of ints > 0"),
-    "record": (lambda value: type(value) is dict, "an object"),
-}
+# A fetched, parsed or enriched row holds the row its stage read: ``{**row, **fields}``.
+_CANDIDATE_ROW = {"url": _STRING, "mime_detected": _STRING, "warc_file": _STRING,
+                  "warc_offset": _COUNT, "warc_len": _COUNT, "crawl_id": _STRING}
+_FETCHED_ROW = {**_CANDIDATE_ROW, "content_hash": _STRING, "payload_offset": _COUNT,
+                "payload_length": _COUNT}
+_PARSED_ROW = {**_FETCHED_ROW, "desc": _STRING_OR_NULL, "track_offset": _COUNT,
+               "segment_lengths": _LENGTHS, "track_sha256": _STRING}
+# Enrich keeps a row only with a description, cleaned in place.
+_ENRICHED_ROW = {**_PARSED_ROW, "desc": _STRING, "desc_lang": _STRING, "desc_en": _STRING,
+                 "pii_flags": RowTable(dict.fromkeys(("email", "url", "phone"), _BOOL))}
+# A record holds the 16 ``SCALAR_PROPERTIES``, which export writes as they are.
+_RECORD = {"url": _STRING, "warc_file": _STRING, "warc_offset": _COUNT, "warc_len": _COUNT,
+           "country": _STRING, "desc": _STRING, "desc_lang": _STRING, "desc_en": _STRING,
+           "elev_source": _STRING, **dict.fromkeys(ROUNDED_PROPERTIES, _NUMBER),
+           "is_circular": _BOOL}
+
+# The one table of each stage file of rows: a row read from it must hold
+# exactly these keys, each of its kind, or the stage reading it stops.
+ROW_TABLES = {name: RowTable(kinds) for name, kinds in {
+    "candidates.jsonl": _CANDIDATE_ROW,
+    "fetched.jsonl": _FETCHED_ROW,
+    "fetch_failures.jsonl": {"url": _STRING, "reason": _STRING},
+    "parsed.jsonl": _PARSED_ROW,
+    "enriched.jsonl": _ENRICHED_ROW,
+    "final.jsonl": {"url": _STRING, "crawl_id": _STRING, "content_hash": _STRING,
+                    "record": RowTable(_RECORD), "geometry_offset": _COUNT,
+                    "geometry_length": _COUNT, "geometry_sha256": _STRING},
+}.items()}
 
 
-def read_jsonl(path: Path, stage: str, fields: tuple[str, ...],
-               convert: Callable[[dict], Any] | None = None,
-               kinds: dict[str, tuple[Callable[[Any], bool], str]] = _ROW_FIELDS) -> Iterator:
-    """``path``'s rows, read as iterated; a line that is no JSON object, one
-    that lacks one of ``fields``, or one where a field of ``fields`` that
-    ``kinds`` names holds the wrong type or range, is a PipelineError.
-    With ``convert``, each row is yielded as ``convert(row)``, and a row it
-    refuses with a TypeError or ValueError is a PipelineError too."""
+def read_jsonl(path: Path, stage: str, convert: Callable[[dict], Any] | None = None) -> Iterator:
+    """``path``'s rows, read as iterated; a line that is no JSON object, or a
+    row that its file's table in ``ROW_TABLES`` refuses, is a PipelineError
+    naming the file, the line and the stage to run again.  With ``convert``,
+    each row is yielded as ``convert(row)``, and a row it refuses with a
+    TypeError or ValueError is a PipelineError too."""
     if not path.exists():
         raise PipelineError(f"stage {stage}: missing input {path}")
     writer = STAGES[STAGES.index(stage) - 1]
-    checks = [(name, *kinds[name]) for name in fields if name in kinds]
+    table = ROW_TABLES[path.name]
 
     def rows() -> Iterator[dict]:
         # Decoded line by line, so that a line that is not UTF-8, or not JSON
@@ -263,18 +312,11 @@ def read_jsonl(path: Path, stage: str, fields: tuple[str, ...],
                     row = orjson.loads(line)
                 except orjson.JSONDecodeError:
                     row = None
-                if not isinstance(row, dict):
-                    raise PipelineError(f"stage {stage}: {path} line {number} is not a JSON "
-                                        f"object; run {writer} again")
-                for name in fields:
-                    if name not in row:
-                        raise PipelineError(f"stage {stage}: {path} line {number} has no "
-                                            f"field {name!r}; run {writer} again")
-                for name, accepts, kind in checks:
-                    if not accepts(row[name]):
-                        raise PipelineError(f"stage {stage}: {path} line {number} is not a "
-                                            f"valid row (field {name!r} must be {kind}, not "
-                                            f"{reprlib.repr(row[name])}); run {writer} again")
+                if not table.accepts(row):
+                    problem = (table.refusal(row) if type(row) is dict
+                               else "is not a JSON object")
+                    raise PipelineError(f"stage {stage}: {path} line {number} {problem}; "
+                                        f"run {writer} again")
                 if convert is not None:
                     try:
                         row = convert(row)
@@ -396,25 +438,9 @@ def _shard_lines(shard: str) -> Iterator[str]:
         raise PipelineError(f"stage index: cannot read shard {shard}: {exc}") from exc
 
 
-_CANDIDATE_TYPES = typing.get_type_hints(CandidateRecord)
-
-
-def _candidate(row: dict) -> CandidateRecord:
-    """The candidate a ``candidates.jsonl`` row holds: exactly the fields of a
-    ``CandidateRecord``, each of its type, with values it accepts."""
-    if extra := sorted(row.keys() - _CANDIDATE_TYPES.keys()):
-        raise ValueError(f"unexpected fields {extra}")
-    for name, kind in _CANDIDATE_TYPES.items():
-        if type(row[name]) is not kind:
-            raise TypeError(f"field {name!r} must be {kind.__name__}, "
-                            f"not {type(row[name]).__name__}")
-    return CandidateRecord(**row)
-
-
 def stage_fetch(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    # ``_candidate`` checks each field's exact type and CandidateRecord its range.
-    candidates = read_jsonl(paths.candidates, "fetch", tuple(_CANDIDATE_TYPES), _candidate,
-                            kinds={})
+    # CandidateRecord checks what the table does not: the URL and the ranges' bounds.
+    candidates = read_jsonl(paths.candidates, "fetch", lambda row: CandidateRecord(**row))
     transport = (FixtureTransport(cfg.fixture_dir) if cfg.fixture_dir
                  else HttpRangeTransport())
 
@@ -487,8 +513,7 @@ def _kept_rows(report: StageReport, rows: Iterable[dict], key: Callable[[dict], 
 
 
 def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = read_jsonl(paths.fetched, "parse",
-                      ("url", "content_hash", "payload_offset", "payload_length"))
+    rows = read_jsonl(paths.fetched, "parse")
     report = StageReport("parse", info=vars(ParseStats()))
 
     def parse_one(row: dict) -> tuple[str | None, dict | None, dict]:
@@ -590,7 +615,7 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         return row["desc"] or ""
 
     # A first pass counts the rows of each text; the second writes the kept rows.
-    rows_per_text = Counter(map(desc_text, read_jsonl(paths.parsed, "enrich", ("desc",))))
+    rows_per_text = Counter(map(desc_text, read_jsonl(paths.parsed, "enrich")))
     report = StageReport("enrich")
 
     judge = _build_judge(cfg)
@@ -636,7 +661,7 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
     with atomic_files((paths.enriched, "wb")) as (enriched,):
         _write_rows(enriched, ({**row, **fields} for row, fields in _kept_rows(
-            report, read_jsonl(paths.parsed, "enrich", ("desc",)), desc_text, enrich_one)),
+            report, read_jsonl(paths.parsed, "enrich"), desc_text, enrich_one)),
                     "enrich")
 
     report.info = {"languages": {lang: languages[lang] for lang in sorted(common)}}
@@ -644,9 +669,7 @@ def stage_enrich(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 
 
 def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = read_jsonl(paths.enriched, "metrics",
-                      ("url", "content_hash", "warc_file", "warc_offset", "warc_len", "desc",
-                       "desc_lang", "desc_en", "track_offset", "segment_lengths", "track_sha256"))
+    rows = read_jsonl(paths.enriched, "metrics")
     report = StageReport("metrics")
 
     tiles = TileStore(cfg.srtm_dir) if cfg.srtm_dir else TileStore(Path(os.devnull))
@@ -699,43 +722,15 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         for row, (record, location) in _kept_rows(report, rows, itemgetter("content_hash"),
                                                   metrics_one):
             capture = {name: row[name] for name in ("url", "warc_file", "warc_offset", "warc_len")}
-            _write_rows(final, [{"url": row["url"], "crawl_id": row.get("crawl_id", ""),
+            _write_rows(final, [{"url": row["url"], "crawl_id": row["crawl_id"],
                                  "content_hash": row["content_hash"],
                                  "record": {**record, **capture}, **location}], "metrics")
 
     return _finish_stage(cfg, paths, report)
 
 
-# What each property of a ``final.jsonl`` record must hold, in
-# ``SCALAR_PROPERTIES`` order, and the words an error uses for it.  Export
-# writes every value as it is, so each is checked here.
-_RECORD_PROPERTIES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "url": _STRING, "warc_file": _STRING, "warc_offset": _COUNT, "warc_len": _COUNT,
-    "country": _STRING, "desc": _STRING, "desc_lang": _STRING, "desc_en": _STRING,
-    "elev_source": _STRING,
-    # type(), not isinstance: true/false is no number.
-    **dict.fromkeys(ROUNDED_PROPERTIES, (lambda value: type(value) in (int, float), "a number")),
-    "is_circular": (lambda value: type(value) is bool, "a bool"),
-}
-
-
-def _final_row(row: dict) -> dict:
-    """A ``final.jsonl`` row whose record holds every property export writes,
-    each of the type and range ``_RECORD_PROPERTIES`` names."""
-    record = row["record"]
-    for name, (valid, words) in _RECORD_PROPERTIES.items():
-        if name not in record:
-            raise ValueError(f"record has no property {name!r}")
-        if not valid(record[name]):
-            raise TypeError(f"record property {name!r} must be {words}, "
-                            f"not {reprlib.repr(record[name])}")
-    return row
-
-
 def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
-    rows = list(read_jsonl(paths.final, "export",
-                           ("url", "content_hash", "crawl_id", "record", "geometry_offset",
-                            "geometry_length", "geometry_sha256"), _final_row))
+    rows = list(read_jsonl(paths.final, "export"))
     report = StageReport("export")
     report.inputs = len(rows)
 

@@ -17,7 +17,7 @@ from gpx_harvest import pipeline as pipeline_module
 from gpx_harvest import records as records_module
 from gpx_harvest.cli import main
 from gpx_harvest.config import FilterConfig, PipelineConfig, load_config
-from gpx_harvest.pipeline import (STAGES, PipelineError, PipelinePaths, read_jsonl,
+from gpx_harvest.pipeline import (ROW_TABLES, STAGES, PipelineError, PipelinePaths, read_jsonl,
                                   run_pipeline, write_json_atomic)
 from gpx_harvest.synthetic import build_demo_crawl, write_index_shard
 from gpx_harvest.warc_fetch import FetchPolicy, FixtureTransport, RateLimiter
@@ -940,9 +940,13 @@ def _record_with(**change):
 # copy repeats its original's content hash and text, so it is caught where it
 # is read, not where its key's work runs.
 DAMAGED_FIELDS = {
-    "bad-value": ("fetch", {"warc_offset": -1}, "warc_offset must be >= 0, got -1"),
+    "bad-value": ("fetch", {"warc_offset": -1},
+                  "field 'warc_offset' must be an int >= 0, not -1"),
     "extra-key": ("fetch", {"extra": 1}, "unexpected fields ['extra']"),
-    "wrong-type": ("fetch", {"warc_offset": "12"}, "field 'warc_offset' must be int, not str"),
+    "wrong-type": ("fetch", {"warc_offset": "12"},
+                   "field 'warc_offset' must be an int >= 0, not '12'"),
+    # A value of its kind that ``CandidateRecord`` refuses.
+    "zero-length": ("fetch", {"warc_len": 0}, "warc_len must be > 0, got 0"),
     "offset-as-text": ("parse", {"payload_offset": "12"},
                        "field 'payload_offset' must be an int >= 0, not '12'"),
     "negative-length": ("parse", {"payload_length": -5},
@@ -982,6 +986,23 @@ DAMAGED_FIELDS = {
                            "field 'desc_lang' must be a string, not 7"),
     "translation-null": ("metrics", {"desc_en": None},
                          "field 'desc_en' must be a string, not None"),
+    # Fields metrics copies into a final row, and enrich's own.
+    "enriched-desc-null": ("metrics", {"desc": None}, "field 'desc' must be a string, not None"),
+    "enriched-crawl-id-as-list": ("metrics", {"crawl_id": [1]},
+                                  "field 'crawl_id' must be a string, not [1]"),
+    "enriched-mime-null": ("metrics", {"mime_detected": None},
+                           "field 'mime_detected' must be a string, not None"),
+    "pii-flags-as-number": ("metrics", {"pii_flags": 5},
+                            "field 'pii_flags' must be an object, not 5"),
+    "pii-flag-as-number": ("metrics", {"pii_flags": {"email": 1, "url": False, "phone": False}},
+                           "pii_flags property 'email' must be a bool, not 1"),
+    # A key no table holds, in every file after candidates.jsonl.
+    "fetched-extra-key": ("parse", {"extra": 1}, "unexpected fields ['extra']"),
+    "parsed-extra-key": ("enrich", {"extra": 1}, "unexpected fields ['extra']"),
+    "enriched-extra-key": ("metrics", {"extra": 1}, "unexpected fields ['extra']"),
+    "final-extra-key": ("export", {"extra": 1}, "unexpected fields ['extra']"),
+    "record-extra-property": ("export", _record_with(extra=1),
+                              "record has unexpected properties ['extra']"),
 }
 
 
@@ -1013,9 +1034,9 @@ def test_cli_reports_a_damaged_stage_row_on_one_line(crawl, tmp_path, capsys, st
     assert "Traceback" not in err
     writer = STAGES[STAGES.index(stage) - 1]
     if damage == "missing-field":
-        # The first field, in the order the stage names them, that the row lacks.
-        missing = {"fetch": "mime_detected", "parse": "content_hash", "enrich": "desc",
-                   "metrics": "content_hash", "export": "content_hash"}[stage]
+        # The first key, in the order of its file's table, that the row lacks.
+        missing = {"fetch": "mime_detected", "parse": "mime_detected", "enrich": "mime_detected",
+                   "metrics": "mime_detected", "export": "crawl_id"}[stage]
         problem = f"has no field {missing!r}"
     elif damage in DAMAGED_ROWS:
         problem = "is not a JSON object"
@@ -1058,6 +1079,43 @@ def test_every_stage_row_decodes_the_same_with_orjson_and_json(crawl, tmp_path):
     assert lines > 0
 
 
+def test_every_row_a_stage_writes_holds_exactly_its_files_table(crawl, tmp_path):
+    # A writer that drifts from its file's table fails here, not in the stage
+    # that reads its rows.  A copy of a candidate pointing past the end of its
+    # WARC file makes fetch write a failure row too.
+    cfg = run_config(crawl, tmp_path, "w")
+    run_pipeline(cfg, stages=["index"])
+    candidates = PipelinePaths(workdir=cfg.workdir).candidates
+    first = json.loads(candidates.read_bytes().splitlines()[0])
+    with open(candidates, "ab") as handle:
+        handle.write(json.dumps({**first, "warc_offset": 10_000_000}).encode() + b"\n")
+    assert run_pipeline(cfg, stages=list(STAGES[1:])).failures() == 1
+    for name in ROW_FILES:
+        table = ROW_TABLES[name]
+        rows = [orjson.loads(line) for line in (cfg.workdir / name).read_bytes().splitlines()]
+        assert rows, name
+        for row in rows:
+            assert list(row) == list(table.kinds), name
+            assert table.accepts(row), (name, table.refusal(row))
+
+
+def test_the_readme_lists_the_keys_of_every_stage_file_table():
+    # Each row of README's "Stage files" table: the file (and the key of an
+    # object inside its rows), the writer, and the keys in table order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n### Stage files\n", 1)[1].split("\n#", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            where, _, keys = line.strip("| ").split(" | ")
+            listed[tuple(re.findall(r"`([^`]+)`", where))] = re.findall(r"`([^`]+)`", keys)
+    tables = {(name,): table for name, table in ROW_TABLES.items()}
+    tables.update({(name, key): kind for (name,), table in list(tables.items())
+                   for key, kind in table.kinds.items()
+                   if isinstance(kind, pipeline_module.RowTable)})
+    assert listed == {where: list(table.kinds) for where, table in tables.items()}
+
+
 def test_rows_written_by_json_dumps_read_back_equal_and_export_the_same(crawl, tmp_path):
     # A work directory written before rows were compact: each stage reads its
     # input rewritten in json.dumps's spacing and writes the same manifest as
@@ -1068,11 +1126,11 @@ def test_rows_written_by_json_dumps_read_back_equal_and_export_the_same(crawl, t
     run_pipeline(cfg)
     for stage, name in STAGE_INPUTS:
         path = cfg.workdir / name
-        rows = list(read_jsonl(path, stage, ()))
+        rows = list(read_jsonl(path, stage))
         path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
                         "utf-8")
         assert path.read_bytes() != (fresh.workdir / name).read_bytes()
-        assert list(read_jsonl(path, stage, ())) == rows
+        assert list(read_jsonl(path, stage)) == rows
         assert main([stage, "--config", str(crawl.config), "--workdir", str(cfg.workdir)]) == 0
         manifest = PipelinePaths(workdir=cfg.workdir).manifest(stage).read_bytes()
         assert manifest == PipelinePaths(workdir=fresh.workdir).manifest(stage).read_bytes()
@@ -1096,7 +1154,8 @@ def _refusing_beyond_64_bits(data):
 
 @pytest.mark.parametrize("decoding", ["installed", "as-float", "refused"])
 @pytest.mark.parametrize("stage, name, field, as_float", [
-    ("fetch", "candidates.jsonl", "warc_offset", "field 'warc_offset' must be int, not float"),
+    ("fetch", "candidates.jsonl", "warc_offset",
+     "field 'warc_offset' must be an int >= 0, not 1.8446744073709552e+19"),
     ("parse", "fetched.jsonl", "payload_offset",
      "field 'payload_offset' must be an int >= 0, not 1.8446744073709552e+19"),
 ], ids=["candidate", "fetched"])
@@ -1133,14 +1192,17 @@ def _nested(depth):
     return json.loads("[" * depth + "]" * depth)
 
 
-@pytest.mark.parametrize("stage, name, field", [
-    ("parse", "fetched.jsonl", "extra"),
-    ("enrich", "parsed.jsonl", "warc_file"),
-    ("metrics", "enriched.jsonl", "crawl_id"),
+@pytest.mark.parametrize("stage, name, field, problem", [
+    ("parse", "fetched.jsonl", "extra", "unexpected fields ['extra']"),
+    ("enrich", "parsed.jsonl", "warc_file",
+     "field 'warc_file' must be a string, not [[[[[[[...]]]]]]]"),
+    ("metrics", "enriched.jsonl", "crawl_id",
+     "field 'crawl_id' must be a string, not [[[[[[[...]]]]]]]"),
 ], ids=["extra-field", "capture-field", "final-row-field"])
 def test_a_row_field_nested_too_deep_to_write_is_one_error_line(crawl, tmp_path, capsys, stage,
-                                                               name, field):
-    # Each stage copies the field from its input row to its output row unchecked.
+                                                               name, field, problem):
+    # Each stage would copy the field into its output row, which orjson cannot
+    # write; the stage's table refuses it where the row is read.
     workdir = tmp_path / "w"
     assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
     path = workdir / name
@@ -1152,8 +1214,9 @@ def test_a_row_field_nested_too_deep_to_write_is_one_error_line(crawl, tmp_path,
     code = main([stage, "--config", str(crawl.config), "--workdir", str(workdir)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: stage {stage}: cannot write a row: ")
-    assert err.count("\n") == 1
+    writer = STAGES[STAGES.index(stage) - 1]
+    assert err == (f"error: stage {stage}: {path} line 1 is not a valid row ({problem}); "
+                   f"run {writer} again\n")
 
 
 def test_an_index_line_with_a_lone_surrogate_is_malformed_and_the_run_completes(crawl, tmp_path):

@@ -134,11 +134,15 @@ def test_parse_stage_asks_for_fetch_again_on_rows_without_a_payload_file(tmp_pat
 
 
 def seed_parsed(paths, descs):
+    """Write a parsed.jsonl of whole rows, one per description; enrich never
+    reads the payloads or tracks they point at."""
     rows = []
     for i, desc in enumerate(descs):
         rows.append({"url": f"http://t.example/{i}.gpx", "mime_detected": "",
                      "warc_file": "w.warc.gz", "warc_offset": 0, "warc_len": 9,
-                     "crawl_id": "c", "content_hash": f"h{i}", "desc": desc})
+                     "crawl_id": "c", "content_hash": f"h{i}", "payload_offset": 0,
+                     "payload_length": 9, "desc": desc, "track_offset": 0,
+                     "segment_lengths": [2], "track_sha256": f"t{i}"})
     write_rows(paths.parsed, rows)
     return rows
 
