@@ -15,17 +15,23 @@ elements whose whole body is points of one strict form, ``<trkpt lat="N"
 lon="N">``, an optional ``<ele>N</ele>``, an optional ``<time>`` of ASCII
 letters, digits and ``:.+-``, and ``</trkpt>``, with only spaces, tabs and
 line breaks between tags, and ``<ele>`` on every point of the block or on
-none.  Each block's lat, lon and ele texts are read by one ``orjson.loads``
-per axis, and ElementTree parses only the skeleton left when each block's
-body is cut out and its ``<trkseg>`` tagged with the block's index.
+none.  Each block's lat and lon texts are read by one ``orjson.loads`` and
+its ele texts by another, and ElementTree parses only the skeleton left
+when each block's body is cut out and its ``<trkseg>`` tagged with the
+block's index.
 
 The scan is exact, giving the same tracks, stats and errors as the tree
 readers, so it applies only where the bytes leave no room for doubt:
-the payload may start with ``<?xml version="1.x" encoding="UTF-8"?>`` and
-holds no other ``<?``, no ``<!`` (comment, CDATA or DOCTYPE), no NUL, no
-byte-order mark and not the tag's attribute name, so every literal
-``<trkseg>`` is a tag of a UTF-8 document and every point's text is as
-written; each number is a JSON number of at most ``_MAX_NUMBER_CHARS``
+the payload starts with no byte-order mark, may start with ``<?xml
+version="1.x" encoding="UTF-8"?>``, and outside the blocks it cuts holds no
+other ``<?``, no ``<!`` (comment, CDATA or DOCTYPE), no NUL and not the
+tag's attribute name.  Searching only outside the blocks is exact: a body
+of the block form holds no NUL, ``!`` or ``?``, and the attribute name
+could sit only in a ``<time>`` text, which the scan discards.  The bytes
+up to each ``<trkseg>`` are searched before its body is matched, so a
+``<!DOCTYPE`` declines the scan before any block is read.  So every
+literal ``<trkseg>`` is a tag of a UTF-8 document and every point's text
+is as written; each number is a JSON number of at most ``_MAX_NUMBER_CHARS``
 characters other than a bare ``-0`` (which orjson reads as the int 0), so
 orjson reads the value ``float`` reads (``tests/test_gpx_model.py`` checks a
 seeded corpus of such texts bit for bit).  A block that is not of that form
@@ -271,6 +277,10 @@ _BLOCK_WITH_ELE = _block_body(rb"<ele>" + _number(b"<") + rb"</ele>" + _SPACE)
 _BLOCK_WITHOUT_ELE = _block_body(b"")
 _ELE_TEXT = re.compile(rb"<ele>([^<]*)")
 _DECLARATION = re.compile(rb'<\?xml version="1\.[0-9]" encoding="UTF-8"\?>')
+# What the skeleton's own bytes may not hold.  None of these can straddle a
+# literal <trkseg> or the end of a block's </trkseg>, so each stretch of them
+# between two is searched on its own.
+_UNSCANNABLE = (b"\0", b"<!", b"<?", _BLOCK_ATTRIBUTE.encode())
 
 
 def _numbers(texts: list[bytes]) -> np.ndarray:
@@ -280,24 +290,34 @@ def _numbers(texts: list[bytes]) -> np.ndarray:
     return np.array(orjson.loads(b"[" + b",".join(texts) + b"]"), dtype=np.float64)
 
 
+def _unscannable(payload: bytes, start: int, end: int | None = None) -> bool:
+    """Whether ``payload[start:end]`` holds any of ``_UNSCANNABLE``."""
+    return any(payload.find(text, start, end) >= 0 for text in _UNSCANNABLE)
+
+
 def _scan_blocks(payload: bytes) -> tuple[bytes, list[_Block]] | None:
     """The skeleton of ``payload`` and the lat, lon and ele arrays of its point
     blocks, in order; None when the payload holds no block, is not one the
     scan reads exactly, or holds a number text orjson refuses.
 
     The skeleton is the payload with each block's body cut out and its
-    ``<trkseg>`` tagged with the block's index in ``_BLOCK_ATTRIBUTE``.
+    ``<trkseg>`` tagged with the block's index in ``_BLOCK_ATTRIBUTE``.  Only
+    the bytes left in the skeleton are searched for what the scan declines
+    (``_UNSCANNABLE``), each once: those up to a ``<trkseg>`` before its body
+    is matched, the rest after the last block.
     """
-    declaration = _DECLARATION.match(payload)
-    if (payload.startswith(codecs.BOM_UTF8) or b"\0" in payload or b"<!" in payload
-            or payload.find(b"<?", declaration.end() if declaration else 0) >= 0
-            or _BLOCK_ATTRIBUTE.encode() in payload):
+    if payload.startswith(codecs.BOM_UTF8):
         return None
+    declaration = _DECLARATION.match(payload)
+    checked = declaration.end() if declaration else 0
     pieces: list[bytes] = []
     blocks: list[_Block] = []
     copied = 0
     start = payload.find(b"<trkseg>")
     while start >= 0:
+        if _unscannable(payload, checked, start):
+            return None
+        checked = start
         body_start = start + len(b"<trkseg>")
         block = _BLOCK_WITH_ELE.match(payload, body_start)
         with_ele = block is not None
@@ -306,20 +326,19 @@ def _scan_blocks(payload: bytes) -> tuple[bytes, list[_Block]] | None:
             start = payload.find(b"<trkseg>", body_start)
             continue
         body = payload[body_start:block.end() - len(b"</trkseg>")]
-        # Quotes hold only the lat and lon texts, so each point is four pieces.
-        quoted = body.split(b'"')
+        # Quotes hold only the lat and lon texts, so every second piece is
+        # one, lat and lon by turns.
         try:
-            lat = _numbers(quoted[1::4])
-            lon = _numbers(quoted[3::4])
+            lat, lon = _numbers(body.split(b'"')[1::2]).reshape(-1, 2).T
             ele = (_numbers(_ELE_TEXT.findall(body)) if with_ele
                    else np.full(len(lat), np.nan))
         except ValueError:  # no JSON number (``1.``), or beyond a float (``1e400``)
             return None
         pieces += (payload[copied:start], _TAGGED_SEGMENT % len(blocks))
         blocks.append((lat, lon, ele))
-        copied = block.end()
+        copied = checked = block.end()
         start = payload.find(b"<trkseg>", copied)
-    if not blocks:
+    if not blocks or _unscannable(payload, checked):
         return None
     pieces.append(payload[copied:])
     return b"".join(pieces), blocks

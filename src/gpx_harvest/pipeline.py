@@ -553,12 +553,12 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
 class StoredFiles(ExitStack):
     """Checked reads from a file an earlier stage wrote, opened at the first read.
 
-    ``read`` returns ``size`` bytes at ``offset`` and checks them against the
-    sha256 the row recorded; a file that cannot be opened, a range past its
-    end, a short read or a digest mismatch is a ``PipelineError`` naming the
-    file.  The range is checked against the file's size before a buffer is
-    allocated, as a damaged row may claim any size.  Leaving the ``with``
-    block closes the file.
+    ``read`` returns the ``size`` bytes at ``offset`` as one ``bytes`` object
+    and checks them against the sha256 the row recorded; a file that cannot
+    be opened, a range past its end, a short read or a digest mismatch is a
+    ``PipelineError`` naming the file.  The range is checked against the
+    file's size before it is read, as a damaged row may claim any size.
+    Leaving the ``with`` block closes the file.
     """
 
     def __init__(self, path: Path, stage: str, kind: str, writer: str) -> None:
@@ -568,19 +568,18 @@ class StoredFiles(ExitStack):
         self._handle: BinaryIO | None = None
         self._size = 0
 
-    def read(self, offset: int, size: int, sha256: str) -> bytearray:
+    def read(self, offset: int, size: int, sha256: str) -> bytes:
         try:
             if self._handle is None:
                 self._handle = self.enter_context(open(self.path, "rb"))
                 self._size = os.fstat(self._handle.fileno()).st_size
             if offset + size > self._size:
                 raise PipelineError(f"{self.where} is truncated")
-            data = bytearray(size)
             self._handle.seek(offset)
-            got = self._handle.readinto(data)
+            data = self._handle.read(size)
         except OSError as exc:
             raise PipelineError(f"{self.where} cannot be read: {exc}") from exc
-        if got != size:
+        if len(data) != size:
             raise PipelineError(f"{self.where} is truncated")
         if hashlib.sha256(data).hexdigest() != sha256:
             raise PipelineError(f"{self.where} changed after {self.writer}")

@@ -63,13 +63,16 @@ def coordinates_text(track: Track, url: str) -> bytes:
     """The JSON text of the track's MultiLineString coordinates, full precision,
     as UTF-8 bytes.
 
-    The text is exactly what ``json.dumps`` writes.  When every value is
-    ±0.0 or has ``1e-4 <= |v| < 1e16``, the range where ``repr`` writes a
-    float without an exponent, orjson's shortest round-trip writer gives the
-    same digits several times faster; its ``,`` separators are widened to
-    ``json.dumps``'s ``, ``, which is exact because the text holds nothing but
-    numbers and brackets.  Any other value (a subnormal, 0.00001, an
-    elevation of 1e300) sends the whole track through ``json.dumps``.
+    The text is exactly what ``json.dumps`` writes of each segment's
+    ``[lon, lat, ele]`` lists.  When every value is ±0.0 or has
+    ``1e-4 <= |v| < 1e16``, the range where ``repr`` writes a float without
+    an exponent, orjson's shortest round-trip writer gives the same digits
+    several times faster.  orjson is handed each segment's float64
+    ``(points, 3)`` array as it is (``OPT_SERIALIZE_NUMPY``), so no Python
+    float is built; its ``,`` separators are widened to ``json.dumps``'s
+    ``, ``, which is exact because the text holds nothing but numbers and
+    brackets.  Any other value (a subnormal, 0.00001, an elevation of 1e300)
+    sends the whole track through ``json.dumps``, of lists.
 
     Every point must carry an elevation by now; one without is a
     RecordAssemblyError naming ``url``.
@@ -77,12 +80,12 @@ def coordinates_text(track: Track, url: str) -> bytes:
     if np.isnan(track.ele).any():
         raise RecordAssemblyError(f"point without elevation in {url}")
     points = np.column_stack((track.lon, track.lat, track.ele))
-    lines = ([line.tolist() for line in np.split(points, track.segment_starts())]
-             if track.segment_lengths else [])
+    # Row slices of the C-ordered points, as orjson's numpy writer requires.
+    lines = np.split(points, track.segment_starts()) if track.segment_lengths else []
     magnitudes = np.abs(points)
     if (((magnitudes >= 1e-4) & (magnitudes < 1e16)) | (points == 0)).all():
-        return orjson.dumps(lines).replace(b",", b", ")
-    return json.dumps(lines).encode()
+        return orjson.dumps(lines, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
+    return json.dumps([line.tolist() for line in lines]).encode()
 
 
 def dedup(rows: Iterable[dict], counts: dict | None = None) -> list[dict]:

@@ -357,12 +357,16 @@ def extract_payload(record: bytes) -> bytes:
     present and chunked transfer encoding is decoded.  Corrupt or truncated
     records raise PayloadDecodeError, and one decompressing to more than
     MAX_DECOMPRESSED_BYTES raises PayloadTooLargeError.
+
+    The two layers are found by offsets into the inflated record, so the body
+    is copied once, as the returned slice.
     """
     raw = _gunzip(record)
 
-    warc_head, sep, warc_content = raw.partition(b"\r\n\r\n")
-    if not sep:
+    warc_end = raw.find(b"\r\n\r\n")
+    if warc_end < 0:
         raise PayloadDecodeError("missing WARC header terminator")
+    warc_head = raw[:warc_end]
     if not warc_head.startswith(b"WARC/"):
         raise PayloadDecodeError("missing WARC version line")
     warc_headers = _parse_header_block(warc_head, "WARC")
@@ -371,17 +375,23 @@ def extract_payload(record: bytes) -> bytes:
     if warc_type.lower() != "response":
         raise WarcRecordSkippedError(f"warc record type {warc_type!r}")
 
+    # The HTTP block is raw[http_start:http_end].
+    http_start = warc_end + 4
     if "content-length" in warc_headers:
         declared = _content_length(warc_headers, "WARC")
-        if len(warc_content) < declared:
+        if len(raw) - http_start < declared:
             raise PayloadDecodeError("truncated WARC content")
-        http_block = warc_content[:declared]
+        http_end = http_start + declared
     else:
-        http_block = warc_content.rstrip(b"\r\n")
+        # The block without its trailing line breaks.  A block of nothing but
+        # line breaks ends before it starts, so no header terminator is found
+        # in it, as in an empty one.
+        http_end = len(raw.rstrip(b"\r\n"))
 
-    http_head, sep, body = http_block.partition(b"\r\n\r\n")
-    if not sep:
+    head_end = raw.find(b"\r\n\r\n", http_start, http_end)
+    if head_end < 0:
         raise PayloadDecodeError("missing HTTP header terminator")
+    http_head = raw[http_start:head_end]
     status_line = http_head.split(b"\r\n", 1)[0]
     parts = status_line.split(None, 2)
     if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
@@ -394,11 +404,12 @@ def extract_payload(record: bytes) -> bytes:
         raise WarcRecordSkippedError(f"http status {status}")
 
     http_headers = _parse_header_block(http_head, "HTTP")
+    body_start = head_end + 4
     if "chunked" in http_headers.get("transfer-encoding", "").lower():
-        return _dechunk(body)
+        return _dechunk(raw[body_start:http_end])
     if "content-length" in http_headers:
         declared = _content_length(http_headers, "HTTP")
-        if len(body) < declared:
+        if http_end - body_start < declared:
             raise PayloadDecodeError("truncated HTTP body")
-        return body[:declared]
-    return body
+        http_end = body_start + declared
+    return raw[body_start:http_end]

@@ -446,6 +446,98 @@ def test_a_block_after_the_root_fails_with_the_tree_readers_error():
     assert "junk after document element" in str(tree.value)
 
 
+def parsed_or_error(payload):
+    """``parsed(payload)``, or the text of the GpxParseError it raises."""
+    try:
+        return parsed(payload)
+    except GpxParseError as exc:
+        return str(exc)
+
+
+def two_block_document(before="", between="", after="", after_root=""):
+    """A one-track document of two point blocks, with text put before the
+    first, between them, after the last and after the root element."""
+    return (f'<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<gpx version="1.1" xmlns="http://www.topografix.com/GPX/1/1"><trk><desc>Loop</desc>'
+            f'{before}<trkseg>{_BLOCK_POINTS}</trkseg>{between}<trkseg>{_BLOCK_POINTS}</trkseg>'
+            f'{after}</trk></gpx>{after_root}').encode("utf-8")
+
+
+def block_matches():
+    """Patches that count every match of either block form."""
+    return (mock.patch.object(gpx_model, "_BLOCK_WITH_ELE",
+                              mock.Mock(wraps=gpx_model._BLOCK_WITH_ELE)),
+            mock.patch.object(gpx_model, "_BLOCK_WITHOUT_ELE",
+                              mock.Mock(wraps=gpx_model._BLOCK_WITHOUT_ELE)))
+
+
+def test_two_block_document_takes_the_scan():
+    skeleton, blocks = gpx_model._scan_blocks(two_block_document())
+    assert len(blocks) == 2 and b"<trkpt" not in skeleton
+
+
+@pytest.mark.parametrize("where", ["before", "between", "after", "after_root"])
+@pytest.mark.parametrize("text", [
+    "<!-- two laps -->", "<![CDATA[Loop]]>", "<!DOCTYPE gpx>", "<?keep going?>", "\0",
+    "gpx-harvest-block", '<trkseg gpx-harvest-block="0"></trkseg>',
+], ids=["comment", "cdata", "doctype", "instruction", "nul", "attribute-name", "attribute"])
+def test_what_the_scan_declines_declines_it_wherever_it_sits(text, where):
+    payload = two_block_document(**{where: text})
+    with_ele, without_ele = block_matches()
+    with with_ele as with_ele_match, without_ele as without_ele_match:
+        assert gpx_model._scan_blocks(payload) is None
+    # The bytes up to a <trkseg> are searched before its body is matched.
+    matches = with_ele_match.match.call_count + without_ele_match.match.call_count
+    assert matches == {"before": 0, "between": 1}.get(where, 2)
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        tree = parsed_or_error(payload)
+    assert parsed_or_error(payload) == tree
+
+
+def test_a_doctype_prefix_declines_before_any_block_is_matched():
+    payload = block_document(prolog='<?xml version="1.0" encoding="UTF-8"?>\n'
+                                    '<!DOCTYPE gpx [<!ENTITY lap "Loop">]>', desc="&lap;")
+    with_ele, without_ele = block_matches()
+    with with_ele as with_ele_match, without_ele as without_ele_match:
+        assert gpx_model._scan_blocks(payload) is None
+    with_ele_match.match.assert_not_called()
+    without_ele_match.match.assert_not_called()
+    assert parsed(payload)[0][0][4] == "Loop"
+
+
+def test_the_attribute_name_in_a_time_text_takes_the_scan():
+    points = _BLOCK_POINTS.replace("2024-03-01T09:00:00Z", "gpx-harvest-block")
+    payload = block_document(points=points)
+    assert b"<time>gpx-harvest-block</time>" in payload
+    skeleton, blocks = gpx_model._scan_blocks(payload)
+    assert len(blocks) == 1 and gpx_model._BLOCK_ATTRIBUTE.encode() + b'="0"' in skeleton
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        tree = parsed(payload)
+    assert parsed(payload) == tree
+
+
+def test_segments_that_are_not_blocks_are_searched_in_one_pass():
+    # Single-quoted attributes are not of the block form, so every <trkseg>
+    # but the last stays in the skeleton.  A search of all the skeleton's
+    # bytes so far at each <trkseg> would cover 20,000 times as many.
+    segments = "<trkseg><trkpt lat='50.0' lon='6.0'></trkpt></trkseg>" * 20_000
+    payload = block_document(inside=segments)
+    searched = []
+    unscannable = gpx_model._unscannable
+
+    def spy(payload, start, end=None):
+        searched.append((start, len(payload) if end is None else end))
+        return unscannable(payload, start, end)
+    with mock.patch.object(gpx_model, "_unscannable", spy):
+        skeleton, blocks = gpx_model._scan_blocks(payload)
+    assert len(blocks) == 1 and len(searched) == 20_002
+    assert all(end <= start for (_, end), (start, _) in zip(searched, searched[1:]))
+    assert sum(end - start for start, end in searched) < len(payload)
+    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
+        tree = parsed(payload)
+    assert parsed(payload) == tree
+
+
 def _exact_decimal(value: Fraction) -> str:
     """A fraction whose denominator is a power of two, written out in full."""
     sign = "-" if value < 0 else ""

@@ -111,10 +111,11 @@ def fast_path_calls(monkeypatch):
     it writes through ``json.dumps`` adds nothing."""
     calls = []
 
-    def dumps(value):
+    def dumps(value, option=None):
         calls.append(value)
-        return orjson.dumps(value)
-    monkeypatch.setattr(records_module, "orjson", types.SimpleNamespace(dumps=dumps))
+        return orjson.dumps(value, option=option)
+    monkeypatch.setattr(records_module, "orjson", types.SimpleNamespace(
+        dumps=dumps, OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY))
     return calls
 
 

@@ -1,7 +1,10 @@
 import gzip
+import itertools
 import random
 import threading
 import time
+import zlib
+from typing import Iterator
 
 import pytest
 import requests
@@ -10,9 +13,10 @@ from hypothesis import strategies as st
 
 from gpx_harvest import warc_fetch
 from gpx_harvest.index_scan import CandidateRecord
-from gpx_harvest.synthetic import warc_response_member, write_warc
+from gpx_harvest.synthetic import build_demo_crawl, warc_response_member, write_warc
 from gpx_harvest.warc_fetch import (FetchFailedError, FetchPolicy, FixtureTransport,
-                                    HttpRangeTransport, PayloadDecodeError, PayloadTooLargeError, RateLimiter,
+                                    HttpRangeTransport, PayloadDecodeError, PayloadError,
+                                    PayloadTooLargeError, RateLimiter,
                                     WarcRecordSkippedError, build_range_header,
                                     extract_payload, fetch_candidate, fetch_many)
 
@@ -487,3 +491,155 @@ def test_dechunk_rejects_a_negative_chunk_size():
     assert _dechunk_reference(body) == b"abcde"
     with pytest.raises(PayloadDecodeError, match="bad chunk size line"):
         warc_fetch._dechunk(body)
+
+
+def _extract_payload_reference(record: bytes) -> bytes:
+    """The former ``extract_payload``, which copied the record's content at
+    each ``partition`` and ``[:declared]``."""
+    raw = warc_fetch._gunzip(record)
+
+    warc_head, sep, warc_content = raw.partition(b"\r\n\r\n")
+    if not sep:
+        raise PayloadDecodeError("missing WARC header terminator")
+    if not warc_head.startswith(b"WARC/"):
+        raise PayloadDecodeError("missing WARC version line")
+    warc_headers = warc_fetch._parse_header_block(warc_head, "WARC")
+
+    warc_type = warc_headers.get("warc-type", "")
+    if warc_type.lower() != "response":
+        raise WarcRecordSkippedError(f"warc record type {warc_type!r}")
+
+    if "content-length" in warc_headers:
+        declared = warc_fetch._content_length(warc_headers, "WARC")
+        if len(warc_content) < declared:
+            raise PayloadDecodeError("truncated WARC content")
+        http_block = warc_content[:declared]
+    else:
+        http_block = warc_content.rstrip(b"\r\n")
+
+    http_head, sep, body = http_block.partition(b"\r\n\r\n")
+    if not sep:
+        raise PayloadDecodeError("missing HTTP header terminator")
+    status_line = http_head.split(b"\r\n", 1)[0]
+    parts = status_line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
+        raise PayloadDecodeError(f"bad HTTP status line {status_line!r}")
+    try:
+        status = int(parts[1])
+    except ValueError as exc:
+        raise PayloadDecodeError(f"bad HTTP status line {status_line!r}") from exc
+    if status != 200:
+        raise WarcRecordSkippedError(f"http status {status}")
+
+    http_headers = warc_fetch._parse_header_block(http_head, "HTTP")
+    if "chunked" in http_headers.get("transfer-encoding", "").lower():
+        return warc_fetch._dechunk(body)
+    if "content-length" in http_headers:
+        declared = warc_fetch._content_length(http_headers, "HTTP")
+        if len(body) < declared:
+            raise PayloadDecodeError("truncated HTTP body")
+        return body[:declared]
+    return body
+
+
+def _members(warc: bytes) -> list[bytes]:
+    """The gzip members a WARC file is a concatenation of."""
+    members = []
+    while warc:
+        inflater = zlib.decompressobj(31)
+        inflater.decompress(warc)
+        members.append(warc[:len(warc) - len(inflater.unused_data)])
+        warc = inflater.unused_data
+    return members
+
+
+@pytest.fixture(scope="module")
+def fixture_members(tmp_path_factory):
+    crawl = build_demo_crawl(tmp_path_factory.mktemp("crawl"))
+    return [member for path in sorted(crawl.warc_dir.rglob("*.warc.gz"))
+            for member in _members(path.read_bytes())]
+
+
+def _record(body: bytes, warc_length="exact", http_status=b"200 OK", http_framing="exact",
+            trailer=b"\r\n\r\n", http_terminator=b"\r\n\r\n") -> bytes:
+    """The inflated WARC record of an HTTP response carrying ``body``.
+
+    A Content-Length of "exact" is the true one, "short" and "long" are off
+    by a few bytes, None leaves the header out, and any other value is
+    written as it is; ``http_framing`` may also be "chunked"."""
+    def length(value, actual):
+        return {"exact": b"%d" % actual, "short": b"%d" % max(actual - 3, 0),
+                "long": b"%d" % (actual + 5)}.get(value, value)
+
+    http_head = b"HTTP/1.1 " + http_status + b"\r\nContent-Type: application/gpx+xml"
+    if http_framing == "chunked":
+        http_head += b"\r\nTransfer-Encoding: chunked"
+        half = len(body) // 2
+        body = b"%x\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n" % (half, body[:half],
+                                                      len(body) - half, body[half:])
+    elif http_framing is not None:
+        http_head += b"\r\nContent-Length: " + length(http_framing, len(body))
+    http = http_head + http_terminator + body
+    warc_head = b"WARC/1.0\r\nWARC-Type: response\r\nWARC-Target-URI: http://a.example/t.gpx"
+    if warc_length is not None:
+        warc_head += b"\r\nContent-Length: " + length(warc_length, len(http))
+    return warc_head + b"\r\n\r\n" + http + trailer
+
+
+def _hostile_members(body: bytes) -> Iterator[tuple[str, bytes]]:
+    """(what it is, gzip member) for records carrying ``body``: every pairing
+    of a WARC and an HTTP framing, good or bad, and a few other faults."""
+    def member(raw, after=b""):
+        return gzip.compress(raw, mtime=0) + after
+
+    framings = ["exact", "short", "long", None, b"1e3", b"-3", b"abc", b" 7 "]
+    for warc_length, http_framing, trailer in itertools.product(
+            framings, framings + ["chunked"], [b"\r\n\r\n", b"", b"\n\r\n"]):
+        yield (f"WARC {warc_length!r}, HTTP {http_framing!r}, trailer {trailer!r}",
+               member(_record(body, warc_length, http_framing=http_framing, trailer=trailer)))
+    broken_chunks = _record(body, http_framing="chunked").replace(b"\r\n0\r\n", b"\r\nzz\r\n")
+    yield "bad chunk size", member(broken_chunks)
+    for warc_length in ("exact", None):
+        yield (f"no HTTP header terminator, WARC {warc_length!r}",
+               member(_record(body, warc_length, http_terminator=b"\r\n")))
+        for status in (b"404 Not Found", b"301", b"2OO OK", b""):
+            yield (f"status {status!r}, WARC {warc_length!r}",
+                   member(_record(body, warc_length, http_status=status)))
+        yield (f"only line breaks after the WARC header, WARC {warc_length!r}",
+               member(b"WARC/1.0\r\nWARC-Type: response\r\n"
+                      + (b"Content-Length: 6\r\n" if warc_length else b"") + b"\r\n\r\n\r\n\n\r\n"))
+    yield "no WARC header terminator", member(b"WARC/1.0\r\nWARC-Type: response\r\n" + body)
+    for after in (b"junk", b"\0" * 9, gzip.compress(b"\r\n\r\n")):
+        yield f"data after the member: {after[:4]!r}", member(_record(body), after)
+    yield "truncated member", member(_record(body))[:-5]
+
+
+def _unwrapped(extract, record: bytes):
+    """The payload ``extract`` returns, or the type and text of its error."""
+    try:
+        return extract(record)
+    except PayloadError as exc:
+        return type(exc), str(exc)
+
+
+def test_extract_payload_matches_the_former_implementation(fixture_members):
+    assert len(fixture_members) == 6
+    outcomes = []
+    for fixture in fixture_members:
+        body = _extract_payload_reference(fixture)
+        assert extract_payload(fixture) == body
+        for what, member in _hostile_members(body):
+            outcome = _unwrapped(extract_payload, member)
+            assert outcome == _unwrapped(_extract_payload_reference, member), what
+            outcomes.append(outcome)
+    # The variants reach every branch: bodies, and each kind of refusal.
+    assert body in outcomes
+    messages = {outcome[1] for outcome in outcomes if isinstance(outcome, tuple)}
+    for message in ["truncated WARC content", "truncated HTTP body",
+                    "bad WARC Content-Length", "bad HTTP Content-Length",
+                    "missing WARC header terminator", "missing HTTP header terminator",
+                    "http status 404", "bad chunk size line b'zz'",
+                    "record is not gzip: data after the member",
+                    "record is not gzip: truncated member"]:
+        assert message in messages
+    assert any(message.startswith("bad HTTP status line") for message in messages)
