@@ -3,13 +3,40 @@
 
 The cleaning and masking steps are deterministic text transforms; the
 judge-based quality and PII checks live in judges.py.
+
+Masking is linear in the text, and the regex engine does its scanning in C:
+
+- The URL and phone patterns start with a character class. ``re`` gives such
+  a pattern a prefix set, and its search skips in C to the characters a match
+  can start with. A pattern that starts with a lookbehind, or with a letter
+  under ``re.IGNORECASE``, gets none, and the full matcher starts at every
+  position. So the URL pattern spells out each letter's case variants
+  (``[Ssſ]`` is exactly what ``re.IGNORECASE`` matches for ``s``), and the
+  phone pattern checks its "no digit or dot before" lookbehind one character
+  in, after the class has matched the first character.
+- An e-mail local part is a run of ``[A-Za-z0-9._%+-]``, and a plain
+  ``finditer`` retries such a run from every position inside it, so its cost
+  grows with the square of the run. ``_email_matches`` finds the same
+  leftmost matches in one pass: it tries a match where the last one ended,
+  and otherwise searches on only from positions with no local-part character
+  before them. That is exact, because a leftmost match that starts later
+  cannot have a local-part character before it: a match would then start one
+  position earlier.
+
+``clean_text`` repeats ``_clean_once`` until nothing changes, but stops without
+a confirming pass once a pass leaves text that holds no ``<`` and that
+``html.unescape`` leaves as it is. Such text is its own ``_clean_once``:
+HTMLParser only unescapes text without ``<``, and a pass's output is already
+free of bracket pairs and collapsed.
 """
 
 from __future__ import annotations
 
+import html
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
+from typing import Iterable, Iterator
 
 from .config import FilterConfig
 
@@ -20,12 +47,19 @@ PHONE_TOKEN = "<TELEPHONE>"
 _SQUARE_BRACKETS_RE = re.compile(r"\[[^][]*\]")
 _CURLY_BRACKETS_RE = re.compile(r"\{[^{}]*\}")
 
-_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
-_URL_RE = re.compile(r"(?:(?:https?|ftp)://|www\.)[^\s<>]+", re.IGNORECASE)
+_EMAIL_LOCAL = "[A-Za-z0-9._%+-]"
+_EMAIL_RE = re.compile(_EMAIL_LOCAL + r"+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
+# The same pattern, allowed to start only where no local-part character precedes.
+_EMAIL_START_RE = re.compile(f"(?<!{_EMAIL_LOCAL})" + _EMAIL_RE.pattern)
+# (?:(?:https?|ftp)://|www\.)[^\s<>]+ under re.IGNORECASE, led by a class.
+_URL_RE = re.compile(r"[HhFfWw](?:(?<=[Hh])[Tt][Tt][Pp][Ssſ]?://|(?<=[Ff])[Tt][Pp]://"
+                     r"|(?<=[Ww])[Ww][Ww]\.)[^\s<>]+")
 # Phone candidates: 7-15 digits with space/dash/dot/parenthesis separators and
 # an optional leading "+" or "(".  The lookarounds refuse windows inside longer
-# digit runs (raw coordinate strings, IDs).
-_PHONE_CANDIDATE_RE = re.compile(r"(?<![\d.])[+(]?\d[\d\s().-]*\d(?!\d)")
+# digit runs (raw coordinate strings, IDs).  This is (?<![\d.])[+(]?\d[\d\s().-]*\d(?!\d)
+# with the lookbehind checked after the first character.
+_PHONE_CANDIDATE_RE = re.compile(r"[+(\d](?<![\d.][+(\d])(?:(?<=[+(])\d|(?<=\d))"
+                                 r"[\d\s().-]*\d(?!\d)")
 _NEGATIVE_NUMBER_RE = re.compile(r"(?:^|\s)-\d")
 _URL_TRAILING_PUNCT = ".,;:!?)'\""
 
@@ -69,7 +103,7 @@ def clean_text(raw: str) -> str:
     current = raw
     while True:
         cleaned = _clean_once(current)
-        if cleaned == current:
+        if cleaned == current or ("<" not in cleaned and html.unescape(cleaned) == cleaned):
             return cleaned
         current = cleaned
 
@@ -103,36 +137,40 @@ def _looks_like_phone(candidate: str) -> bool:
     return True
 
 
-def _mask_phones(text: str) -> tuple[str, bool]:
-    out: list[str] = []
-    cursor = 0
-    fired = False
-    for match in _PHONE_CANDIDATE_RE.finditer(text):
-        if not _looks_like_phone(match.group(0)):
-            continue
-        out.append(text[cursor:match.start()])
-        out.append(PHONE_TOKEN)
-        cursor = match.end()
-        fired = True
-    out.append(text[cursor:])
-    return "".join(out), fired
+def _phone_matches(text: str) -> Iterator[re.Match]:
+    return (m for m in _PHONE_CANDIDATE_RE.finditer(text) if _looks_like_phone(m.group(0)))
 
 
-def _mask_urls(text: str) -> tuple[str, bool]:
-    out: list[str] = []
-    cursor = 0
-    fired = False
+def _url_spans(text: str) -> Iterator[tuple[int, int]]:
+    # Trailing punctuation belongs to the sentence; it never reaches the
+    # match's first character, a letter.
     for match in _URL_RE.finditer(text):
-        span = match.group(0)
-        trimmed = span.rstrip(_URL_TRAILING_PUNCT)
-        if not trimmed:
-            continue
-        out.append(text[cursor:match.start()])
-        out.append(URL_TOKEN)
-        cursor = match.start() + len(trimmed)
-        fired = True
+        yield match.start(), match.start() + len(match.group(0).rstrip(_URL_TRAILING_PUNCT))
+
+
+def _email_matches(text: str) -> Iterator[re.Match]:
+    """The matches of ``_EMAIL_RE.finditer(text)``, found in linear time."""
+    if "@" not in text:
+        return
+    pos = 0
+    while True:
+        match = _EMAIL_RE.match(text, pos) or _EMAIL_START_RE.search(text, pos + 1)
+        if match is None:
+            return
+        yield match
+        pos = match.end()
+
+
+def _replace(text: str, spans: Iterable[tuple[int, int]], token: str) -> tuple[str, bool]:
+    """``text`` with each of the ordered, disjoint ``spans`` replaced by
+    ``token``, and whether there was any."""
+    out: list[str] = []
+    cursor = 0
+    for start, end in spans:
+        out += (text[cursor:start], token)
+        cursor = end
     out.append(text[cursor:])
-    return "".join(out), fired
+    return "".join(out), len(out) > 1
 
 
 def mask_pii(text: str) -> tuple[str, PiiFlags]:
@@ -144,18 +182,17 @@ def mask_pii(text: str) -> tuple[str, PiiFlags]:
     contain nothing the patterns can re-match.
     """
     flags = PiiFlags()
-    masked, n = _EMAIL_RE.subn(EMAIL_TOKEN, text)
-    flags.email = n > 0
-    masked, flags.url = _mask_urls(masked)
-    masked, flags.phone = _mask_phones(masked)
+    masked, flags.email = _replace(text, (m.span() for m in _email_matches(text)), EMAIL_TOKEN)
+    masked, flags.url = _replace(masked, _url_spans(masked), URL_TOKEN)
+    masked, flags.phone = _replace(masked, (m.span() for m in _phone_matches(masked)), PHONE_TOKEN)
     return masked, flags
 
 
 def find_raw_pii(text: str) -> list[str]:
     """All substrings the masking patterns would replace; empty after masking."""
-    hits = [m.group(0) for m in _EMAIL_RE.finditer(text)]
+    hits = [m.group(0) for m in _email_matches(text)]
     hits += [m.group(0) for m in _URL_RE.finditer(text)]
-    hits += [m.group(0) for m in _PHONE_CANDIDATE_RE.finditer(text) if _looks_like_phone(m.group(0))]
+    hits += [m.group(0) for m in _phone_matches(text)]
     return hits
 
 
