@@ -752,7 +752,7 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             raise PipelineError(f"stage export: cannot write to {out_dir}: {exc}") from exc
     report.outputs = len(survivors)
 
-    write_json_atomic(out_dir / "stats.json", _collect_stats(paths, report).to_dict())
+    write_json_atomic(out_dir / "stats.json", _collect_stats(paths, {"export": report}).to_dict())
     return _finish_stage(cfg, paths, report)
 
 
@@ -817,22 +817,31 @@ def _read_manifest(paths: PipelinePaths, stage: str) -> tuple[dict, StageReport]
         return None
 
 
-def _collect_stats(paths: PipelinePaths, current: StageReport | None = None) -> PipelineStats:
+def _collect_stats(paths: PipelinePaths,
+                   held: dict[str, StageReport] | None = None) -> PipelineStats:
+    """Every stage's report, in stage order: the one in ``held`` where it
+    holds one, else the one its manifest holds; a stage with neither is left
+    out."""
+    held = held or {}
     reports = {}
     for stage in STAGES:
-        if current is not None and stage == current.stage:
-            reports[stage] = current
+        if stage in held:
+            reports[stage] = held[stage]
         elif (manifest := _read_manifest(paths, stage)) is not None:
             reports[stage] = manifest[1]
     return PipelineStats(reports=reports, executed=[])
 
 
-def _stage_is_complete(cfg: PipelineConfig, paths: PipelinePaths, stage: str) -> bool:
+def _up_to_date_report(cfg: PipelineConfig, paths: PipelinePaths,
+                       stage: str) -> StageReport | None:
+    """The report ``stage``'s manifest holds when the rest of it equals
+    ``_stage_state``; None when the stage must run."""
     manifest = _read_manifest(paths, stage)
     try:
-        return manifest is not None and manifest[0] == _stage_state(cfg, paths, stage)
+        up_to_date = manifest is not None and manifest[0] == _stage_state(cfg, paths, stage)
     except OSError:  # an output is missing
-        return False
+        return None
+    return manifest[1] if up_to_date else None
 
 
 def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
@@ -842,7 +851,10 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     With resume enabled, a stage is skipped while its manifest, report aside,
     equals ``_stage_state``: its settings, its outputs and the previous
     manifest's sha256.  The returned stats carry the saved reports of skipped
-    stages plus the list of stages actually executed this run.  Each executed
+    stages plus the list of stages actually executed this run.  A report the
+    run already holds (the one a skipped stage's check read, or the one an
+    executed stage returned and wrote) is not read again; only a stage the
+    run neither checked nor ran has its manifest read.  Each executed
     stage's wall time and input rate are logged, and kept out of manifests
     and ``stats.json``, whose bytes must not depend on the run's speed.
     """
@@ -857,18 +869,21 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     except OSError as exc:
         raise PipelineError(f"cannot create work directory {paths.workdir}: {exc}") from exc
 
+    held: dict[str, StageReport] = {}
     executed = []
     for stage in selected:
-        if resume and _stage_is_complete(cfg, paths, stage):
+        if resume and (report := _up_to_date_report(cfg, paths, stage)) is not None:
             logger.info("%s: up to date, skipping", stage)
+            held[stage] = report
             continue
         started = time.perf_counter()
         report = _STAGE_FUNCTIONS[stage](cfg, paths)
         seconds = time.perf_counter() - started
         logger.info("%s: %.3f s, %.0f inputs/s", stage, seconds,
                     report.inputs / seconds if seconds > 0 else 0.0)
+        held[stage] = report
         executed.append(stage)
 
-    stats = _collect_stats(paths)
+    stats = _collect_stats(paths, held)
     stats.executed = executed
     return stats

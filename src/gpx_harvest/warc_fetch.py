@@ -5,7 +5,8 @@ index gives each record's offset and length, so one ranged GET retrieves one
 record without downloading the archive.
 
 ``requests`` is loaded only when an ``HttpRangeTransport`` is built for a
-live fetch; offline runs over ``FixtureTransport`` never import it.
+live fetch; offline runs over ``FixtureTransport`` never import it.  Nor does
+a one-worker run import ``concurrent.futures`` (``map_ordered``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import threading
 import time
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -236,11 +236,15 @@ def map_ordered(function: Callable[[T], R], items: Iterable[T],
     FETCHES_AHEAD_PER_WORKER * workers are submitted and not yet yielded,
     so finished results never pile up ahead of a slow consumer.  Either way
     an exception from ``function`` is raised to the consumer at its item.
+    ``concurrent.futures`` is imported only when a pool starts, so a
+    one-worker run never loads it.
     """
     if workers == 1:
         for item in items:
             yield item, function(item)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     ahead = FETCHES_AHEAD_PER_WORKER * workers
     pending: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:

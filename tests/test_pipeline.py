@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -76,6 +77,55 @@ def test_each_executed_stage_logs_its_wall_time_and_input_rate(crawl, tmp_path, 
         assert timed_stages() == []
         run_pipeline(cfg, stages=["export"], resume=False)
         assert timed_stages() == ["export"]
+
+
+def test_returned_stats_equal_the_reports_read_back_from_disk(crawl, tmp_path):
+    # run_pipeline keeps the reports it already holds: each skipped stage's
+    # from its check, each executed stage's as returned.  They must read as
+    # the manifests on disk do.
+    cfg = run_config(crawl, tmp_path, "w")
+    paths = PipelinePaths(workdir=cfg.workdir)
+
+    def check(stats, executed):
+        on_disk = pipeline_module._collect_stats(paths)
+        assert stats.executed == executed
+        assert list(stats.reports) == list(STAGES)
+        assert stats.to_dict() == on_disk.to_dict()
+        assert stats.format_table() == on_disk.format_table()
+        assert stats.failures() == on_disk.failures()
+        return stats
+
+    check(run_pipeline(cfg), list(STAGES))
+    shutil.rmtree(cfg.resolved_out_dir())
+    check(run_pipeline(cfg), ["export"])
+    check(run_pipeline(cfg, resume=False), list(STAGES))
+    check(run_pipeline(cfg, stages=["parse"]), [])
+    check(run_pipeline(cfg, stages=["parse"], resume=False), ["parse"])
+    # A copy of a candidate pointing past the end of its WARC file makes fetch
+    # fail one, so the failure count is compared too.
+    first = json.loads(paths.candidates.read_bytes().splitlines()[0])
+    with open(paths.candidates, "ab") as handle:
+        handle.write(json.dumps({**first, "warc_offset": 10_000_000}).encode() + b"\n")
+    stats = check(run_pipeline(cfg, stages=list(STAGES[1:]), resume=False), list(STAGES[1:]))
+    assert stats.failures() == 1
+
+
+def test_a_run_reads_a_manifest_only_for_a_stage_it_neither_checked_nor_ran(crawl, tmp_path,
+                                                                            monkeypatch):
+    cfg = run_config(crawl, tmp_path, "w")
+    run_pipeline(cfg)
+    read = []
+    read_manifest = pipeline_module._read_manifest
+    monkeypatch.setattr(pipeline_module, "_read_manifest",
+                        lambda paths, stage: read.append(stage) or read_manifest(paths, stage))
+    assert run_pipeline(cfg).executed == []
+    assert read == list(STAGES)  # each by its stage's check
+    read.clear()
+    assert run_pipeline(cfg, stages=["parse"]).executed == []
+    assert read == ["parse", *[stage for stage in STAGES if stage != "parse"]]
+    read.clear()
+    assert run_pipeline(cfg, stages=["parse"], resume=False).executed == ["parse"]
+    assert read == [stage for stage in STAGES if stage != "parse"]
 
 
 def test_golden_run_stage_conservation(crawl, tmp_path):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 import types
 
@@ -13,12 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpx_harvest import records as records_module
+from gpx_harvest.cli import main
 from gpx_harvest.config import FilterConfig
 from gpx_harvest.geo_metrics import EARTH_RADIUS_M
 from gpx_harvest.gpx_model import Track
 from gpx_harvest.records import (ALL_PROPERTIES, SCALAR_PROPERTIES, RecordAssemblyError,
                                  coordinates_text, dedup, encode_record, export_records,
                                  record_properties, track_exclusion)
+from gpx_harvest.synthetic import build_demo_crawl
 
 CONFIG = FilterConfig()
 
@@ -459,3 +462,91 @@ def test_a_url_holding_a_cr_reads_back_from_the_csv_as_one_row(tmp_path):
     assert rows[0] == list(SCALAR_PROPERTIES)
     assert rows[1][0] == url
     assert paths["csv"].read_bytes().split(b"\n")[1].startswith(b'"http://a.example/x\r.gpx",')
+
+
+# --- properties written without json.dumps -----------------------------------------
+
+def test_every_code_point_is_escaped_as_json_dumps_escapes_it():
+    # Every code point but the surrogates, each between two ASCII letters, and
+    # then all of them in one long text, which orjson may escape in bulk.
+    texts = ["a" + chr(code) + "b" for code in range(sys.maxunicode + 1)
+             if not 0xD800 <= code <= 0xDFFF]
+    mismatched = [hex(ord(text[1])) for text in texts if records_module._value_text(text)
+                  != json.dumps(text, ensure_ascii=False).encode()]
+    assert mismatched == []
+    whole = "".join(texts)
+    assert records_module._value_text(whole) == json.dumps(whole, ensure_ascii=False).encode()
+
+
+class _Text(str):
+    pass
+
+
+def _outcome(encode):
+    """What ``encode()`` returns, or the type and message of what it raises."""
+    try:
+        return encode()
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+
+
+# (property, value): values at the edges of each JSON writer, in a text, a
+# rounded and an unrounded number property.  The unrounded ones reach the
+# writer as they are; a type outside str, int, float, bool and None, a lone
+# surrogate and an int past Python's digit limit take json.dumps.
+_VALUE_EDGES = [
+    ("country", None), ("desc_en", None),
+    *[(name, value) for name in ("length_2d", "warc_len")
+      for value in (-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf"))],
+    ("warc_offset", 2 ** 63 - 1), ("warc_offset", 2 ** 64), ("warc_offset", -(10 ** 30)),
+    ("desc", _Text("a str subclass, with \"quotes\"")), ("warc_len", np.float64(1.5)),
+    ("elev_highest", np.float64(1.5)), ("desc", "lone \ud800 surrogate"),
+    ("warc_offset", 10 ** 5000), ("desc_en", ["a", 1]),
+]
+
+
+def _value_id(value):
+    try:
+        return repr(value)[:30]
+    except ValueError:  # an int past Python's digit limit
+        return "int-past-the-digit-limit"
+
+
+@pytest.mark.parametrize("name, value", _VALUE_EDGES, ids=_value_id)
+def test_encode_record_writes_what_json_dumps_writes_at_the_edges(name, value):
+    one = {**record(two_segment_track()), name: value}
+    assert _outcome(lambda: encode_record(one)[0]) == _outcome(
+        lambda: json.dumps(record_properties(one), ensure_ascii=False).encode())
+
+
+def test_an_ordinary_record_is_written_without_json_dumps(monkeypatch):
+    expected = [encode_record(one) for one in sample_records()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+    monkeypatch.setattr(records_module, "json", types.SimpleNamespace(dumps=refuse))
+    assert [encode_record(one) for one in sample_records()] == expected
+
+
+def test_a_final_row_whose_desc_holds_a_lone_surrogate_stops_export_on_one_line(tmp_path,
+                                                                                capsys):
+    # orjson refuses the escape where export reads final.jsonl, so no stage
+    # file can hand encode_record a lone surrogate.
+    crawl = build_demo_crawl(tmp_path / "crawl")
+    workdir = tmp_path / "w"
+    assert main(["run", "--config", str(crawl.config), "--workdir", str(workdir)]) == 0
+    final = workdir / "final.jsonl"
+    lines = final.read_bytes().splitlines()
+    row = json.loads(lines[-1])
+    row["record"]["desc"] = "lone \ud800 surrogate"
+    lines[-1] = json.dumps(row).encode()
+    assert b"\\ud800" in lines[-1]
+    final.write_bytes(b"\n".join(lines) + b"\n")
+    out_dir = workdir / "out"
+    exports = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    capsys.readouterr()
+
+    assert main(["export", "--config", str(crawl.config), "--workdir", str(workdir)]) == 1
+    assert capsys.readouterr().err == (f"error: stage export: {final} line {len(lines)} "
+                                       "is not a JSON object; run metrics again\n")
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == exports
