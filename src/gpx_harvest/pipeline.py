@@ -22,11 +22,15 @@ metrics pass, however many captures carry it.  This is exact because each of
 those steps is a deterministic function of its key; ``_kept_rows`` still
 tallies exclusions and counters once per row, so reports and exports do not change.
 ``_kept_rows`` runs each key's work with the cyclic garbage collector paused
-and restores it to its state on entry afterwards.  The work builds one
-ElementTree per payload and one coordinate list per point, which would
-otherwise trigger collections that walk them over and over; none of those
-objects forms a reference cycle, so reference counting frees them all when
-the work returns, and a cycle made inside the work waits one key at most.
+and restores it to its state on entry afterwards.  On a payload in the point
+block form the work builds few objects the collector tracks (the skeleton
+tree's elements, one list per block that orjson decodes, a few dicts; numpy
+arrays are not tracked), and there the pause is within noise.  It is kept for
+a payload the scan declines, which ElementTree parses whole into one element
+per point and per point child, and whose collections would otherwise walk
+them over and over.  None of those objects forms a reference cycle, so
+reference counting frees them all when the work returns, and a cycle made
+inside the work waits one key at most.
 
 What a row of each stage file holds is declared once, in ``ROW_TABLES``;
 ``read_jsonl`` checks every row whole against its file's table.
@@ -71,8 +75,19 @@ executor, futures or look-ahead queue; with more, in a bounded thread pool.
 Either way results come back in input order, so the files are the same.
 
 Payloads, tracks and coordinates texts are all read back through
-``StoredFiles``: a missing file, a short read or bytes that no longer match
-the row's sha256 stop the reading stage with an error naming the file.
+``StoredFiles``: a missing file, a range past its end, a short read or bytes
+that no longer match the row's sha256 stop the reading stage with an error
+naming the file.  Each record's bytes are hashed again as they are read,
+except within one ``run_pipeline`` call that found the file's writer up to
+date: that check has just hashed every byte of the file against the sha256
+in the writer's manifest (``RunRecord.matched``), so ``tracks.f64`` after an
+up-to-date parse and ``geometry.jsonl`` after an up-to-date metrics are read
+without a digest per record, as the rows of every stage file are.  Every
+other read hashes each record: a stage command run on its own, a run with
+``resume=False``, a file whose writer executes in the same call, and
+``payloads.bin`` always, as its manifest lists it by size only.  The gap
+left open is a writer that changes a matched file between the check and the
+read, the same gap every row file has.
 Every stage but export streams its rows (enrich reads its input twice); DEM
 tiles are read by row window (see ``elevation``).
 """
@@ -164,11 +179,33 @@ def _stage_file(name: str) -> property:
     return property(lambda self: self.workdir / name, doc=f"``<workdir>/{name}``")
 
 
+@dataclass
+class RunRecord:
+    """What one ``run_pipeline`` call has learned, for the stages it runs later.
+
+    ``reports`` holds the report of each stage the call checked or ran, as
+    its manifest holds it.  ``matched`` holds every output of a stage the
+    call found up to date whose manifest entry carries a sha256: the check
+    has just hashed every byte of it against that digest.  An output listed
+    by size only never joins, and a stage that executes takes its own
+    outputs out before it writes them.
+    """
+
+    reports: dict[str, StageReport] = field(default_factory=dict)
+    matched: set[Path] = field(default_factory=set)
+
+
 @dataclass(frozen=True)
 class PipelinePaths:
-    """The stage files: one fixed name each under the work directory."""
+    """The stage files: one fixed name each under the work directory.
+
+    ``run`` is the ``RunRecord`` of the ``run_pipeline`` call that made these
+    paths; paths made anywhere else carry an empty one, so a stage called on
+    its own learns nothing from earlier checks.
+    """
 
     workdir: Path
+    run: RunRecord = field(default_factory=RunRecord, compare=False, repr=False)
 
     candidates = _stage_file("candidates.jsonl")
     payloads = _stage_file("payloads.bin")
@@ -542,7 +579,8 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                       "track_sha256": hashlib.sha256(values).hexdigest()}, vars(stats)
 
     # Each accepted track and its row stream to their files as soon as it is parsed.
-    with (StoredFiles(paths.payloads, "parse", "payload", "fetch") as payloads,
+    with (StoredFiles(paths.payloads, "parse", "payload", "fetch",
+                      paths.run.matched) as payloads,
           atomic_files((paths.tracks, "wb"), (paths.parsed, "wb")) as (tracks, parsed)):
         _write_rows(parsed, ({**row, **fields} for row, fields in _kept_rows(
             report, rows, itemgetter("content_hash"), parse_one)), "parse")
@@ -554,17 +592,21 @@ class StoredFiles(ExitStack):
     """Checked reads from a file an earlier stage wrote, opened at the first read.
 
     ``read`` returns the ``size`` bytes at ``offset`` as one ``bytes`` object
-    and checks them against the sha256 the row recorded; a file that cannot
-    be opened, a range past its end, a short read or a digest mismatch is a
-    ``PipelineError`` naming the file.  The range is checked against the
-    file's size before it is read, as a damaged row may claim any size.
-    Leaving the ``with`` block closes the file.
+    and checks them against the sha256 the row recorded, unless ``path`` is
+    in ``matched`` (a file this run's check has just hashed whole; see the
+    module docstring); a file that cannot be opened, a range past its end, a
+    short read or a digest mismatch is a ``PipelineError`` naming the file.
+    The range is checked against the file's size before it is read, as a
+    damaged row may claim any size.  Leaving the ``with`` block closes the
+    file.
     """
 
-    def __init__(self, path: Path, stage: str, kind: str, writer: str) -> None:
+    def __init__(self, path: Path, stage: str, kind: str, writer: str,
+                 matched: set[Path]) -> None:
         super().__init__()
         self.path, self.writer = path, writer
         self.where = f"stage {stage}: {kind} file {path}"
+        self._per_record = path not in matched
         self._handle: BinaryIO | None = None
         self._size = 0
 
@@ -581,7 +623,7 @@ class StoredFiles(ExitStack):
             raise PipelineError(f"{self.where} cannot be read: {exc}") from exc
         if len(data) != size:
             raise PipelineError(f"{self.where} is truncated")
-        if hashlib.sha256(data).hexdigest() != sha256:
+        if self._per_record and hashlib.sha256(data).hexdigest() != sha256:
             raise PipelineError(f"{self.where} changed after {self.writer}")
         return data
 
@@ -716,7 +758,8 @@ def stage_metrics(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
                                "geometry_sha256": hashlib.sha256(text).hexdigest()}), counters
 
     # Each row gets its own url/warc_* copy of its content hash's record.
-    with (StoredFiles(paths.tracks, "metrics", "tracks", "parse") as tracks,
+    with (StoredFiles(paths.tracks, "metrics", "tracks", "parse",
+                      paths.run.matched) as tracks,
           atomic_files((paths.geometry, "wb"), (paths.final, "wb")) as (geometry, final)):
         for row, (record, location) in _kept_rows(report, rows, itemgetter("content_hash"),
                                                   metrics_one):
@@ -740,7 +783,8 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             report.exclude(reason, count)
 
     out_dir = cfg.resolved_out_dir()
-    with StoredFiles(paths.geometry, "export", "geometry", "metrics") as geometry:
+    with StoredFiles(paths.geometry, "export", "geometry", "metrics",
+                     paths.run.matched) as geometry:
         # Each survivor's coordinates are read only as export reaches it, and
         # written as the bytes metrics stored.
         records = ({**row["record"], "geometry": geometry.read(
@@ -752,7 +796,8 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             raise PipelineError(f"stage export: cannot write to {out_dir}: {exc}") from exc
     report.outputs = len(survivors)
 
-    write_json_atomic(out_dir / "stats.json", _collect_stats(paths, {"export": report}).to_dict())
+    write_json_atomic(out_dir / "stats.json",
+                      _collect_stats(paths, {**paths.run.reports, "export": report}).to_dict())
     return _finish_stage(cfg, paths, report)
 
 
@@ -835,13 +880,22 @@ def _collect_stats(paths: PipelinePaths,
 def _up_to_date_report(cfg: PipelineConfig, paths: PipelinePaths,
                        stage: str) -> StageReport | None:
     """The report ``stage``'s manifest holds when the rest of it equals
-    ``_stage_state``; None when the stage must run."""
+    ``_stage_state``, whose sha256s were just taken over every byte of the
+    outputs, so each output listed with one joins ``paths.run.matched``;
+    None when the stage must run."""
     manifest = _read_manifest(paths, stage)
+    if manifest is None:
+        return None
     try:
-        up_to_date = manifest is not None and manifest[0] == _stage_state(cfg, paths, stage)
+        state = _stage_state(cfg, paths, stage)
     except OSError:  # an output is missing
         return None
-    return manifest[1] if up_to_date else None
+    if manifest[0] != state:
+        return None
+    paths.run.matched.update(path for path, entry in zip(_stage_outputs(cfg, paths, stage),
+                                                         state["outputs"])
+                             if "sha256" in entry)
+    return manifest[1]
 
 
 def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
@@ -853,8 +907,12 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     manifest's sha256.  The returned stats carry the saved reports of skipped
     stages plus the list of stages actually executed this run.  A report the
     run already holds (the one a skipped stage's check read, or the one an
-    executed stage returned and wrote) is not read again; only a stage the
-    run neither checked nor ran has its manifest read.  Each executed
+    executed stage returned and wrote) is not read again, neither for the
+    returned stats nor for export's ``stats.json``; only a stage the run
+    neither checked nor ran has its manifest read.  The paths the stages get
+    carry the call's ``RunRecord``: those reports, and the files the checks
+    matched whole, which ``StoredFiles`` then reads without a digest per
+    record (see the module docstring).  Each executed
     stage's wall time and input rate are logged, and kept out of manifests
     and ``stats.json``, whose bytes must not depend on the run's speed.
     """
@@ -869,21 +927,21 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     except OSError as exc:
         raise PipelineError(f"cannot create work directory {paths.workdir}: {exc}") from exc
 
-    held: dict[str, StageReport] = {}
+    run = paths.run
     executed = []
     for stage in selected:
         if resume and (report := _up_to_date_report(cfg, paths, stage)) is not None:
             logger.info("%s: up to date, skipping", stage)
-            held[stage] = report
-            continue
-        started = time.perf_counter()
-        report = _STAGE_FUNCTIONS[stage](cfg, paths)
-        seconds = time.perf_counter() - started
-        logger.info("%s: %.3f s, %.0f inputs/s", stage, seconds,
-                    report.inputs / seconds if seconds > 0 else 0.0)
-        held[stage] = report
-        executed.append(stage)
+        else:
+            run.matched.difference_update(_stage_outputs(cfg, paths, stage))
+            started = time.perf_counter()
+            report = _STAGE_FUNCTIONS[stage](cfg, paths)
+            seconds = time.perf_counter() - started
+            logger.info("%s: %.3f s, %.0f inputs/s", stage, seconds,
+                        report.inputs / seconds if seconds > 0 else 0.0)
+            executed.append(stage)
+        run.reports[stage] = report
 
-    stats = _collect_stats(paths, held)
+    stats = _collect_stats(paths, run.reports)
     stats.executed = executed
     return stats

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import orjson
@@ -126,6 +127,12 @@ def test_a_run_reads_a_manifest_only_for_a_stage_it_neither_checked_nor_ran(craw
     read.clear()
     assert run_pipeline(cfg, stages=["parse"], resume=False).executed == ["parse"]
     assert read == [stage for stage in STAGES if stage != "parse"]
+    # Export writes stats.json from the reports the run holds too, so a
+    # resume that re-runs it reads each manifest once, by its stage's check.
+    read.clear()
+    shutil.rmtree(cfg.resolved_out_dir())
+    assert run_pipeline(cfg).executed == ["export"]
+    assert read == list(STAGES)
 
 
 def test_golden_run_stage_conservation(crawl, tmp_path):
@@ -336,6 +343,120 @@ def test_resume_recomputes_from_metrics_when_the_geometry_file_is_edited(crawl, 
     assert resumed.executed == ["metrics"]
     assert geometry.read_bytes() == PipelinePaths(workdir=fresh.workdir).geometry.read_bytes()
     assert_same_exports(cfg, fresh)
+
+
+def stored_digests(monkeypatch) -> Counter:
+    """The digests ``StoredFiles.read`` takes from now on, counted by the name
+    of the file it reads, through a spy on the ``hashlib.sha256`` it calls."""
+    counts = Counter()
+    sha256 = hashlib.sha256
+
+    def spy(*args):
+        caller = sys._getframe(1)
+        if caller.f_code is pipeline_module.StoredFiles.read.__code__:
+            counts[caller.f_locals["self"].path.name] += 1
+        return sha256(*args)
+    monkeypatch.setattr(pipeline_module.hashlib, "sha256", spy)
+    return counts
+
+
+def per_record_digests(cfg, stats) -> Counter:
+    """The digests ``StoredFiles`` takes when it checks every record it reads:
+    one per distinct payload parse reads, one per distinct track metrics reads
+    and one per record export writes."""
+    paths = PipelinePaths(workdir=cfg.workdir)
+
+    def distinct_contents(path):
+        return len({orjson.loads(line)["content_hash"] for line in path.read_bytes().splitlines()})
+    return Counter({"payloads.bin": distinct_contents(paths.fetched),
+                    "tracks.f64": distinct_contents(paths.enriched),
+                    "geometry.jsonl": stats.records()})
+
+
+def test_a_resume_reads_the_coordinates_its_metrics_check_matched_without_hashing_them(
+        crawl, tmp_path, monkeypatch):
+    cfg = run_config(crawl, tmp_path, "w")
+    run_pipeline(cfg)
+    out_dir = cfg.resolved_out_dir()
+    exports = {name: (out_dir / name).read_bytes() for name in EXPORTS}
+    shutil.rmtree(out_dir)
+
+    digests = stored_digests(monkeypatch)
+    assert run_pipeline(cfg).executed == ["export"]
+    assert digests == {}
+    assert {name: (out_dir / name).read_bytes() for name in EXPORTS} == exports
+
+
+def test_export_run_on_its_own_hashes_each_survivor_and_refuses_an_edited_text(
+        crawl, tmp_path, monkeypatch):
+    cfg = run_config(crawl, tmp_path, "w")
+    run_pipeline(cfg)
+    shutil.rmtree(cfg.resolved_out_dir())
+
+    digests = stored_digests(monkeypatch)
+    stats = run_pipeline(cfg, stages=["export"])
+    assert stats.executed == ["export"]
+    assert digests == {"geometry.jsonl": stats.records()} == {"geometry.jsonl": 2}
+
+    geometry = PipelinePaths(workdir=cfg.workdir).geometry
+    data = bytearray(geometry.read_bytes())
+    first_digit = next(i for i, byte in enumerate(data) if chr(byte).isdigit())
+    data[first_digit] ^= 0x01  # in the first survivor's text: same size, other value
+    geometry.write_bytes(bytes(data))
+    with pytest.raises(PipelineError, match=r"geometry file .*geometry\.jsonl changed after metrics"):
+        run_pipeline(cfg, stages=["export"], resume=False)
+
+
+@pytest.mark.parametrize("rerun", ["fresh", "no-resume", "changed-min-length"])
+def test_a_run_hashes_each_record_of_a_file_no_check_of_its_own_matched(crawl, tmp_path,
+                                                                         monkeypatch, rerun):
+    # A fresh run and a run without resume match no file.  A changed parse
+    # setting re-runs parse, whose tracks metrics then reads, while fetch stays
+    # up to date: but fetch's manifest lists payloads.bin by size only.
+    cfg = run_config(crawl, tmp_path, "w")
+    if rerun != "fresh":
+        run_pipeline(cfg)
+    digests = stored_digests(monkeypatch)
+    if rerun == "changed-min-length":
+        cfg.filters.min_length_m = 1000.0
+        stats = run_pipeline(cfg)
+        assert stats.executed == list(STAGES[2:])
+    else:
+        stats = run_pipeline(cfg, resume=rerun == "fresh")
+        assert stats.executed == list(STAGES)
+    assert digests == per_record_digests(cfg, stats)
+    assert all(count > 0 for count in digests.values())
+
+
+def test_a_file_matched_earlier_in_a_run_is_hashed_per_record_once_its_writer_reruns(
+        crawl, tmp_path, monkeypatch):
+    # Metrics' first check sees enrich's manifest, which a changed parse
+    # setting has not reached yet, so it matches geometry.jsonl; parse and
+    # enrich then re-run, and the second metrics rewrites geometry.jsonl.
+    cfg = run_config(crawl, tmp_path, "w")
+    run_pipeline(cfg)
+    cfg.filters.min_length_m = 1000.0
+    digests = stored_digests(monkeypatch)
+    stats = run_pipeline(cfg, stages=["metrics", "parse", "enrich", "metrics", "export"])
+    assert stats.executed == ["parse", "enrich", "metrics", "export"]
+    assert digests["geometry.jsonl"] == stats.records() > 0
+
+
+def test_metrics_rerun_under_a_new_setting_reads_the_matched_tracks_without_hashing_them(
+        crawl, tmp_path, monkeypatch):
+    fresh = run_config(crawl, tmp_path, "fresh")
+    cfg = run_config(crawl, tmp_path, "w")
+    run_pipeline(cfg)
+    for changed in (fresh, cfg):
+        changed.filters.circular_radius_m = 10.0
+    run_pipeline(fresh)
+
+    digests = stored_digests(monkeypatch)
+    resumed = run_pipeline(cfg)
+    assert resumed.executed == ["metrics", "export"]
+    # Metrics wrote geometry.jsonl in this run, so export checks each text.
+    assert digests == {"geometry.jsonl": resumed.records()}
+    assert_same_work_files(cfg, fresh)
 
 
 def test_work_directory_from_before_the_geometry_file_reruns_metrics(crawl, tmp_path):
