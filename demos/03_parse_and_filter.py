@@ -21,7 +21,7 @@ documents = {
 }
 
 for label, payload in documents.items():
-    doc = parse_gpx(payload, f"https://walks.example/{label.replace(' ', '-')}.gpx")
+    doc = parse_gpx(payload)
     track, reason = extract_single_track(doc)
     if track is None:
         print(f"{label:14s} -> rejected: {reason} ({len(doc.tracks)} tracks)")

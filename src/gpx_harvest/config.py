@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,10 +94,20 @@ def _value(hint, value, where: str):
     # bool is an int subclass, but true/false is no number.
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise ValueError(f"{where} must be a {kind.__name__}, not {json.dumps(value)}")
+    # JSON integers have no bound, but the thresholds' isfinite check and the
+    # rate limiter's 1 / rate raise OverflowError beyond a float's range,
+    # and no setting needs such a number.
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{where} is beyond a float's range")
     return Path(value) if kind is Path else value
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a JSON config file; missing keys keep their defaults, and a wrong
-    type or key is a ValueError."""
-    return _build(PipelineConfig, json.loads(Path(path).read_text(encoding="utf-8")), "config")
+    type or key, a number beyond a float's range or a document nested too
+    deep to decode is a ValueError."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deep to decode") from None
+    return _build(PipelineConfig, raw, "config")

@@ -21,7 +21,8 @@ when each block's body is cut out and its ``<trkseg>`` tagged with the
 block's index.
 
 The scan is exact, giving the same tracks, stats and errors as the tree
-readers, so it applies only where the bytes leave no room for doubt:
+reader (``_read_points``, one point of the element tree at a time), so it
+applies only where the bytes leave no room for doubt:
 the payload starts with no byte-order mark, may start with ``<?xml
 version="1.x" encoding="UTF-8"?>``, and outside the blocks it cuts holds no
 other ``<?``, no ``<!`` (comment, CDATA or DOCTYPE), no NUL and not the
@@ -35,9 +36,9 @@ is as written; each number is a JSON number of at most ``_MAX_NUMBER_CHARS``
 characters other than a bare ``-0`` (which orjson reads as the int 0), so
 orjson reads the value ``float`` reads (``tests/test_gpx_model.py`` checks a
 seeded corpus of such texts bit for bit).  A block that is not of that form
-stays in the skeleton for the tree readers; a payload that is not, or a
+stays in the skeleton for the tree reader; a payload that is not, or a
 number orjson refuses, or a skeleton ElementTree refuses, is parsed whole
-by the tree readers as before, so a malformed payload's error text is the
+and read by the tree reader, so a malformed payload's error text is the
 same.  Either way each segment's values go through the same finite, range
 and drop rules (``_kept_points``).
 """
@@ -108,7 +109,6 @@ class Track:
 @dataclass
 class GpxDocument:
     tracks: list[Track]
-    source_url: str
 
 
 @dataclass
@@ -131,14 +131,16 @@ def _child_text(element: ElementTree.Element, name: str) -> str | None:
     return None
 
 
-def _point_values(parent: ElementTree.Element,
-                  point_tag: str) -> tuple[list[float], list[float], list[float], int]:
-    """The lat, lon and ele values of the parent's ``point_tag`` children,
-    read one point at a time, and how many points had no parsable lat or lon.
+def _read_points(parent: ElementTree.Element, point_tag: str,
+                 stats: ParseStats) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The parent's ``point_tag`` children as lat, lon and ele arrays, read
+    one point at a time, and how many were dropped.
 
-    A point is skipped when its lat or lon does not convert to a float.  The
-    elevation is the point's ``<ele>`` child in the point's own namespace; an
-    absent or unparsable one is NaN.
+    A point is a child whose local name is ``point_tag``, in any namespace;
+    every other child is skipped.  A point is dropped when its lat or lon
+    does not convert to a float or is out of range.  The elevation is the
+    point's ``<ele>`` child in the point's own namespace; an absent,
+    unparsable or non-finite one is NaN.
     """
     lats: list[float] = []
     lons: list[float] = []
@@ -168,38 +170,7 @@ def _point_values(parent: ElementTree.Element,
         lats.append(lat)
         lons.append(lon)
         eles.append(ele)
-    return lats, lons, eles, unparsable
-
-
-def _bulk_point_values(parent: ElementTree.Element, point_tag: str
-                       ) -> tuple[list[float], list[float], list[float], int] | None:
-    """``_point_values(parent, point_tag)``, read one axis at a time; None
-    when that would not be exact: when the points are in more than one
-    namespace, or when a lat, lon or ele value is missing or does not
-    convert to a float.
-
-    Each axis goes through Python's ``float`` in one pass.  When no element
-    under ``parent`` is an ``<ele>`` in the points' namespace, every
-    elevation is NaN and no point is searched for one.
-    """
-    tags = {element.tag for element in parent}
-    point_tags = [tag for tag in tags if _local(tag) == point_tag]
-    if len(point_tags) != 1:
-        return None
-    tag = point_tags[0]
-    points = list(parent) if len(tags) == 1 else [element for element in parent
-                                                  if element.tag == tag]
-    ele_tag = tag[:len(tag) - len(point_tag)] + "ele"
-    try:
-        lats = [float(point.get("lat", "")) for point in points]
-        lons = [float(point.get("lon", "")) for point in points]
-        if next(parent.iter(ele_tag), None) is None:
-            eles = [np.nan] * len(points)
-        else:
-            eles = [float(point.findtext(ele_tag)) for point in points]
-    except (TypeError, ValueError):  # float(None) for a missing <ele> is a TypeError
-        return None
-    return lats, lons, eles, 0
+    return _kept_points(lats, lons, eles, unparsable, stats)
 
 
 def _kept_points(lats, lons, eles, unparsable: int, stats: ParseStats
@@ -209,7 +180,7 @@ def _kept_points(lats, lons, eles, unparsable: int, stats: ParseStats
     unparsable.
 
     A point is dropped when lat or lon is out of range (NaN included); a
-    non-finite elevation is NaN.  The tree readers and the point-block scan
+    non-finite elevation is NaN.  The tree reader and the point-block scan
     both end here.
     """
     lat = np.asarray(lats, dtype=np.float64)
@@ -221,23 +192,6 @@ def _kept_points(lats, lons, eles, unparsable: int, stats: ParseStats
     dropped = unparsable + len(valid) - int(np.count_nonzero(valid))
     stats.points_dropped += dropped
     return lat[valid], lon[valid], ele[valid], dropped
-
-
-def _read_points(parent: ElementTree.Element, point_tag: str,
-                 stats: ParseStats) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The parent's ``point_tag`` children as lat, lon and ele arrays, and how
-    many were dropped.
-
-    A point is dropped when lat or lon is unparsable or out of range.  The
-    elevation is the point's ``<ele>`` child in the point's own namespace; an
-    absent, unparsable or non-finite one is NaN.
-
-    The values are read in bulk, one axis at a time (``_bulk_point_values``),
-    and only where that cannot be exact (points in several namespaces, or a
-    value that does not convert) one point at a time (``_point_values``).
-    """
-    return _kept_points(*(_bulk_point_values(parent, point_tag)
-                          or _point_values(parent, point_tag)), stats)
 
 
 # --- the point-block scan (see the module docstring) ---------------------------
@@ -346,9 +300,10 @@ def _scan_blocks(payload: bytes) -> tuple[bytes, list[_Block]] | None:
 
 def _segment(element: ElementTree.Element, stats: ParseStats, blocks: list[_Block]
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """A <trkseg>'s points as ``_read_points`` returns them; from ``blocks``
-    when the scan tagged it.  Without blocks the payload was parsed whole,
-    and an attribute of that name is the payload's own."""
+    """A <trkseg>'s points as ``_read_points`` returns them: from ``blocks``
+    when the scan tagged it, else by ``_read_points``.  Without blocks the
+    payload was parsed whole, and an attribute of that name is the payload's
+    own."""
     block = element.get(_BLOCK_ATTRIBUTE) if blocks else None
     if block is None:
         return _read_points(element, "trkpt", stats)
@@ -393,7 +348,7 @@ def _strip_or_none(text: str | None) -> str | None:
     return stripped or None
 
 
-def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxDocument:
+def parse_gpx(payload: bytes, stats: ParseStats | None = None) -> GpxDocument:
     """Parse raw GPX bytes into tracks.
 
     Reads trk/trkseg/trkpt plus the trk-level desc; each track's points, over
@@ -409,8 +364,9 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
     track carries none.
 
     Segments in the point-block form are read from the payload bytes, and
-    ElementTree builds only the rest (see the module docstring); the tracks,
-    stats and errors are those of reading the whole tree.
+    ElementTree builds only the rest (see the module docstring); every other
+    segment and route is read one point at a time (``_read_points``).  The
+    tracks, stats and errors are those of reading the whole tree.
 
     Raises GpxParseError for non-XML payloads, an XML declaration naming an
     encoding expat cannot read, or a non-<gpx> root.
@@ -447,7 +403,7 @@ def parse_gpx(payload: bytes, url: str, stats: ParseStats | None = None) -> GpxD
             if track.desc is None:
                 track.desc = doc_desc
 
-    return GpxDocument(tracks=tracks, source_url=url)
+    return GpxDocument(tracks=tracks)
 
 
 def extract_single_track(doc: GpxDocument) -> tuple[Track | None, str | None]:

@@ -183,12 +183,13 @@ def _stage_file(name: str) -> property:
 class RunRecord:
     """What one ``run_pipeline`` call has learned, for the stages it runs later.
 
-    ``reports`` holds the report of each stage the call checked or ran, as
-    its manifest holds it.  ``matched`` holds every output of a stage the
-    call found up to date whose manifest entry carries a sha256: the check
-    has just hashed every byte of it against that digest.  An output listed
-    by size only never joins, and a stage that executes takes its own
-    outputs out before it writes them.
+    ``reports`` holds the report of each stage the call checked or ran, or
+    whose manifest it read for stats, as that manifest holds it.
+    ``matched`` holds every output of a stage the call found up to date
+    whose manifest entry carries a sha256: the check has just hashed every
+    byte of it against that digest.  An output listed by size only never
+    joins, and a stage that executes takes its own outputs out before it
+    writes them.
     """
 
     reports: dict[str, StageReport] = field(default_factory=dict)
@@ -563,7 +564,7 @@ def stage_parse(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
         payload = payloads.read(row["payload_offset"], row["payload_length"],
                                 row["content_hash"])
         try:
-            doc = parse_gpx(payload, row["url"], stats)
+            doc = parse_gpx(payload, stats)
         except GpxParseError:
             return "parse-error", None, vars(stats)
         track, reason = extract_single_track(doc)
@@ -796,8 +797,10 @@ def stage_export(cfg: PipelineConfig, paths: PipelinePaths) -> StageReport:
             raise PipelineError(f"stage export: cannot write to {out_dir}: {exc}") from exc
     report.outputs = len(survivors)
 
-    write_json_atomic(out_dir / "stats.json",
-                      _collect_stats(paths, {**paths.run.reports, "export": report}).to_dict())
+    # The reports read for stats.json join the run's, so that run_pipeline
+    # does not read them again.
+    paths.run.reports["export"] = report
+    write_json_atomic(out_dir / "stats.json", _collect_stats(paths, paths.run.reports).to_dict())
     return _finish_stage(cfg, paths, report)
 
 
@@ -865,16 +868,14 @@ def _read_manifest(paths: PipelinePaths, stage: str) -> tuple[dict, StageReport]
 def _collect_stats(paths: PipelinePaths,
                    held: dict[str, StageReport] | None = None) -> PipelineStats:
     """Every stage's report, in stage order: the one in ``held`` where it
-    holds one, else the one its manifest holds; a stage with neither is left
-    out."""
-    held = held or {}
-    reports = {}
+    holds one, else the one its manifest holds, which then joins ``held``; a
+    stage with neither is left out."""
+    held = {} if held is None else held
     for stage in STAGES:
-        if stage in held:
-            reports[stage] = held[stage]
-        elif (manifest := _read_manifest(paths, stage)) is not None:
-            reports[stage] = manifest[1]
-    return PipelineStats(reports=reports, executed=[])
+        if stage not in held and (manifest := _read_manifest(paths, stage)) is not None:
+            held[stage] = manifest[1]
+    return PipelineStats(reports={stage: held[stage] for stage in STAGES if stage in held},
+                         executed=[])
 
 
 def _up_to_date_report(cfg: PipelineConfig, paths: PipelinePaths,
@@ -909,10 +910,10 @@ def run_pipeline(cfg: PipelineConfig, stages: list[str] | None = None,
     run already holds (the one a skipped stage's check read, or the one an
     executed stage returned and wrote) is not read again, neither for the
     returned stats nor for export's ``stats.json``; only a stage the run
-    neither checked nor ran has its manifest read.  The paths the stages get
-    carry the call's ``RunRecord``: those reports, and the files the checks
-    matched whole, which ``StoredFiles`` then reads without a digest per
-    record (see the module docstring).  Each executed
+    neither checked nor ran has its manifest read, once.  The paths the
+    stages get carry the call's ``RunRecord``: those reports, and the files
+    the checks matched whole, which ``StoredFiles`` then reads without a
+    digest per record (see the module docstring).  Each executed
     stage's wall time and input rate are logged, and kept out of manifests
     and ``stats.json``, whose bytes must not depend on the run's speed.
     """

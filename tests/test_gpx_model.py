@@ -18,14 +18,12 @@ from gpx_harvest.gpx_model import (GpxParseError, ParseStats, Track, extract_sin
                                    parse_gpx)
 from gpx_harvest.synthetic import gpx_xml, line_points
 
-URL = "http://a.example/t.gpx"
-
 
 def test_parse_minimal_document_preserves_desc():
     payload = gpx_xml([{"name": "Morning run", "desc": "Two laps\naround the park",
                         "segments": [[(51.0, -0.5, 12.0, "2024-01-01T10:00:00Z"),
                                       (51.001, -0.5, 13.0, None)]]}])
-    doc = parse_gpx(payload, URL)
+    doc = parse_gpx(payload)
     assert len(doc.tracks) == 1
     track = doc.tracks[0]
     assert track.desc == "Two laps\naround the park"  # verbatim, cleaning happens later
@@ -36,28 +34,28 @@ def test_parse_minimal_document_preserves_desc():
 
 def test_parse_rejects_html():
     with pytest.raises(GpxParseError):
-        parse_gpx(b"<html>404 not found</html>", URL)
+        parse_gpx(b"<html>404 not found</html>")
     with pytest.raises(GpxParseError):
-        parse_gpx(b"\x00\x01 not xml at all", URL)
+        parse_gpx(b"\x00\x01 not xml at all")
 
 
 @pytest.mark.parametrize("encoding", ["UT7-8", "rot13", "utf-32", "idna", "punycode"])
 def test_parse_rejects_an_encoding_expat_cannot_read(encoding):
     payload = f'<?xml version="1.0" encoding="{encoding}"?><gpx>\xe9</gpx>'.encode("latin-1")
     with pytest.raises(GpxParseError, match="not parseable XML"):
-        parse_gpx(payload, URL)
+        parse_gpx(payload)
 
 
 def test_parse_counts_two_tracks():
     payload = gpx_xml([{"segments": [[(50.0, 6.0)]]}, {"segments": [[(50.1, 6.1)]]}])
-    assert len(parse_gpx(payload, URL).tracks) == 2
+    assert len(parse_gpx(payload).tracks) == 2
 
 
 @pytest.mark.parametrize("version,namespace", [("1.0", True), ("1.1", True), ("1.1", False)])
 def test_parse_accepts_gpx_versions_and_no_namespace(version, namespace):
     payload = gpx_xml([{"segments": [[(50.0, 6.0, 100.0), (50.001, 6.0, 101.0)]]}],
                       version=version, namespace=namespace)
-    doc = parse_gpx(payload, URL)
+    doc = parse_gpx(payload)
     assert doc.tracks[0].point_count() == 2
 
 
@@ -70,7 +68,7 @@ def test_parse_drops_invalid_points_and_counts():
                b'<trkpt lat="nonsense" lon="6.0"></trkpt>'
                b'</trkseg></trk></gpx>')
     stats = ParseStats()
-    doc = parse_gpx(payload, URL, stats)
+    doc = parse_gpx(payload, stats)
     assert stats.points_dropped == 2
     # 2 bad out of 302 is under the 1% cutoff: track survives with 300 points
     assert doc.tracks[0].point_count() == 300
@@ -85,18 +83,18 @@ def test_parse_drops_track_losing_over_one_percent():
                b'<trkpt lat="-95.0" lon="6.0"></trkpt>'
                b'</trkseg></trk></gpx>')
     stats = ParseStats()
-    doc = parse_gpx(payload, URL, stats)
+    doc = parse_gpx(payload, stats)
     assert doc.tracks == []
     assert stats.tracks_dropped == 1
 
 
 def test_parse_metadata_desc_fallback():
     payload = gpx_xml([{"segments": [[(50.0, 6.0)]]}], metadata_desc="From metadata")
-    assert parse_gpx(payload, URL).tracks[0].desc == "From metadata"
+    assert parse_gpx(payload).tracks[0].desc == "From metadata"
 
     payload = gpx_xml([{"desc": "Track-level wins", "segments": [[(50.0, 6.0)]]}],
                       metadata_desc="From metadata")
-    assert parse_gpx(payload, URL).tracks[0].desc == "Track-level wins"
+    assert parse_gpx(payload).tracks[0].desc == "Track-level wins"
 
 
 def test_parse_route_becomes_single_segment_track():
@@ -106,7 +104,7 @@ def test_parse_route_becomes_single_segment_track():
                b'<rtept lat="50.0" lon="6.0"><ele>120</ele></rtept>'
                b'<rtept lat="50.01" lon="6.0"><ele>130</ele></rtept>'
                b'</rte></gpx>')
-    doc = parse_gpx(payload, URL)
+    doc = parse_gpx(payload)
     assert len(doc.tracks) == 1
     track = doc.tracks[0]
     assert track.desc == "Signed route"
@@ -121,7 +119,7 @@ def test_parse_ignores_extensions_and_waypoints():
                b'<wpt lat="1.0" lon="1.0"><name>cafe</name></wpt>'
                b'<trk><trkseg><trkpt lat="50.0" lon="6.0">'
                b'<x:speed>4.2</x:speed></trkpt></trkseg></trk></gpx>')
-    doc = parse_gpx(payload, URL)
+    doc = parse_gpx(payload)
     assert len(doc.tracks) == 1
     assert doc.tracks[0].point_count() == 1
 
@@ -130,14 +128,14 @@ def test_parse_tolerates_bad_ele_and_time():
     payload = (b'<?xml version="1.0"?><gpx version="1.1"><trk><trkseg>'
                b'<trkpt lat="50.0" lon="6.0"><ele>n/a</ele><time>yesterday</time></trkpt>'
                b'</trkseg></trk></gpx>')
-    track = parse_gpx(payload, URL).tracks[0]
+    track = parse_gpx(payload).tracks[0]
     assert math.isnan(track.ele[0])
 
 
 @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400"])
 def test_parse_treats_non_finite_ele_as_missing(text):
     payload = gpx_xml([{"segments": [[(50.0, 6.0, text), (50.001, 6.0, 120.5)]]}])
-    track = parse_gpx(payload, URL).tracks[0]
+    track = parse_gpx(payload).tracks[0]
     assert track.point_count() == 2
     assert math.isnan(track.ele[0])  # no elevation: the track goes to the DEM
     assert track.ele[1] == 120.5
@@ -173,7 +171,7 @@ def test_an_omitted_segment_lengths_makes_one_segment():
 # --- extract_single_track ------------------------------------------------------
 
 def test_extract_single_track_identity():
-    doc = parse_gpx(gpx_xml([{"segments": [[(50.0, 6.0), (50.1, 6.0)]]}]), URL)
+    doc = parse_gpx(gpx_xml([{"segments": [[(50.0, 6.0), (50.1, 6.0)]]}]))
     track, reason = extract_single_track(doc)
     assert reason is None
     assert track.point_count() == 2
@@ -181,24 +179,24 @@ def test_extract_single_track_identity():
 
 def test_extract_single_track_rejects_multi_track():
     doc = parse_gpx(gpx_xml([{"segments": [[(50.0, 6.0)]]},
-                             {"segments": [[(51.0, 6.0)]]}]), URL)
+                             {"segments": [[(51.0, 6.0)]]}]))
     assert extract_single_track(doc) == (None, "multi-track")
 
 
 def test_extract_single_track_ignores_empty_second_track():
     doc = parse_gpx(gpx_xml([{"desc": "real", "segments": [[(50.0, 6.0)]]},
-                             {"desc": "empty", "segments": [[]]}]), URL)
+                             {"desc": "empty", "segments": [[]]}]))
     track, reason = extract_single_track(doc)
     assert reason is None and track.desc == "real"
 
 
 def test_extract_single_track_rejects_zero_tracks():
-    doc = parse_gpx(gpx_xml([]), URL)
+    doc = parse_gpx(gpx_xml([]))
     assert extract_single_track(doc) == (None, "no-track")
 
 
 def test_extract_single_track_drops_empty_segments():
-    doc = parse_gpx(gpx_xml([{"segments": [[], [(50.0, 6.0), (50.1, 6.0)], []]}]), URL)
+    doc = parse_gpx(gpx_xml([{"segments": [[], [(50.0, 6.0), (50.1, 6.0)], []]}]))
     track, _ = extract_single_track(doc)
     assert track.segment_lengths == [2]
 
@@ -217,11 +215,11 @@ def segment_points(track):
 def test_parse_serialize_roundtrip_is_lossless():
     segments = [[(51.5, -0.25, 32.5), (51.5005, -0.2502, 33.0)],
                 [(51.501, -0.251, None), (51.5015, -0.2512, 35.25)]]
-    doc = parse_gpx(gpx_xml([{"name": "rt", "segments": segments}]), URL)
+    doc = parse_gpx(gpx_xml([{"name": "rt", "segments": segments}]))
     track = doc.tracks[0]
 
     reserialized = gpx_xml([{"desc": track.desc, "segments": segment_points(track)}])
-    reparsed = parse_gpx(reserialized, URL).tracks[0]
+    reparsed = parse_gpx(reserialized).tracks[0]
     assert segment_points(reparsed) == segments
 
 
@@ -229,7 +227,7 @@ def test_parse_honors_declared_encoding():
     xml = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
            '<gpx version="1.1"><trk><name>H\xfctte</name><desc>Sch\xf6ne Tour</desc>'
            '<trkseg><trkpt lat="47.0" lon="11.0"></trkpt></trkseg></trk></gpx>')
-    doc = parse_gpx(xml.encode("iso-8859-1"), URL)
+    doc = parse_gpx(xml.encode("iso-8859-1"))
     assert doc.tracks[0].desc == "Schöne Tour"
 
 
@@ -273,7 +271,7 @@ def gpx_points(draw, point_tag):
 
 
 # Number texts at the edges of the point-block scan: JSON numbers it reads
-# (``0``, ``7``, 40 digits), and texts it leaves to the tree readers.
+# (``0``, ``7``, 40 digits), and texts it leaves to the tree reader.
 _SCAN_NUMBER_TEXTS = ["0", "-0", "01.5", "1.", ".5", "7", "1234567890" * 4,
                       "-0.0", "-0e5", "1e-400", "1E400", "51.5e0"]
 
@@ -327,20 +325,9 @@ def parsed(payload):
     """The tracks of ``payload`` as comparable values (bits, not numbers, so
     that NaN equals NaN), and the parse stats."""
     stats = ParseStats()
-    doc = parse_gpx(payload, URL, stats)
+    doc = parse_gpx(payload, stats)
     return ([(track.lat.tobytes(), track.lon.tobytes(), track.ele.tobytes(),
               track.segment_lengths, track.desc) for track in doc.tracks], vars(stats))
-
-
-@settings(max_examples=300, deadline=None)
-@given(gpx_documents())
-def test_bulk_point_reading_equals_the_per_point_loop(payload):
-    # The point-block scan declines on both sides, so that every segment goes
-    # through the tree readers.
-    with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
-        bulk = parsed(payload)
-        with mock.patch.object(gpx_model, "_bulk_point_values", return_value=None):
-            assert parsed(payload) == bulk
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,27 +338,47 @@ def test_point_block_scan_equals_the_tree_readers(payload):
         assert parsed(payload) == scanned
 
 
-@pytest.mark.parametrize("points, bulk", [
-    ('<trkpt lat="1" lon="2"><ele>3</ele></trkpt><trkpt lat="1_0" lon=" 2 "/>', False),
+NAN = math.nan
+
+
+@pytest.mark.parametrize("points, track, stats", [
+    # A point is read by its local name in any namespace, and its <ele> only
+    # in its own namespace.
+    ('<trkpt lat="1" lon="2"/><o:trkpt lat="1" lon="2"/>',
+     ([1, 1], [2, 2], [NAN, NAN]), ParseStats()),
+    ('<trkpt lat="1" lon="2"><o:ele>4</o:ele></trkpt><o:trkpt lat="3" lon="4"><ele>6</ele>'
+     '<o:ele>5</o:ele></o:trkpt>', ([1, 3], [2, 4], [NAN, 5]), ParseStats()),
+    # An unparsable lat or lon drops the point, and here its track, which
+    # lost more than 1% of its points.
+    ('<trkpt lat="1" lon="2"/><trkpt lat="x" lon="2"/>',
+     None, ParseStats(points_dropped=1, tracks_dropped=1)),
+    # Each value is read as Python's float reads it; a point without <ele>
+    # has none.
+    ('<trkpt lat="1" lon="2"><ele>3</ele></trkpt><trkpt lat="1_0" lon=" 2 "/>',
+     ([1, 10], [2, 2], [3, NAN]), ParseStats()),
     ('<trkpt lat="1" lon="2"><ele>3</ele></trkpt><trkpt lat="1_0" lon=" 2 "><ele>nan</ele>'
-     '</trkpt>', True),
+     '</trkpt>', ([1, 10], [2, 2], [3, NAN]), ParseStats()),
+    # Extensions, on a point or beside the points, are ignored.
     ('<trkpt lat="1" lon="2"/><trkpt lat="\u0661" lon="2"><extensions/></trkpt><extensions/>',
-     True),
-    ('<trkpt lat="1" lon="2"/><trkpt lat="x" lon="2"/>', False),
-    ('<trkpt lat="1" lon="2"/><o:trkpt lat="1" lon="2"/>', False),
-])
-def test_bulk_point_reading_leaves_only_mixed_namespaces_and_bad_values_to_the_loop(points,
-                                                                                    bulk):
-    root = ElementTree.fromstring(f'<gpx xmlns="http://www.topografix.com/GPX/1/1" '
-                                  f'xmlns:o="urn:other"><trk><trkseg>{points}</trkseg></trk>'
-                                  f'</gpx>')
-    segment = root[0][0]
-    values = gpx_model._bulk_point_values(segment, "trkpt")
-    assert (values is not None) is bulk
-    if bulk:
-        expected = gpx_model._point_values(segment, "trkpt")
-        assert np.array(values[:3]).tobytes() == np.array(expected[:3]).tobytes()
-        assert values[3] == expected[3] == 0
+     ([1, 1], [2, 2], [NAN, NAN]), ParseStats()),
+], ids=["foreign-namespace-point", "ele-in-the-point-namespace", "unparsable-lat",
+        "float-texts", "nan-ele", "extensions"])
+def test_the_tree_reader_reads_each_point_by_its_own_rules(points, track, stats):
+    payload = (f'<gpx xmlns="http://www.topografix.com/GPX/1/1" xmlns:o="urn:other"><trk>'
+               f'<trkseg>{points}</trkseg></trk></gpx>').encode("utf-8")
+    assert gpx_model._scan_blocks(payload) is None
+    read = ParseStats()
+    tracks = parse_gpx(payload, read).tracks
+    assert read == stats
+    if track is None:
+        assert tracks == []
+        return
+    lat, lon, ele = track
+    [parsed_track] = tracks
+    assert parsed_track.lat.tolist() == lat and parsed_track.lon.tolist() == lon
+    # Compared as bits, so that NaN equals NaN.
+    assert parsed_track.ele.tobytes() == np.array(ele, dtype=np.float64).tobytes()
+    assert parsed_track.segment_lengths == [len(lat)]
 
 
 # --- the point-block scan ------------------------------------------------------
@@ -392,7 +399,7 @@ def test_a_block_document_takes_the_scan():
     skeleton, blocks = gpx_model._scan_blocks(block_document())
     assert b"<trkpt" not in skeleton
     assert [len(lat) for lat, _, _ in blocks] == [2]
-    track = parse_gpx(block_document(), URL).tracks[0]
+    track = parse_gpx(block_document()).tracks[0]
     assert track.ele.tolist() == [12.5, 13.0]
 
 
@@ -439,9 +446,9 @@ def test_a_block_after_the_root_fails_with_the_tree_readers_error():
     assert gpx_model._scan_blocks(payload) is not None  # but ElementTree refuses its skeleton
     with mock.patch.object(gpx_model, "_scan_blocks", return_value=None):
         with pytest.raises(GpxParseError) as tree:
-            parse_gpx(payload, URL)
+            parse_gpx(payload)
     with pytest.raises(GpxParseError) as scanned:
-        parse_gpx(payload, URL)
+        parse_gpx(payload)
     assert str(scanned.value) == str(tree.value)
     assert "junk after document element" in str(tree.value)
 

@@ -130,7 +130,7 @@ _GPX_PAYLOADS = st.one_of(
 @given(_GPX_PAYLOADS)
 def test_parse_gpx_returns_a_document_or_a_parse_error(payload):
     try:
-        assert isinstance(parse_gpx(payload, "http://a.example/t.gpx"), GpxDocument)
+        assert isinstance(parse_gpx(payload), GpxDocument)
     except GpxParseError:
         pass
 
@@ -139,7 +139,7 @@ def _outcome(payload):
     """The tracks and stats parse_gpx reads from ``payload``, or its error text."""
     stats = ParseStats()
     try:
-        doc = parse_gpx(payload, "http://a.example/t.gpx", stats)
+        doc = parse_gpx(payload, stats)
     except GpxParseError as exc:
         return str(exc)
     return [(track.lat.tobytes(), track.lon.tobytes(), track.ele.tobytes(),

@@ -133,6 +133,16 @@ def test_a_run_reads_a_manifest_only_for_a_stage_it_neither_checked_nor_ran(craw
     shutil.rmtree(cfg.resolved_out_dir())
     assert run_pipeline(cfg).executed == ["export"]
     assert read == list(STAGES)
+    # Export alone reads the other manifests for stats.json, and the run's
+    # closing stats take those reports rather than reading them again.
+    others = [stage for stage in STAGES if stage != "export"]
+    read.clear()
+    assert run_pipeline(cfg, stages=["export"], resume=False).executed == ["export"]
+    assert read == others
+    read.clear()
+    shutil.rmtree(cfg.resolved_out_dir())
+    assert run_pipeline(cfg, stages=["export"]).executed == ["export"]
+    assert read == ["export", *others]
 
 
 def test_golden_run_stage_conservation(crawl, tmp_path):
@@ -1051,8 +1061,12 @@ def test_cli_fatal_error_exit_code(tmp_path):
     ('{"fetch": {"max_parallel": "2"}}', "w"),
     ('{"workdir": 5}', "w"),
     ("{}", "afile/work"),
+    ("[" * 100_000, "w"),
+    ('{"filters": {"min_length_m": 1%s}}' % ("0" * 400), "w"),
+    ('{"fetch": {"rate_limit_per_s": 1%s}}' % ("0" * 400), "w"),
 ], ids=["section-not-an-object", "document-not-an-object", "string-threshold",
-        "string-parallelism", "numeric-workdir", "workdir-under-a-file"])
+        "string-parallelism", "numeric-workdir", "workdir-under-a-file", "nested-too-deep",
+        "threshold-beyond-a-float", "rate-beyond-a-float"])
 def test_cli_reports_a_fatal_setup_error_on_one_line(tmp_path, capsys, config, workdir):
     (tmp_path / "c.json").write_text(config, "utf-8")
     (tmp_path / "afile").write_text("", "utf-8")
@@ -1443,6 +1457,26 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"filters": {"bogus_threshold": 3}}))
     with pytest.raises(ValueError, match="bogus_threshold"):
         load_config(path)
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"filters": {"min_length_m": 1%s}}' % ("0" * 400), "config.filters.min_length_m"),
+    ('{"filters": {"desc_min_chars": -1%s}}' % ("0" * 400), "config.filters.desc_min_chars"),
+    ('{"fetch": {"rate_limit_per_s": 1%s}}' % ("0" * 400), "config.fetch.rate_limit_per_s"),
+])
+def test_load_config_refuses_a_number_beyond_a_float(tmp_path, config, message):
+    # Refused on loading, before any stage: a rate limit this large would
+    # otherwise fail only when fetch builds its limiter, after index ran.
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+def test_load_config_keeps_a_large_number_within_a_float_as_written(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"filters": {"max_length_m": 1%s}}' % ("0" * 300))
+    assert load_config(path).filters.max_length_m == 10 ** 300  # an int, not rounded
 
 
 def test_filter_config_validation(tmp_path):
