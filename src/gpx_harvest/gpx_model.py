@@ -8,6 +8,11 @@ track's own ``lat``, ``lon`` and ``ele`` arrays back to back.  Accepts GPX 1.0,
 GPX 1.1 and namespace-less documents.  Route files (<rte>/<rtept>) are folded
 into the same track model, one segment per route.
 
+Each GPX element is read by its exact tag in the root element's namespace,
+under whatever prefix the document binds to it; an element in any other
+namespace (``<o:trk>``, ``<o:trkpt>``, ``<o:ele>``, ``<o:desc>``) is skipped,
+as extensions are.
+
 Most of a GPX file is its points, and building an element for every point,
 elevation and timestamp is most of what parsing costs.  So ``parse_gpx``
 first scans the payload bytes for point blocks: literal ``<trkseg>``
@@ -124,38 +129,28 @@ def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
-def _child_text(element: ElementTree.Element, name: str) -> str | None:
-    for child in element:
-        if _local(child.tag) == name:
-            return child.text
-    return None
+def _read_points(parent: ElementTree.Element, point_tag: str, ele_tag: str,
+                 stats: ParseStats, blocks: list[_Block]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The points of a <trkseg> or <rte> as lat, lon and ele arrays, and how
+    many were dropped.
 
-
-def _read_points(parent: ElementTree.Element, point_tag: str,
-                 stats: ParseStats) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The parent's ``point_tag`` children as lat, lon and ele arrays, read
-    one point at a time, and how many were dropped.
-
-    A point is a child whose local name is ``point_tag``, in any namespace;
-    every other child is skipped.  A point is dropped when its lat or lon
-    does not convert to a float or is out of range.  The elevation is the
-    point's ``<ele>`` child in the point's own namespace; an absent,
-    unparsable or non-finite one is NaN.
+    A <trkseg> the scan tagged takes its points from ``blocks``; without
+    blocks the payload was parsed whole, and an attribute of that name is the
+    payload's own.  Otherwise every child tagged exactly ``point_tag`` is a
+    point, read one at a time, and every other child is skipped.  A point is
+    dropped when its lat or lon does not convert to a float or is out of
+    range.  The elevation is the point's first child tagged exactly
+    ``ele_tag``; an absent, unparsable or non-finite one is NaN.
     """
+    block = parent.get(_BLOCK_ATTRIBUTE) if blocks else None
+    if block is not None:
+        return _kept_points(*blocks[int(block)], 0, stats)
     lats: list[float] = []
     lons: list[float] = []
     eles: list[float] = []
     unparsable = 0
-    ele_tags: dict[str, str | None] = {}  # child tag -> its <ele> tag, None if not a point
-    for element in parent:
-        tag = element.tag
-        try:
-            ele_tag = ele_tags[tag]
-        except KeyError:
-            ele_tag = ele_tags[tag] = (tag[:len(tag) - len(point_tag)] + "ele"
-                                       if _local(tag) == point_tag else None)
-        if ele_tag is None:
-            continue
+    for element in parent.iterfind(point_tag):
         try:
             lat = float(element.get("lat", ""))
             lon = float(element.get("lon", ""))
@@ -298,27 +293,16 @@ def _scan_blocks(payload: bytes) -> tuple[bytes, list[_Block]] | None:
     return b"".join(pieces), blocks
 
 
-def _segment(element: ElementTree.Element, stats: ParseStats, blocks: list[_Block]
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """A <trkseg>'s points as ``_read_points`` returns them: from ``blocks``
-    when the scan tagged it, else by ``_read_points``.  Without blocks the
-    payload was parsed whole, and an attribute of that name is the payload's
-    own."""
-    block = element.get(_BLOCK_ATTRIBUTE) if blocks else None
-    if block is None:
-        return _read_points(element, "trkpt", stats)
-    return _kept_points(*blocks[int(block)], 0, stats)
-
-
-def _track(element: ElementTree.Element, stats: ParseStats,
+def _track(element: ElementTree.Element, ns: str, stats: ParseStats,
            blocks: list[_Block]) -> Track | None:
     """The <trk> (one segment per non-empty <trkseg>) or <rte> (one segment)
-    as a track; None when it lost too many points to validation."""
-    if _local(element.tag) == "rte":
-        parts = [_read_points(element, "rtept", stats)]
+    in the namespace ``ns`` as a track; None when it lost too many points to
+    validation."""
+    if element.tag == ns + "rte":
+        parts = [_read_points(element, ns + "rtept", ns + "ele", stats, blocks)]
     else:
-        parts = [_segment(child, stats, blocks)
-                 for child in element if _local(child.tag) == "trkseg"]
+        parts = [_read_points(segment, ns + "trkpt", ns + "ele", stats, blocks)
+                 for segment in element.iterfind(ns + "trkseg")]
     lengths = [len(lat) for lat, _, _, _ in parts if len(lat)]
     dropped = sum(part[3] for part in parts)
     if dropped and dropped / (dropped + sum(lengths)) > MAX_INVALID_POINT_RATIO:
@@ -329,7 +313,9 @@ def _track(element: ElementTree.Element, stats: ParseStats,
     else:
         lat, lon, ele = (np.concatenate([np.empty(0)] + [part[axis] for part in parts])
                          for axis in range(3))
-    return Track(lat, lon, ele, segment_lengths=lengths, desc=_child_text(element, "desc"))
+    # findtext gives "" for an empty <desc/>, which is no description.
+    return Track(lat, lon, ele, segment_lengths=lengths,
+                 desc=element.findtext(ns + "desc") or None)
 
 
 def _xml_root(payload: bytes) -> ElementTree.Element:
@@ -351,11 +337,16 @@ def _strip_or_none(text: str | None) -> str | None:
 def parse_gpx(payload: bytes, stats: ParseStats | None = None) -> GpxDocument:
     """Parse raw GPX bytes into tracks.
 
-    Reads trk/trkseg/trkpt plus the trk-level desc; each track's points, over
-    all of its trksegs, become one lat, one lon and one ele array, and each
-    non-empty trkseg one entry of its ``segment_lengths``.  The ele child is
-    optional per point, and a missing, unparsable or non-finite one (``nan``,
-    ``inf``, ``1e400``) is NaN, i.e. no elevation.  Unknown elements
+    Reads trk/trkseg/trkpt plus the trk-level desc, each element only by its
+    exact tag in the root's namespace (``{uri}trk``, or ``trk`` in a document
+    without one); an element of another namespace is skipped with all it
+    holds.  (ElementTree's paths read ``{*}`` as any namespace, so in a root
+    of the namespace ``*`` the elements inside a <trk> or <rte> are read in
+    every namespace.)  Each track's points, over all of its trksegs, become
+    one lat, one lon and one ele array, and each non-empty trkseg one entry
+    of its ``segment_lengths``.  The ele child is optional per point, and a
+    missing, unparsable or non-finite one (``nan``, ``inf``, ``1e400``) is
+    NaN, i.e. no elevation.  Unknown elements
     (extensions, waypoints, point timestamps) are ignored.  Points with
     unparsable or out-of-range lat/lon are dropped and counted in ``stats``;
     a track losing more than 1% of its points that way is dropped entirely.
@@ -384,17 +375,18 @@ def parse_gpx(payload: bytes, stats: ParseStats | None = None) -> GpxDocument:
         root = _xml_root(payload)
     if _local(root.tag) != "gpx":
         raise GpxParseError(f"root element is <{_local(root.tag)}>, expected <gpx>")
+    ns = root.tag[:-len("gpx")]  # "{uri}", or "" for no namespace
 
     doc_desc: str | None = None
     tracks: list[Track] = []
     for child in root:
-        tag = _local(child.tag)
-        if tag == "metadata":
-            doc_desc = doc_desc or _strip_or_none(_child_text(child, "desc"))
-        elif tag == "desc":
+        tag = child.tag
+        if tag == ns + "metadata":
+            doc_desc = doc_desc or _strip_or_none(child.findtext(ns + "desc"))
+        elif tag == ns + "desc":
             doc_desc = doc_desc or _strip_or_none(child.text)
-        elif tag in ("trk", "rte"):
-            track = _track(child, stats, blocks)
+        elif tag == ns + "trk" or tag == ns + "rte":
+            track = _track(child, ns, stats, blocks)
             if track is not None:
                 tracks.append(track)
 

@@ -106,17 +106,16 @@ def dedup(rows: Iterable[dict], counts: dict | None = None) -> list[dict]:
     receive the per-pass removal tallies.
     """
     ordered = sorted(rows, key=lambda r: (r["url"], r.get("crawl_id", "")))
-    survivors = []
-    seen_urls = set()
-    for row in ordered:
-        if row["url"] in seen_urls:
-            continue
-        seen_urls.add(row["url"])
-        survivors.append(row)
-
     deduped = []
+    seen_urls = set()
     seen_hashes = set()
-    for row in survivors:
+    duplicate_urls = 0
+    for row in ordered:
+        url = row["url"]
+        if url in seen_urls:
+            duplicate_urls += 1
+            continue
+        seen_urls.add(url)
         digest = row["content_hash"]
         if digest in seen_hashes:
             continue
@@ -124,8 +123,8 @@ def dedup(rows: Iterable[dict], counts: dict | None = None) -> list[dict]:
         deduped.append(row)
 
     if counts is not None:
-        counts["duplicate-url"] = len(ordered) - len(survivors)
-        counts["duplicate-content"] = len(survivors) - len(deduped)
+        counts["duplicate-url"] = duplicate_urls
+        counts["duplicate-content"] = len(ordered) - duplicate_urls - len(deduped)
     return deduped
 
 

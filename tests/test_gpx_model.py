@@ -241,22 +241,23 @@ _BAD_NUMBER_TEXTS = ["", "abc", "0x10", "1,5"]
 
 
 @st.composite
-def gpx_points(draw, point_tag):
-    """The points of one segment or route.  Half of the segments draw every
-    point the same way, in one namespace, each value a number text and each
-    point with an ``<ele>`` or none without; the other half mix namespaces
-    (prefix ``o:``), missing or unreadable values and ``<ele>`` in either
-    namespace.  Points may also carry ``<time>`` and an extension holding an
-    ``<ele>``."""
+def gpx_points(draw, point_tag, prefixes):
+    """The points of one segment or route, each tag taking a prefix from
+    ``prefixes``, all bound to the document's namespace.  Half of the
+    segments draw every point the same way, in that namespace, each value a
+    number text and each point with an ``<ele>`` or none without; the other
+    half also draw points in another namespace (prefix ``o:``), missing or
+    unreadable values and ``<ele>`` in either namespace.  Points may also
+    carry ``<time>`` and an extension holding an ``<ele>``."""
     clean = draw(st.booleans())
-    prefixes = [""] if clean else ["", "", "o:"]
+    point_prefixes = prefixes if clean else prefixes * 2 + ["o:"]
     numbers = st.one_of(st.floats(-200, 200).map(repr), st.sampled_from(_NUMBER_TEXTS))
     if not clean:
         numbers = st.one_of(numbers, st.sampled_from(_BAD_NUMBER_TEXTS))
     with_ele = draw(st.booleans())
     points = []
     for _ in range(draw(st.integers(0, 6))):
-        prefix = draw(st.sampled_from(prefixes))
+        prefix = draw(st.sampled_from(point_prefixes))
         attributes = "".join(f" {name}={quoteattr(text)}" for name in ("lat", "lon")
                              if (text := draw(numbers if clean else numbers | st.none()))
                              is not None)
@@ -264,7 +265,8 @@ def gpx_points(draw, point_tag):
             ["<time>2024-03-01T09:00:00Z</time>", "<extensions><ele>7</ele></extensions>"]
             + ([] if clean else ["<ele/>", "<o:ele>5</o:ele>"])), max_size=2))
         if with_ele if clean else draw(st.booleans()):
-            children.insert(0, f"<{prefix}ele>{escape(draw(numbers))}</{prefix}ele>")
+            ele = draw(st.sampled_from(prefixes)) + "ele"
+            children.insert(0, f"<{ele}>{escape(draw(numbers))}</{ele}>")
         points.append(f"<{prefix}{point_tag}{attributes}>{''.join(children)}"
                       f"</{prefix}{point_tag}>")
     return "".join(points)
@@ -305,20 +307,29 @@ def block_points(draw):
 def gpx_documents(draw):
     """A GPX document of one route, or of one track with up to three segments,
     each in the point-block scan's form or not; with or without an XML
-    declaration."""
-    namespace = draw(st.sampled_from(['xmlns="http://www.topografix.com/GPX/1/1"',
-                                      'xmlns="http://www.topografix.com/GPX/1/0"', ""]))
+    declaration.  In a document with a namespace, each GPX tag is written
+    bare or with the prefix ``g:``, which is bound to the same namespace."""
+    namespace = draw(st.sampled_from(["http://www.topografix.com/GPX/1/1",
+                                      "http://www.topografix.com/GPX/1/0", None]))
+    prefixes = ["", "g:"] if namespace else [""]
+    prefix = st.sampled_from(prefixes)
     extension = st.sampled_from(["", "", "<extensions><ele>1</ele></extensions>"])
     if draw(st.booleans()):
-        body = f"<rte>{draw(gpx_points('rtept'))}</rte>"
+        route = draw(prefix) + "rte"
+        body = f"<{route}>{draw(gpx_points('rtept', prefixes))}</{route}>"
     else:
-        segment = st.one_of(st.tuples(gpx_points("trkpt"), extension).map("".join),
+        segment = st.one_of(st.tuples(gpx_points("trkpt", prefixes), extension).map("".join),
                             block_points())
-        segments = draw(st.lists(segment, max_size=3))
-        body = "<trk>" + "".join(f"<trkseg>{points}</trkseg>" for points in segments) + "</trk>"
+        segments = draw(st.lists(st.tuples(prefix, segment), max_size=3))
+        track = draw(prefix) + "trk"
+        body = (f"<{track}>" + "".join(f"<{tag}trkseg>{points}</{tag}trkseg>"
+                                       for tag, points in segments) + f"</{track}>")
     declaration = draw(st.sampled_from(["", '<?xml version="1.0" encoding="UTF-8"?>\n',
                                         '<?xml version="1.1" encoding="UTF-8"?>']))
-    return f'{declaration}<gpx {namespace} xmlns:o="urn:other">{body}</gpx>'.encode("utf-8")
+    namespaces = f'xmlns="{namespace}" xmlns:g="{namespace}" ' if namespace else ""
+    root = draw(prefix) + "gpx"
+    return (f'{declaration}<{root} {namespaces}xmlns:o="urn:other">{body}</{root}>'
+            ).encode("utf-8")
 
 
 def parsed(payload):
@@ -342,12 +353,12 @@ NAN = math.nan
 
 
 @pytest.mark.parametrize("points, track, stats", [
-    # A point is read by its local name in any namespace, and its <ele> only
-    # in its own namespace.
+    # A point and its <ele> are read only in the document's namespace; one in
+    # another namespace is skipped, as an extension is.
     ('<trkpt lat="1" lon="2"/><o:trkpt lat="1" lon="2"/>',
-     ([1, 1], [2, 2], [NAN, NAN]), ParseStats()),
+     ([1], [2], [NAN]), ParseStats()),
     ('<trkpt lat="1" lon="2"><o:ele>4</o:ele></trkpt><o:trkpt lat="3" lon="4"><ele>6</ele>'
-     '<o:ele>5</o:ele></o:trkpt>', ([1, 3], [2, 4], [NAN, 5]), ParseStats()),
+     '<o:ele>5</o:ele></o:trkpt>', ([1], [2], [NAN]), ParseStats()),
     # An unparsable lat or lon drops the point, and here its track, which
     # lost more than 1% of its points.
     ('<trkpt lat="1" lon="2"/><trkpt lat="x" lon="2"/>',
@@ -379,6 +390,55 @@ def test_the_tree_reader_reads_each_point_by_its_own_rules(points, track, stats)
     # Compared as bits, so that NaN equals NaN.
     assert parsed_track.ele.tobytes() == np.array(ele, dtype=np.float64).tobytes()
     assert parsed_track.segment_lengths == [len(lat)]
+
+
+def all_prefixed(payload):
+    """``payload`` with every element given the prefix ``g:``, bound to the
+    namespace its default namespace declaration names."""
+    return re.sub(rb"<(/?)(?=[A-Za-z])", rb"<\1g:", payload).replace(b"xmlns=", b"xmlns:g=")
+
+
+@pytest.mark.parametrize("payload", [
+    gpx_xml([{"desc": "Two laps", "segments": [[(50.0, 6.0, 12.5), (50.001, 6.0, None)],
+                                                [(50.002, 6.0, 13.0)]]}]),
+    gpx_xml([{"segments": [[(50.0, 6.0, 12.5), (50.001, 6.0, 13.0)]]}],
+            metadata_desc="From metadata"),
+], ids=["track-desc", "metadata-desc"])
+def test_an_all_prefixed_document_reads_as_the_unprefixed_one(payload):
+    prefixed = all_prefixed(payload)
+    assert b"<g:gpx " in prefixed and b"<g:trkpt " in prefixed and b"<trk" not in prefixed
+    assert parsed(prefixed) == parsed(payload)
+    assert parsed(payload)[0][0][4] is not None  # the description
+
+
+_OTHER = '<gpx xmlns="http://www.topografix.com/GPX/1/1" xmlns:o="urn:other">{}</gpx>'
+
+
+@pytest.mark.parametrize("body", [
+    '<o:trk><trkseg><trkpt lat="1" lon="2"></trkpt></trkseg></o:trk>',  # a point block
+    '<o:trk><o:trkseg><o:trkpt lat="1" lon="2"/></o:trkseg></o:trk>',
+    '<o:rte><rtept lat="1" lon="2"/></o:rte>',
+    '<trk><o:trkseg><trkpt lat="1" lon="2"/></o:trkseg></trk>',
+], ids=["track-of-a-block", "all-foreign-track", "route", "segment"])
+def test_a_track_in_another_namespace_is_no_track(body):
+    assert extract_single_track(parse_gpx(_OTHER.format(body).encode())) == (None, "no-track")
+
+
+@pytest.mark.parametrize("root, inside, desc", [
+    ("", "<o:desc>Foreign</o:desc>", None),
+    ("<o:desc>Foreign</o:desc>", "", None),
+    ("<o:metadata><desc>Foreign</desc></o:metadata>", "", None),
+    ("<metadata><o:desc>Foreign</o:desc></metadata>", "", None),
+    ("", "<o:desc>Foreign</o:desc><desc>Own</desc>", "Own"),
+    ("<o:desc>Foreign</o:desc><desc>Own</desc>", "", "Own"),
+    ("<metadata><o:desc>Foreign</o:desc><desc>Own</desc></metadata>", "", "Own"),
+], ids=["track-desc", "document-desc", "metadata", "metadata-desc", "track-desc-then-own",
+        "document-desc-then-own", "metadata-desc-then-own"])
+def test_a_description_in_another_namespace_is_never_used(root, inside, desc):
+    payload = _OTHER.format(f'{root}<trk>{inside}<trkseg><trkpt lat="1" lon="2"/></trkseg>'
+                            f'</trk>').encode()
+    [track] = parse_gpx(payload).tracks
+    assert track.desc == desc
 
 
 # --- the point-block scan ------------------------------------------------------
